@@ -46,7 +46,7 @@ from .network import (
     direct_effective_resistance_oracle,
     effective_resistance,
     perturbed_effective_resistance,
-    reduced_inverse_entry,
+    reading_keys,
 )
 from .signatures import (
     EquivalenceClasses,

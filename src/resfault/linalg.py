@@ -87,35 +87,6 @@ def leading_principal_minors(mat) -> list[int]:
     return minors
 
 
-def solve_unit_column(mat, col: int) -> list[Fraction]:
-    """Solve mat @ x = e_col exactly, without forming the full inverse.
-
-    Fraction-free forward elimination followed by rational back
-    substitution; used where a single inverse column suffices.
-    """
-    a, scale = _to_integer_matrix(mat)
-    n = len(a)
-    rhs = [int(i == col) for i in range(n)]
-    prev = 1
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot == 0:
-            raise SingularMatrixError(f"zero pivot at step {k}")
-        for i in range(k + 1, n):
-            f = a[i][k]
-            for j in range(k, n):
-                a[i][j] = (pivot * a[i][j] - f * a[k][j]) // prev
-            rhs[i] = (pivot * rhs[i] - f * rhs[k]) // prev
-        prev = pivot
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(rhs[i])
-        for j in range(i + 1, n):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-    return [xi * scale for xi in x]
-
-
 def multiply(a, b) -> Matrix:
     """Plain exact matrix product, used in tests and sanity checks."""
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0

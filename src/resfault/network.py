@@ -1,12 +1,15 @@
 """Resistive network model and exact effective-resistance computation.
 
 A network is a connected weighted simple graph; weights are conductances
-(reciprocal resistances) kept as exact rationals throughout.  Effective
-resistance between a probe pair is obtained from entries of the inverse
-reduced Laplacian, and the single-fault perturbed resistance comes from
-the rank-one update closed form with the grounded vertex placed at one
-endpoint of the faulted edge.  A direct oracle that rebuilds the altered
-graph from scratch is kept alongside as an independent cross-check.
+(reciprocal resistances) kept as exact rationals throughout.  Each network
+is grounded once, at vertex 0: one fraction-free inversion of the reduced
+Laplacian gives an integer adjugate and determinant, from which every
+base resistance and every single-fault reading follows by the rank-one
+(Sherman-Morrison) update in integer arithmetic.  Within one probe, the
+readings differ only by the update's correction term, so faults can be
+compared through reduced integer keys (`reading_keys`) without forming a
+Fraction.  A direct oracle that rebuilds the altered graph from scratch
+is kept alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 from .linalg import fraction_free_invert
@@ -134,11 +138,10 @@ class Network:
         return cls(n, tuple(Edge(u, v, w) for (u, v), w in merged.items()))
 
     def edge_between(self, u: int, v: int) -> Edge:
-        key = (min(u, v), max(u, v))
-        edge = _edge_lookup(self).get(key)
-        if edge is None:
+        j = _edge_index(self).get((min(u, v), max(u, v)))
+        if j is None:
             raise KeyError(f"no edge between {u} and {v}")
-        return edge
+        return self.edges[j]
 
     def measurements(self) -> list[Measurement]:
         """All unordered vertex pairs: the default probe universe."""
@@ -195,61 +198,129 @@ def _instance_cache(net: Network, name: str) -> dict:
     return cache
 
 
-def _reduced_inverse(net: Network, ground: int):
-    """Inverse reduced Laplacian at `ground` as a dense Fraction matrix, memoized."""
-    cache = _instance_cache(net, "_inverse_cache")
-    inv = cache.get(ground)
-    if inv is None:
-        adj, det, scale = fraction_free_invert(build_reduced_laplacian(net, ground))
-        inv = tuple(tuple(Fraction(x * scale, det) for x in row) for row in adj)
-        cache[ground] = inv
-    return inv
-
-
-def _edge_lookup(net: Network) -> dict:
+def _edge_index(net: Network) -> dict:
+    """Edge pair -> position in `net.edges`, memoized."""
     cache = _instance_cache(net, "_edge_cache")
-    if "map" not in cache:
-        cache["map"] = {e.pair: e for e in net.edges}
-    return cache["map"]
+    if "index" not in cache:
+        cache["index"] = {e.pair: j for j, e in enumerate(net.edges)}
+    return cache["index"]
 
 
-def _inv_entry(inv, ground: int, i: int, j: int) -> Fraction:
-    ii = i if i < ground else i - 1
-    jj = j if j < ground else j - 1
-    return inv[ii][jj]
+NO_CHANGE = (0, 1)
+"""Reading key of a fault the probe does not see: the reading is the base value."""
 
 
-def reduced_inverse_entry(net: Network, ground: int, i: int, j: int) -> Fraction:
-    """Exact (i, j) entry of the inverse reduced Laplacian.
+class _ReadingKernel:
+    """One grounding of a network, shared by every probe and every fault.
 
-    Solves one linear system by fraction-free elimination rather than
-    inverting the whole matrix.
+    Grounding vertex 0, fraction-free inversion of the reduced Laplacian
+    gives integers P, D, c with L^-1 = c P / D; P is padded with a zero
+    row and column at the ground, so it indexes vertices directly.  For a
+    probe x = e_r - e_s the base resistance is R = c (x^T P x) / D.  A
+    fault on edge (a, b) of conductance p/q changes the Laplacian along
+    v = e_a - e_b.  With the integers X = v^T P x and Z = v^T P v the
+    Sherman-Morrison formula gives
+
+        shorted:  R' = R - c X^2 / (D Z)
+        removed:  R' = R + p c^2 X^2 / (D (q D - p c Z))
+
+    q D = p c Z exactly when the edge is a bridge (its effective
+    resistance equals its own resistance).  Removing a bridge leaves R
+    when X = 0 (no probe current crosses it: both probe ends lie on one
+    side) and separates the pair otherwise.
     """
-    if i == ground or j == ground:
-        raise ValueError("requested entry indexes the deleted ground row/column")
-    from .linalg import solve_unit_column
 
-    lap = build_reduced_laplacian(net, ground)
-    jj = j if j < ground else j - 1
-    ii = i if i < ground else i - 1
-    return solve_unit_column(lap, jj)[ii]
+    __slots__ = ("p", "det", "scale", "terms")
+
+    def __init__(self, net: Network):
+        adj, det, scale = fraction_free_invert(build_reduced_laplacian(net, 0))
+        p = [[0] * net.n] + [[0] + row for row in adj]
+        self.p, self.det, self.scale = p, det, scale
+        # Per edge: (a, b, conductance numerator, Z, q D - p c Z).
+        terms = []
+        for e in net.edges:
+            a, b, w = e.u, e.v, e.conductance
+            z = p[a][a] + p[b][b] - 2 * p[a][b]
+            terms.append((a, b, w.numerator, z, w.denominator * det - w.numerator * scale * z))
+        self.terms = tuple(terms)
+
+    def base(self, r: int, s: int) -> int:
+        """x^T P x for the probe (r, s): R = c * base / D."""
+        p = self.p
+        return p[r][r] + p[s][s] - 2 * p[r][s]
+
+    def keys(self, r: int, s: int, mode: FaultMode) -> list:
+        """Per edge, the reduced integer pair of the probe's correction term.
+
+        The base value, c and D are common to the row, so two faults read
+        the same exactly when their keys are equal: (X^2, Z) when shorted,
+        (p X^2, q D - p c Z) when removed, reduced to lowest terms;
+        NO_CHANGE when X = 0 and INFINITE for a bridge that separates the
+        probe pair.
+        """
+        d = [x - y for x, y in zip(self.p[r], self.p[s])]
+        out = []
+        if mode is FaultMode.SHORTED:
+            for a, b, _, z, _ in self.terms:
+                x = d[a] - d[b]
+                if x:
+                    x *= x
+                    g = gcd(x, z)
+                    out.append((x // g, z // g))
+                else:
+                    out.append(NO_CHANGE)
+        else:
+            for a, b, w, _, den in self.terms:
+                x = d[a] - d[b]
+                if not x:
+                    out.append(NO_CHANGE)
+                elif not den:
+                    out.append(INFINITE)
+                else:
+                    x *= w * x
+                    g = gcd(x, den)
+                    out.append((x // g, den // g))
+        return out
+
+    def reading(self, r: int, s: int, j: int, mode: FaultMode) -> Resistance:
+        """Faulted resistance of the probe (r, s) when edge j is faulted."""
+        p, c, det = self.p, self.scale, self.det
+        a, b, w, z, den = self.terms[j]
+        x = p[r][a] - p[r][b] - p[s][a] + p[s][b]
+        base = self.base(r, s)
+        if mode is FaultMode.SHORTED:
+            return Fraction(c * (base * z - x * x), det * z)
+        if not den:
+            return INFINITE if x else Fraction(c * base, det)
+        return Fraction(c * (base * den + w * c * x * x), det * den)
 
 
-def effective_resistance(net: Network, m: Measurement, ground: int = 0) -> Fraction:
-    """Effective resistance between the probe pair (exact, ground-invariant)."""
-    r, s = m.r, m.s
-    if s >= net.n or r < 0:
+def _kernel(net: Network) -> _ReadingKernel:
+    """The network's reading kernel, built on first use (one inversion)."""
+    kernel = net.__dict__.get("_kernel")
+    if kernel is None:
+        kernel = _ReadingKernel(net)
+        object.__setattr__(net, "_kernel", kernel)
+    return kernel
+
+
+def _check_measurement(net: Network, m: Measurement):
+    if m.s >= net.n or m.r < 0:
         raise ValueError(f"measurement {m.pair} out of range for n={net.n}")
-    inv = _reduced_inverse(net, ground)
-    if r == ground:
-        return _inv_entry(inv, ground, s, s)
-    if s == ground:
-        return _inv_entry(inv, ground, r, r)
-    return (
-        _inv_entry(inv, ground, r, r)
-        + _inv_entry(inv, ground, s, s)
-        - 2 * _inv_entry(inv, ground, r, s)
-    )
+
+
+def _fault_index(net: Network, fault: Edge) -> int:
+    j = _edge_index(net).get(fault.pair)
+    if j is None or net.edges[j] != fault:
+        raise ValueError(f"fault edge {fault.pair} is not in the network")
+    return j
+
+
+def effective_resistance(net: Network, m: Measurement) -> Fraction:
+    """Effective resistance between the probe pair (exact)."""
+    _check_measurement(net, m)
+    kernel = _kernel(net)
+    return Fraction(kernel.scale * kernel.base(m.r, m.s), kernel.det)
 
 
 def perturbed_effective_resistance(
@@ -257,35 +328,26 @@ def perturbed_effective_resistance(
 ) -> Resistance:
     """Effective resistance after the fault alters one edge.
 
-    Uses the rank-one update closed form with the ground at the fault edge
-    endpoint `b`: R' = R - beta * x**2, where x is built from inverse
-    reduced-Laplacian entries and beta encodes the weight change (the
-    limit value for a short, the negated conductance for a removal).
-    When a removal makes the update denominator vanish the edge is a
-    bridge; we fall back to the rebuilt-graph oracle.
+    Evaluates the rank-one (Sherman-Morrison) update on the network's one
+    grounding; see `_ReadingKernel` for the formula.  A removed bridge
+    reads INFINITE when it separates the probe pair and the unaltered
+    value otherwise, straight from the formula's integers.
     """
-    if _edge_lookup(net).get(fault.pair) != fault:
-        raise ValueError(f"fault edge {fault.pair} is not in the network")
-    a, b = fault.u, fault.v
-    inv = _reduced_inverse(net, b)
-    laa = _inv_entry(inv, b, a, a)
-    r, s = m.r, m.s
-    if s == b:
-        x = _inv_entry(inv, b, a, r)
-    elif r == b:
-        x = _inv_entry(inv, b, a, s)
-    else:
-        x = _inv_entry(inv, b, a, r) - _inv_entry(inv, b, a, s)
-    base = effective_resistance(net, m, ground=b)
-    if mode is FaultMode.SHORTED:
-        delta = x * x / laa
-        return base - delta
-    denom = 1 - fault.conductance * laa
-    if denom == 0:
-        # Bridge removal: the update is singular, answer from the altered graph.
-        return direct_effective_resistance_oracle(net, m, fault, mode)
-    beta = -fault.conductance / denom
-    return base - beta * x * x
+    j = _fault_index(net, fault)
+    _check_measurement(net, m)
+    return _kernel(net).reading(m.r, m.s, j, mode)
+
+
+def reading_keys(net: Network, m: Measurement, mode: FaultMode) -> list:
+    """One hashable key per edge of `net.edges`: the probe's faulted readings.
+
+    Within one probe, two faults have equal keys exactly when their
+    readings are equal, and a key equals NO_CHANGE exactly when the
+    reading is the unaltered resistance.  Keys are small integer tuples
+    (or INFINITE); no Fraction is built.
+    """
+    _check_measurement(net, m)
+    return _kernel(net).keys(m.r, m.s, mode)
 
 
 def _deleted_edge_view(net: Network, fault: Edge):
@@ -362,8 +424,7 @@ def direct_effective_resistance_oracle(
     shares no update formula with `perturbed_effective_resistance` and is
     the verification oracle for it.
     """
-    if _edge_lookup(net).get(fault.pair) != fault:
-        raise ValueError(f"fault edge {fault.pair} is not in the network")
+    _fault_index(net, fault)
     if mode is FaultMode.REMOVED:
         comp_id, locals_, networks = _deleted_edge_view(net, fault)
         if comp_id[m.r] != comp_id[m.s]:

@@ -4,7 +4,10 @@ Each probe (measurement) assigns every candidate fault edge an exact
 resistance reading; stacking probes gives each edge a column of readings.
 A probe set solves the detection problem precisely when all columns are
 distinct.  Everything here compares exact rationals (or the INFINITE
-open-circuit sentinel) -- no tolerances anywhere.
+open-circuit sentinel) -- no tolerances anywhere.  Questions about which
+faults a probe set separates are answered on `reading_classes`, small
+integer class ids keyed on the exact readings, so they never build a
+Fraction; `build_signature` forms the readings themselves.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .network import (
     Resistance,
     effective_resistance,
     perturbed_effective_resistance,
+    reading_keys,
 )
 
 
@@ -79,11 +83,46 @@ def build_signature(
     return SignatureMatrix(ms, net.edges, mode, rows)
 
 
+def reading_classes(
+    net: Network, measurements: Sequence[Measurement], mode: FaultMode
+) -> list[list[int]]:
+    """Per probe, each edge's class id: equal ids exactly when the readings are equal.
+
+    Ids are numbered from 0 in edge order within each row, so every id of
+    a row is below the edge count.
+    """
+    ms = tuple(measurements)
+    if not ms:
+        raise ValueError("need at least one measurement")
+    table = []
+    for m in ms:
+        ids: dict = {}
+        table.append([ids.setdefault(key, len(ids)) for key in reading_keys(net, m, mode)])
+    return table
+
+
+def merged_pairs(
+    edges: Sequence[Edge], table: Sequence[Sequence[int]]
+) -> list[tuple[Edge, Edge]]:
+    """Edge pairs whose class ids agree in every row of `table`, in edge order."""
+    by_column: dict[tuple, list[int]] = {}
+    for j, column in enumerate(zip(*table)):
+        by_column.setdefault(column, []).append(j)
+    pairs = [
+        (edges[group[x]], edges[group[y]])
+        for group in by_column.values()
+        for x in range(len(group))
+        for y in range(x + 1, len(group))
+    ]
+    pairs.sort()
+    return pairs
+
+
 def equivalence_classes(net: Network, m: Measurement, mode: FaultMode) -> EquivalenceClasses:
     """Group edges that one probe cannot tell apart (identical exact readings)."""
-    groups: dict[Resistance, list[Edge]] = {}
-    for e in net.edges:
-        groups.setdefault(perturbed_effective_resistance(net, m, e, mode), []).append(e)
+    groups: dict[object, list[Edge]] = {}
+    for e, key in zip(net.edges, reading_keys(net, m, mode)):
+        groups.setdefault(key, []).append(e)
     classes = tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
     return EquivalenceClasses(m, classes)
 
@@ -92,26 +131,15 @@ def is_distinguishing(
     net: Network, measurements: Sequence[Measurement], mode: FaultMode
 ) -> bool:
     """True iff all fault columns of the signature matrix are pairwise distinct."""
-    sig = build_signature(net, measurements, mode)
-    cols = sig.columns()
-    return len(set(cols)) == len(cols)
+    columns = list(zip(*reading_classes(net, measurements, mode)))
+    return len(set(columns)) == len(columns)
 
 
 def undistinguished_pairs(
     net: Network, measurements: Sequence[Measurement], mode: FaultMode
 ) -> list[tuple[Edge, Edge]]:
     """All edge pairs left with identical columns; empty iff distinguishing."""
-    sig = build_signature(net, measurements, mode)
-    by_column: dict[tuple, list[int]] = {}
-    for j in range(len(sig.edges)):
-        by_column.setdefault(sig.column(j), []).append(j)
-    pairs = []
-    for group in by_column.values():
-        for x in range(len(group)):
-            for y in range(x + 1, len(group)):
-                pairs.append((sig.edges[group[x]], sig.edges[group[y]]))
-    pairs.sort()
-    return pairs
+    return merged_pairs(net.edges, reading_classes(net, measurements, mode))
 
 
 def extend_for_no_fault(

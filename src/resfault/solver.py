@@ -18,13 +18,15 @@ to the number of probe types.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from math import ceil
+from operator import itemgetter
 from typing import Sequence
 
 from .families import KPartiteShape
 from .network import Edge, FaultMode, Measurement, Network
-from .signatures import build_signature
+from .signatures import merged_pairs, reading_classes
 from .strategies import MeasurementPlan
 
 
@@ -54,15 +56,14 @@ class _Deadline(Exception):
 
 
 class _CoverInstance:
-    """Bitmask view of the test-cover problem for one network and mode."""
+    """Bitmask view of the test-cover problem, built from a class-id table.
 
-    def __init__(self, net: Network, candidates: Sequence[Measurement], mode: FaultMode):
-        self.net = net
-        self.candidates = list(candidates)
-        self.mode = mode
-        sig = build_signature(net, self.candidates, mode)
-        ne = len(net.edges)
-        self.edge_count = ne
+    Pair (i, j) of edges, i < j, is bit offsets[i] + j; a candidate's mask
+    holds the pairs its row separates (different class ids).
+    """
+
+    def __init__(self, table: Sequence[Sequence[int]], edge_count: int):
+        ne = edge_count
         self.pair_count = ne * (ne - 1) // 2
         offsets = []
         acc = 0
@@ -71,38 +72,58 @@ class _CoverInstance:
             acc += ne - i - 1
         self.full = (1 << self.pair_count) - 1
         self.masks: list[int] = []
-        for row in sig.entries:
-            groups: dict[object, list[int]] = {}
-            for j, value in enumerate(row):
-                groups.setdefault(value, []).append(j)
+        for row in table:
+            groups: dict[int, list[int]] = {}
+            for j, cid in enumerate(row):
+                groups.setdefault(cid, []).append(j)
             same = 0
             for group in groups.values():
                 for x in range(len(group)):
-                    gi = group[x]
-                    base = offsets[gi]
+                    base = offsets[group[x]]
                     for y in range(x + 1, len(group)):
                         same |= 1 << (base + group[y])
             self.masks.append(self.full & ~same)
-        self._offsets = offsets
+        # Pairs -> covering candidate indices, for pivot selection.
+        self.coverers: dict[int, list[int]] = {}
+        for j, m in enumerate(self.masks):
+            for bit in _bit_positions(m):
+                self.coverers.setdefault(bit, []).append(j)
 
-    def pair_edges(self, bit: int) -> tuple[Edge, Edge]:
-        for i in range(self.edge_count):
-            width = self.edge_count - i - 1
-            if bit < width:
-                return self.net.edges[i], self.net.edges[i + bit + 1]
-            bit -= width
-        raise IndexError(bit)
-
-    def uncovered_pairs(self, covered: int) -> list[tuple[Edge, Edge]]:
+    def search(
+        self, target: int, chosen: list[int], covered: int, deadline: float
+    ) -> list[int] | None:
+        """Depth-first cover of every pair with at most `target` candidates."""
+        if covered == self.full:
+            return chosen
+        if len(chosen) >= target:
+            return None
+        if time.monotonic() > deadline:
+            raise _Deadline
+        masks, coverers = self.masks, self.coverers
         missing = self.full & ~covered
-        out = []
-        bit = 0
-        while missing:
-            if missing & 1:
-                out.append(self.pair_edges(bit))
-            missing >>= 1
-            bit += 1
-        return out
+        remaining = target - len(chosen)
+        best_single = 0
+        reachable = 0
+        for m in masks:
+            hit = m & missing
+            if hit:
+                reachable |= hit
+                count = hit.bit_count()
+                if count > best_single:
+                    best_single = count
+        if reachable != missing:
+            return None
+        if ceil(missing.bit_count() / best_single) > remaining:
+            return None
+        # Pivot: uncovered pair with the fewest covering probes (static counts);
+        # probes already chosen cannot cover it, so its coverer list is live.
+        pivot = min(_bit_positions(missing), key=lambda bit: (len(coverers[bit]), bit))
+        order = sorted(coverers[pivot], key=lambda j: (-(masks[j] & missing).bit_count(), j))
+        for j in order:
+            result = self.search(target, chosen + [j], covered | masks[j], deadline)
+            if result is not None:
+                return result
+        return None
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -114,6 +135,49 @@ def _bit_positions(mask: int) -> list[int]:
         mask >>= 1
         pos += 1
     return out
+
+
+def _greedy_order(table: Sequence[Sequence[int]], edge_count: int) -> list[int] | None:
+    """Candidate indices in greedy order; None if the pool stops splitting first.
+
+    Each step picks the row that raises the number of fault classes the
+    most (ties to the earliest).  Classes are integer ids refined by each
+    chosen row (partition refinement); only edges in classes of two or
+    more can still split, so only those are counted.
+    """
+    ne = edge_count
+    labels = [0] * ne
+    active = list(range(ne))
+    chosen: list[int] = []
+    classes = 1 if ne else 0
+    while classes < ne:
+        # Some class has two members, so `active` has two or more entries and
+        # itemgetter returns tuples.
+        pick = itemgetter(*active)
+        live = pick(labels)
+        singles = ne - len(active)
+        taken = set(chosen)
+        best_j, best_classes = None, classes
+        for j, row in enumerate(table):
+            if j in taken:
+                continue
+            count = singles + len(set(zip(live, pick(row))))
+            if count > best_classes:
+                best_j, best_classes = j, count
+        if best_j is None:
+            return None
+        ids: dict[tuple[int, int], int] = {}
+        labels = [ids.setdefault(pair, len(ids)) for pair in zip(labels, table[best_j])]
+        sizes = Counter(labels)
+        active = [e for e in range(ne) if sizes[labels[e]] > 1]
+        chosen.append(best_j)
+        classes = best_classes
+    return chosen
+
+
+def _plan(cands, indices, tag: str, family: str, mode: FaultMode) -> MeasurementPlan:
+    ms = tuple(cands[j] for j in indices)
+    return MeasurementPlan(ms, (tag,) * len(ms), family, mode)
 
 
 def solve_exact(
@@ -128,23 +192,25 @@ def solve_exact(
 
     Returns Infeasible when even the whole candidate pool leaves some
     fault pair merged, and TimedOut (carrying the greedy incumbent and
-    the size proven insufficient so far) when the budget expires.
+    the size proven insufficient so far) when the budget expires.  The
+    cover masks and the greedy incumbent share one class-id table.
     """
     cands = list(candidates) if candidates is not None else net.measurements()
     if not cands:
         raise ValueError("candidate pool must be nonempty")
     deadline = time.monotonic() + budget_seconds
-    inst = _CoverInstance(net, cands, mode)
+    table = reading_classes(net, cands, mode)
+    inst = _CoverInstance(table, len(net.edges))
     if inst.pair_count == 0:
         return ExactSolution(MeasurementPlan((), (), family, mode))
     union = 0
     for m in inst.masks:
         union |= m
     if union != inst.full:
-        return Infeasible(tuple(inst.uncovered_pairs(union)))
+        return Infeasible(tuple(merged_pairs(net.edges, table)))
 
-    greedy_plan = solve_greedy(net, cands, mode, family=family)
-    assert isinstance(greedy_plan, MeasurementPlan)
+    greedy = _greedy_order(table, len(net.edges))
+    greedy_plan = _plan(cands, greedy, "greedy", family, mode)
     upper = len(greedy_plan)
 
     max_single = max(m.bit_count() for m in inst.masks)
@@ -155,69 +221,22 @@ def solve_exact(
         index_of = {m: i for i, m in enumerate(cands)}
         root_indices = [index_of[m] for m in first_probe_orbits if m in index_of]
 
-    # Pairs -> covering candidate indices, for pivot selection.
-    coverers: dict[int, list[int]] = {}
-    for j, m in enumerate(inst.masks):
-        for bit in _bit_positions(m):
-            coverers.setdefault(bit, []).append(j)
-
-    def search(target: int, chosen: list[int], covered: int) -> list[int] | None:
-        if covered == inst.full:
-            return chosen
-        if len(chosen) >= target:
-            return None
-        if time.monotonic() > deadline:
-            raise _Deadline
-        missing = inst.full & ~covered
-        remaining = target - len(chosen)
-        best_single = 0
-        reachable = 0
-        for m in inst.masks:
-            hit = m & missing
-            if hit:
-                reachable |= hit
-                count = hit.bit_count()
-                if count > best_single:
-                    best_single = count
-        if reachable != missing:
-            return None
-        if ceil(missing.bit_count() / best_single) > remaining:
-            return None
-        # Pivot: uncovered pair with the fewest covering probes (static counts);
-        # probes already chosen cannot cover it, so its coverer list is live.
-        pivot = min(_bit_positions(missing), key=lambda bit: (len(coverers[bit]), bit))
-        order = sorted(
-            coverers[pivot], key=lambda j: (-(inst.masks[j] & missing).bit_count(), j)
-        )
-        for j in order:
-            result = search(target, chosen + [j], covered | inst.masks[j])
-            if result is not None:
-                return result
-        return None
-
     try:
         for target in range(root_lower, upper):
             if root_indices is not None:
                 found = None
                 for j in sorted(root_indices):
-                    found = search(target, [j], inst.masks[j])
+                    found = inst.search(target, [j], inst.masks[j], deadline)
                     if found is not None:
                         break
             else:
-                found = search(target, [], 0)
+                found = inst.search(target, [], 0, deadline)
             if found is not None:
-                ms = tuple(cands[j] for j in found)
-                return ExactSolution(
-                    MeasurementPlan(ms, ("exact",) * len(ms), family, mode)
-                )
+                return ExactSolution(_plan(cands, found, "exact", family, mode))
     except _Deadline:
         return TimedOut(incumbent=greedy_plan, lower_bound=target)
     # No smaller set exists: the greedy plan is optimal.
-    return ExactSolution(
-        MeasurementPlan(
-            greedy_plan.measurements, ("exact",) * len(greedy_plan), family, mode
-        )
-    )
+    return ExactSolution(_plan(cands, greedy, "exact", family, mode))
 
 
 def solve_greedy(
@@ -236,32 +255,11 @@ def solve_greedy(
     cands = list(candidates) if candidates is not None else net.measurements()
     if not cands:
         raise ValueError("candidate pool must be nonempty")
-    sig = build_signature(net, cands, mode)
-    ne = len(net.edges)
-    labels: list[tuple] = [()] * ne
-    chosen: list[int] = []
-    classes = 1 if ne else 0
-    while classes < ne:
-        best_j, best_classes = None, classes
-        for j in range(len(cands)):
-            if j in chosen:
-                continue
-            row = sig.entries[j]
-            count = len({(labels[e], row[e]) for e in range(ne)})
-            if count > best_classes:
-                best_j, best_classes = j, count
-        if best_j is None:
-            union = 0
-            inst = _CoverInstance(net, cands, mode)
-            for m in inst.masks:
-                union |= m
-            return Infeasible(tuple(inst.uncovered_pairs(union)))
-        row = sig.entries[best_j]
-        labels = [labels[e] + (row[e],) for e in range(ne)]
-        chosen.append(best_j)
-        classes = best_classes
-    ms = tuple(cands[j] for j in chosen)
-    return MeasurementPlan(ms, ("greedy",) * len(ms), family, mode)
+    table = reading_classes(net, cands, mode)
+    chosen = _greedy_order(table, len(net.edges))
+    if chosen is None:
+        return Infeasible(tuple(merged_pairs(net.edges, table)))
+    return _plan(cands, chosen, "greedy", family, mode)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,8 @@ from resfault.strategies import (
     tripartite_strategy,
 )
 
+from grounding import grounded_resistance
+
 ACCEPTANCE_SHAPES = [
     KPartiteShape(parts)
     for k in (2, 3, 4)
@@ -172,8 +174,7 @@ def test_criterion_3_bipartite_exactness():
         ok,
         "bipartite optima and plans match the stated counts"
         if ok
-        else f"{len(failures)} sub-cases fail, all with a size-2 partition "
-        f"(table columns II and IV coincide there): {failures}",
+        else f"{len(failures)} sub-cases fail: {failures}",
     )
     assert ok, failures
 
@@ -209,8 +210,7 @@ def test_criterion_4_tripartite_table():
         ok,
         "tripartite plans match the stated table and the exact rows are confirmed"
         if ok
-        else f"{len(failures)} sub-cases fail (dominated largest partition, "
-        f"surplus 2 mod 3; solver-proven optima exceed the stated row): {failures}",
+        else f"{len(failures)} sub-cases fail: {failures}",
     )
     assert ok, failures
 
@@ -330,7 +330,8 @@ def test_criterion_8_property_suite():
         net = random_connected_net()
         ms = net.measurements()
         m = ms[rng.randrange(len(ms))]
-        assert len({effective_resistance(net, m, ground=g) for g in range(net.n)}) == 1
+        grounded = {grounded_resistance(net, m, g) for g in range(net.n)}
+        assert grounded == {effective_resistance(net, m)}
         assert effective_resistance(net, Measurement(m.s, m.r)) == effective_resistance(net, m)
         e = net.edges[rng.randrange(len(net.edges))]
         base = effective_resistance(net, m)

@@ -8,8 +8,10 @@ from resfault.linalg import (
     fraction_free_invert,
     leading_principal_minors,
     multiply,
-    solve_unit_column,
 )
+from resfault.network import Measurement, Network, effective_resistance
+
+from grounding import grounded_inverse, grounded_resistance
 
 
 def random_spd(rng, n):
@@ -42,14 +44,23 @@ def test_rational_entries_are_scaled_exactly():
     assert multiply(a, inv) == [[1, 0], [0, 1]]
 
 
-def test_solve_unit_column_matches_full_inverse():
+def test_inverse_columns_give_resistances_at_every_ground():
     rng = random.Random(11)
     for _ in range(15):
-        n = rng.randint(1, 6)
-        a = random_spd(rng, n)
-        inv = as_fractions(*fraction_free_invert(a))
-        j = rng.randrange(n)
-        assert solve_unit_column(a, j) == [inv[i][j] for i in range(n)]
+        n = rng.randint(2, 7)
+        edges = [(rng.randrange(v), v, Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+                 for v in range(1, n)]
+        edges += [(u, v, rng.randint(1, 4)) for u in range(n) for v in range(u + 1, n)
+                  if rng.random() < 0.4]
+        net = Network.from_edge_list(n, edges)
+        ground = rng.randrange(n)
+        inv = grounded_inverse(net, ground)
+        # the diagonal entry of each vertex is its resistance to the ground
+        for v in range(n):
+            if v != ground:
+                assert inv[v][v] == effective_resistance(net, Measurement(v, ground))
+        for m in net.measurements():
+            assert grounded_resistance(net, m, ground) == effective_resistance(net, m)
 
 
 def test_pivots_are_leading_minors_and_positive_for_spd():
@@ -68,4 +79,4 @@ def test_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
         fraction_free_invert([[1, 1], [1, 1]])
     with pytest.raises(SingularMatrixError):
-        solve_unit_column([[0, 1], [1, 0]], 0)
+        fraction_free_invert([[0, 1], [1, 0]])

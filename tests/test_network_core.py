@@ -14,8 +14,9 @@ from resfault.network import (
     direct_effective_resistance_oracle,
     effective_resistance,
     perturbed_effective_resistance,
-    reduced_inverse_entry,
 )
+
+from grounding import grounded_inverse, grounded_resistance
 
 
 def dense_resistance_oracle(net, r, s):
@@ -112,8 +113,13 @@ class TestInverseEntries:
     @pytest.mark.parametrize("n", [5, 8, 11])
     def test_complete_graph_entries(self, n):
         net = complete_network(n)
-        assert reduced_inverse_entry(net, 0, 1, 1) == Fraction(2, n)
-        assert reduced_inverse_entry(net, 0, 1, 2) == Fraction(1, n)
+        inv = grounded_inverse(net, 0)
+        assert inv[1][1] == Fraction(2, n)
+        assert inv[1][2] == Fraction(1, n)
+        assert effective_resistance(net, Measurement(0, 1)) == inv[1][1]
+        assert effective_resistance(net, Measurement(1, 2)) == grounded_resistance(
+            net, Measurement(1, 2), 0
+        )
 
     def test_random_weighted_graph_inverse_identity(self):
         rng = random.Random(5)
@@ -121,19 +127,27 @@ class TestInverseEntries:
         edges += [(0, 3, Fraction(2, 7)), (1, 4, 2), (2, 5, 1)]
         net = Network.from_edge_list(6, edges)
         lap = build_reduced_laplacian(net, 2)
+        inv = grounded_inverse(net, 2)
         sampled = [0, 3, 4]  # columns of the inverse, in reduced indexing
         for col in sampled:
             column = [
-                reduced_inverse_entry(net, 2, i if i < 2 else i + 1, col if col < 2 else col + 1)
-                for i in range(5)
+                inv[i if i < 2 else i + 1][col if col < 2 else col + 1] for i in range(5)
             ]
             for i in range(5):
                 acc = sum(lap[i][j] * column[j] for j in range(5))
                 assert acc == (1 if i == col else 0)
+        for m in net.measurements():
+            assert effective_resistance(net, m) == grounded_resistance(net, m, 2)
 
-    def test_ground_entry_rejected(self):
-        with pytest.raises(ValueError):
-            reduced_inverse_entry(path_network(), 1, 1, 0)
+    def test_ground_row_and_column_are_deleted(self):
+        net = path_network()
+        lap = build_reduced_laplacian(net, 1)
+        assert len(lap) == 2 and all(len(row) == 2 for row in lap)
+        inv = grounded_inverse(net, 1)
+        assert inv[1] == [0, 0, 0] and [row[1] for row in inv] == [0, 0, 0]
+        # with vertex 1 grounded, the resistance to it is a diagonal entry
+        for v in (0, 2):
+            assert effective_resistance(net, Measurement(v, 1)) == inv[v][v] == 1
 
 
 class TestEffectiveResistance:
@@ -159,8 +173,8 @@ class TestEffectiveResistance:
              (0, 4, 1), (1, 3, 1)],
         )
         for m in net.measurements():
-            values = {effective_resistance(net, m, ground=g) for g in range(5)}
-            assert len(values) == 1
+            values = {grounded_resistance(net, m, g) for g in range(5)}
+            assert values == {effective_resistance(net, m)}
 
 
 class TestPerturbedResistance:

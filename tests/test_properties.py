@@ -21,6 +21,8 @@ from resfault.network import (
 from resfault.signatures import is_distinguishing
 from resfault.strategies import complete_strategy, kpartite_strategy
 
+from grounding import grounded_resistance
+
 
 @st.composite
 def connected_networks(draw):
@@ -61,8 +63,8 @@ def network_measurement_edge(draw):
 @given(network_measurement_edge())
 def test_ground_independence(case):
     net, m, _ = case
-    values = {effective_resistance(net, m, ground=g) for g in range(net.n)}
-    assert len(values) == 1
+    values = {grounded_resistance(net, m, g) for g in range(net.n)}
+    assert values == {effective_resistance(net, m)}
 
 
 @settings(max_examples=40, deadline=None)

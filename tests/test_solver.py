@@ -122,6 +122,20 @@ class TestExactSolver:
         assert is_distinguishing(net, result.incumbent.measurements, FaultMode.REMOVED)
         assert 1 <= result.lower_bound <= len(result.incumbent)
 
+    def test_solve_leaves_no_reference_cycles(self):
+        import gc
+
+        shape = KPartiteShape((2, 3, 6))
+        net = shape.network()
+        gc.collect()
+        gc.disable()
+        try:
+            result = solve_exact(net, first_probe_orbits=measurement_orbit_representatives(shape))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert isinstance(result, ExactSolution) and len(result.plan) == 5
+
     def test_shorted_mode_solves_independently(self):
         net = KPartiteShape((2, 2)).network()
         result = solve_exact(net, mode=FaultMode.SHORTED)
