@@ -175,9 +175,11 @@ def cmd_solve(args) -> int:
         if isinstance(result, solver.Infeasible):
             return _print_infeasible(result)
         if isinstance(result, solver.TimedOut):
+            known = "no plan is known"
+            if result.incumbent is not None:
+                known = f"best known plan has {len(result.incumbent)} measurements"
             print(
-                f"timed out: best known plan has {len(result.incumbent)} measurements; "
-                f"at least {result.lower_bound} are necessary",
+                f"timed out: {known}; at least {result.lower_bound} are necessary",
                 file=sys.stderr,
             )
             if result.incumbent is not None:

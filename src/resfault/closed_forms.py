@@ -68,7 +68,8 @@ def c_coefficient(shape: KPartiteShape, q: int, b: int) -> Fraction:
     """Block-inverse coefficient C_{p_q} with the ground in partition b.
 
     Evaluates ((n-1)^2 + (|p_b|-1) - |p_q|(n-1)) / ((n-|p_q|)(n-|p_b|)n),
-    the compact form; the summation form agrees with it whenever q != b.
+    the compact form; the summation form agrees with it whenever q != b
+    (checked in the tests).
     """
     k = shape.k
     if not (0 <= q < k and 0 <= b < k):
@@ -76,16 +77,6 @@ def c_coefficient(shape: KPartiteShape, q: int, b: int) -> Fraction:
     n = shape.n
     pq, pb = shape.parts[q], shape.parts[b]
     return Fraction((n - 1) ** 2 + (pb - 1) - pq * (n - 1), (n - pq) * (n - pb) * n)
-
-
-def c_coefficient_sum_form(shape: KPartiteShape, q: int, b: int) -> Fraction:
-    """Summation form of the same coefficient, kept for the identity test."""
-    n = shape.n
-    pq, pb = shape.parts[q], shape.parts[b]
-    num = (pb - 1) * n + sum(
-        shape.parts[i] * (n - 1) for i in range(shape.k) if i not in (b, q)
-    )
-    return Fraction(num, (n - pq) * (n - pb) * n)
 
 
 def kpartite_inverse_entry(shape: KPartiteShape, ground: int, i: int, j: int) -> Fraction:

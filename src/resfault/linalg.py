@@ -13,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-Matrix = list[list[Fraction]]
-
 
 class SingularMatrixError(ValueError):
     """Elimination hit a zero pivot: the matrix is not invertible."""
@@ -62,38 +60,3 @@ def fraction_free_invert(mat) -> tuple[list[list[int]], int, int]:
     det = b[n - 1][n - 1] if n else 1
     adj = [row[n:] for row in b]
     return adj, det, scale
-
-
-def leading_principal_minors(mat) -> list[int]:
-    """Pivot sequence of fraction-free elimination on the integer-scaled matrix.
-
-    Entry k is the k-th leading principal minor of (mat * scale); all
-    positive iff the matrix is positive definite.
-    """
-    a, _ = _to_integer_matrix(mat)
-    n = len(a)
-    minors = []
-    prev = 1
-    for k in range(n):
-        pivot = a[k][k]
-        minors.append(pivot)
-        if pivot == 0:
-            break
-        for i in range(k + 1, n):
-            f = a[i][k]
-            for j in range(k, n):
-                a[i][j] = (pivot * a[i][j] - f * a[k][j]) // prev
-        prev = pivot
-    return minors
-
-
-def multiply(a, b) -> Matrix:
-    """Plain exact matrix product, used in tests and sanity checks."""
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            row.append(sum((Fraction(a[i][k]) * b[k][j] for k in range(inner)), Fraction(0)))
-        out.append(row)
-    return out

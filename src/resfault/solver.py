@@ -8,11 +8,15 @@ its covered pairs are the whole universe.
 solve_exact runs iterative-deepening branch and bound over bitmask pair
 sets: targets grow from a counting lower bound until a plan of the target
 size exists, so the first plan found is provably minimum.  Branching
-picks an uncovered pair with the fewest covering probes and tries each of
-them; subtrees are cut when even the best single-probe coverage cannot
-finish within the target.  For vertex-transitive families the caller can
-supply first-probe orbit representatives, which shrinks the root fanout
-to the number of probe types.
+picks an uncovered pair with the fewest covering probes (read off masks
+bucketed by coverer count) and tries each of them; subtrees are cut when
+some uncovered pair has no usable coverer, or when even the best
+single-probe coverage cannot finish within the target.  Once a child
+fails, its probe is banned from the subtrees of its later siblings: the
+failed subtree already tried every cover that contains it.  For
+vertex-transitive families the caller can supply first-probe orbit
+representatives, which shrinks the root fanout to the number of probe
+types; a failed root is banned from the later roots the same way.
 """
 
 from __future__ import annotations
@@ -45,7 +49,11 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class TimedOut:
-    """Search budget exhausted: best known plan and the size proven necessary."""
+    """Search budget exhausted: best known plan and the size proven necessary.
+
+    `lower_bound` is the smallest target not yet refuted: the search
+    proved that no plan of fewer probes exists.
+    """
 
     incumbent: MeasurementPlan | None
     lower_bound: int
@@ -58,83 +66,92 @@ class _Deadline(Exception):
 class _CoverInstance:
     """Bitmask view of the test-cover problem, built from a class-id table.
 
-    Pair (i, j) of edges, i < j, is bit offsets[i] + j; a candidate's mask
-    holds the pairs its row separates (different class ids).
+    Pair (i, j) of edges, i < j, is one bit; the pairs of edge i fill one
+    segment of ne-i-1 bits, bit j-i-1 of it, and segments follow edge
+    order from bit 0.  A candidate's mask holds the pairs its row
+    separates (different class ids): segment i is the set of edges outside
+    row[i]'s class shifted right by i+1, and a row's segments are joined
+    in one binary-string conversion, so no loop runs per pair.
+
+    `buckets` partitions the pairs by how many candidates cover them, in
+    ascending count order; the counts are summed bit-sliced (a carry-save
+    adder over the masks, one bit plane per binary digit of the count).
     """
 
     def __init__(self, table: Sequence[Sequence[int]], edge_count: int):
         ne = edge_count
         self.pair_count = ne * (ne - 1) // 2
-        offsets = []
-        acc = 0
-        for i in range(ne):
-            offsets.append(acc - i - 1)  # pair (i, j) -> acc + (j - i - 1)
-            acc += ne - i - 1
         self.full = (1 << self.pair_count) - 1
+        every = (1 << ne) - 1
         self.masks: list[int] = []
         for row in table:
-            groups: dict[int, list[int]] = {}
-            for j, cid in enumerate(row):
-                groups.setdefault(cid, []).append(j)
-            same = 0
-            for group in groups.values():
-                for x in range(len(group)):
-                    base = offsets[group[x]]
-                    for y in range(x + 1, len(group)):
-                        same |= 1 << (base + group[y])
-            self.masks.append(self.full & ~same)
-        # Pairs -> covering candidate indices, for pivot selection.
-        self.coverers: dict[int, list[int]] = {}
-        for j, m in enumerate(self.masks):
-            for bit in _bit_positions(m):
-                self.coverers.setdefault(bit, []).append(j)
+            members: dict[int, int] = {}
+            for e, cid in enumerate(row):
+                members[cid] = members.get(cid, 0) | 1 << e
+            segments = [
+                format((every ^ members[row[i]]) >> (i + 1), f"0{ne - i - 1}b")
+                for i in range(ne - 2, -1, -1)
+            ]
+            self.masks.append(int("".join(segments) or "0", 2))
+        planes: list[int] = []  # planes[k]: pairs whose coverer count has bit k set
+        for carry in self.masks:
+            for k, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[k], carry = plane ^ carry, plane & carry
+            if carry:
+                planes.append(carry)
+        self.buckets = [self.full] if self.full else []
+        for plane in reversed(planes):
+            self.buckets = [part for b in self.buckets for part in (b & ~plane, b & plane) if part]
+        self.coverers_of: dict[int, list[int]] = {}  # filled per pivot on first use
+
+    def pivot(self, missing: int) -> int:
+        """The missing pair with the fewest coverers, ties to the lowest bit."""
+        hit = next(hit for hit in (missing & b for b in self.buckets) if hit)
+        return (hit & -hit).bit_length() - 1
 
     def search(
-        self, target: int, chosen: list[int], covered: int, deadline: float
+        self, target: int, chosen: list[int], covered: int, banned: int, deadline: float
     ) -> list[int] | None:
-        """Depth-first cover of every pair with at most `target` candidates."""
+        """Depth-first cover of every pair with at most `target` candidates.
+
+        Candidates in the `banned` bitmask are left out: each is a refuted
+        earlier sibling of a node on the path, whose subtree already tried
+        every cover that includes it at this target.
+        """
         if covered == self.full:
             return chosen
         if len(chosen) >= target:
             return None
         if time.monotonic() > deadline:
             raise _Deadline
-        masks, coverers = self.masks, self.coverers
+        masks = self.masks
         missing = self.full & ~covered
-        remaining = target - len(chosen)
-        best_single = 0
         reachable = 0
-        for m in masks:
+        gains: dict[int, int] = {}
+        for j, m in enumerate(masks):
             hit = m & missing
-            if hit:
+            if hit and not banned >> j & 1:
                 reachable |= hit
-                count = hit.bit_count()
-                if count > best_single:
-                    best_single = count
+                gains[j] = hit.bit_count()
         if reachable != missing:
             return None
-        if ceil(missing.bit_count() / best_single) > remaining:
+        if ceil(missing.bit_count() / max(gains.values())) > target - len(chosen):
             return None
-        # Pivot: uncovered pair with the fewest covering probes (static counts);
-        # probes already chosen cannot cover it, so its coverer list is live.
-        pivot = min(_bit_positions(missing), key=lambda bit: (len(coverers[bit]), bit))
-        order = sorted(coverers[pivot], key=lambda j: (-(masks[j] & missing).bit_count(), j))
-        for j in order:
-            result = self.search(target, chosen + [j], covered | masks[j], deadline)
+        # Pivot on static coverer counts; probes already chosen cannot cover
+        # the pivot, and `gains` drops the banned ones.
+        pivot = self.pivot(missing)
+        coverers = self.coverers_of.get(pivot)
+        if coverers is None:
+            coverers = [j for j, m in enumerate(masks) if m >> pivot & 1]
+            self.coverers_of[pivot] = coverers
+        for j in sorted((j for j in coverers if j in gains), key=lambda j: (-gains[j], j)):
+            result = self.search(target, chosen + [j], covered | masks[j], banned, deadline)
             if result is not None:
                 return result
+            banned |= 1 << j
         return None
-
-
-def _bit_positions(mask: int) -> list[int]:
-    out = []
-    pos = 0
-    while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
-    return out
 
 
 def _greedy_order(table: Sequence[Sequence[int]], edge_count: int) -> list[int] | None:
@@ -224,13 +241,14 @@ def solve_exact(
     try:
         for target in range(root_lower, upper):
             if root_indices is not None:
-                found = None
+                found, banned = None, 0
                 for j in sorted(root_indices):
-                    found = inst.search(target, [j], inst.masks[j], deadline)
+                    found = inst.search(target, [j], inst.masks[j], banned, deadline)
                     if found is not None:
                         break
+                    banned |= 1 << j
             else:
-                found = inst.search(target, [], 0, deadline)
+                found = inst.search(target, [], 0, 0, deadline)
             if found is not None:
                 return ExactSolution(_plan(cands, found, "exact", family, mode))
     except _Deadline:

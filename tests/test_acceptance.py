@@ -42,7 +42,7 @@ from resfault.families import (
     complete_orbit_representatives,
     measurement_orbit_representatives,
 )
-from resfault.linalg import fraction_free_invert, multiply
+from resfault.linalg import fraction_free_invert
 from resfault.network import (
     INFINITE,
     FaultMode,
@@ -62,6 +62,7 @@ from resfault.strategies import (
 )
 
 from grounding import grounded_resistance
+from reference import multiply
 
 ACCEPTANCE_SHAPES = [
     KPartiteShape(parts)

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from resfault import solver
 from resfault.cli import main
 from resfault.fileio import (
     FileFormatError,
@@ -170,6 +172,25 @@ class TestSolveCommand:
         assert main(["solve", "--network", "K8", "--exact", "--budget", "0"]) == 3
         captured = capsys.readouterr()
         assert "timed out" in captured.err
+
+    def test_budget_bounds_wall_time(self, capsys):
+        # The deadline is checked only inside the search, so the set-up before
+        # it (300 candidate probes, 44,850 fault pairs on K25) must stay small.
+        start = time.monotonic()
+        assert main(["solve", "--network", "K25", "--budget", "1"]) == 3
+        assert time.monotonic() - start < 10
+        captured = capsys.readouterr()
+        assert "timed out: best known plan has" in captured.err
+        assert json.loads(captured.out)["measurements"]
+
+    def test_timeout_without_incumbent(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            solver, "solve_exact", lambda *a, **k: solver.TimedOut(incumbent=None, lower_bound=4)
+        )
+        assert main(["solve", "--network", "K6"]) == 3
+        captured = capsys.readouterr()
+        assert "timed out: no plan is known; at least 4 are necessary" in captured.err
+        assert captured.out == ""
 
     def test_explicit_network_file(self, tmp_path, capsys):
         net_file = tmp_path / "net.json"

@@ -7,7 +7,6 @@ from resfault.closed_forms import (
     KPartiteCase,
     KPartiteColumn,
     c_coefficient,
-    c_coefficient_sum_form,
     classify_complete,
     classify_kpartite,
     complete_delta,
@@ -15,7 +14,7 @@ from resfault.closed_forms import (
     kpartite_inverse_entry,
 )
 from resfault.families import KPartiteShape, complete_network
-from resfault.linalg import fraction_free_invert, multiply
+from resfault.linalg import fraction_free_invert
 from resfault.network import (
     FaultMode,
     Measurement,
@@ -23,6 +22,8 @@ from resfault.network import (
     effective_resistance,
     perturbed_effective_resistance,
 )
+
+from reference import c_coefficient_sum_form, multiply
 
 
 class TestCompleteTable:

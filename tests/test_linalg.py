@@ -3,15 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from resfault.linalg import (
-    SingularMatrixError,
-    fraction_free_invert,
-    leading_principal_minors,
-    multiply,
-)
+from resfault.linalg import SingularMatrixError, fraction_free_invert
 from resfault.network import Measurement, Network, effective_resistance
 
 from grounding import grounded_inverse, grounded_resistance
+from reference import leading_principal_minors, multiply
 
 
 def random_spd(rng, n):
