@@ -85,21 +85,13 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _generate_plan(family: str, param) -> strategies.MeasurementPlan:
-    if family == "complete":
-        return strategies.complete_strategy(param)
-    shape: KPartiteShape = param
-    if shape.k == 2:
-        return strategies.bipartite_strategy(*shape.parts)
-    if shape.k == 3:
-        return strategies.tripartite_strategy(*shape.parts)
-    return strategies.kpartite_strategy(shape)
-
-
 def cmd_strategy(args) -> int:
     family, param = _parse_family(args)
     try:
-        plan = _generate_plan(family, param)
+        if family == "complete":
+            plan = strategies.complete_strategy(param)
+        else:
+            plan = strategies.kpartite_strategy(param)
     except ValueError as exc:
         print(f"out of scope: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -110,8 +102,12 @@ def cmd_strategy(args) -> int:
     doc["mode"] = mode.value
     text = json.dumps(doc, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     else:
         print(text)
     if not ok:

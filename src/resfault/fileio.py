@@ -95,7 +95,9 @@ def network_spec_from_dict(data: dict) -> NetworkSpec:
         parts = data.get("parts")
         if not isinstance(parts, list) or not parts:
             raise FileFormatError('k_partite network needs a nonempty "parts" list')
-        shape = KPartiteShape(tuple(sorted(int(p) for p in parts)))
+        if not all(isinstance(p, int) and not isinstance(p, bool) for p in parts):
+            raise FileFormatError('"parts" must hold integers')
+        shape = KPartiteShape(tuple(sorted(parts)))
         return NetworkSpec("k_partite", kpartite_network(shape), shape.n, shape.parts)
     if family == "explicit":
         n = _require_int(data, "n")
@@ -152,6 +154,8 @@ def plan_from_dict(data: dict, family: str = "file") -> MeasurementPlan:
     provenance = data.get("provenance")
     if provenance is None:
         provenance = ["file"] * len(measurements)
+    if not isinstance(provenance, list):
+        raise FileFormatError('"provenance" must be a list')
     if len(provenance) != len(measurements):
         raise FileFormatError("provenance length must match measurements")
     try:
@@ -178,11 +182,16 @@ def validate_plan_for(plan: MeasurementPlan, net: Network):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise FileFormatError(f"{path}: no such file") from exc
+    except OSError as exc:
+        raise FileFormatError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{path}: top level must be a JSON object")
+    return data
 
 
 def _require_int(data: dict, key: str) -> int:

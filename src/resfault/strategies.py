@@ -5,8 +5,13 @@ probes sharing a center vertex), zig-zag schemes (two interleaved
 butterflies across two partitions), hairpins (center in one partition,
 wings in the other), partition butterflies (all three vertices in one
 partition), stars (one vertex probed against a whole partition), cross
-matchings, and single leftover links.  Every probe in a plan carries the
-name of the move that produced it.
+matchings, and single leftover links.  Each move is written once, as a
+method of the plan builder; every probe in a plan carries the name of
+the move that produced it.
+
+`complete_strategy` serves complete graphs and `kpartite_strategy` every
+complete k-partite graph; the latter hands k = 2 and k = 3 to
+`bipartite_strategy` and `tripartite_strategy`.
 
 Vertex choices follow one rule everywhere: when any eligible vertex will
 do, take the lowest index.  Plans are therefore fully deterministic.
@@ -15,9 +20,10 @@ do, take the lowest index.  Plans are therefore fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import ceil
 
-from .bounds import table4_triple_count, val
+from .bounds import bipartite_bound, table4_triple_count, tripartite_bound, val
 from .families import KPartiteShape
 from .network import FaultMode, Measurement
 
@@ -42,6 +48,13 @@ class MeasurementPlan:
 
 
 class _Builder:
+    """Accumulates probes and their tags; each shared strategy move is one method.
+
+    A pool is a list of vertices still to be covered.  Moves take the
+    vertices they use from the front of their pools, in place, and leave
+    the rest to the caller's closing rules.
+    """
+
     def __init__(self, family: str):
         self.family = family
         self.measurements: list[Measurement] = []
@@ -52,6 +65,67 @@ class _Builder:
         self.measurements.append(Measurement(a, b))
         self.tags.append(tag)
         self.used.update((a, b))
+
+    def wing(self, a: int, center: int, b: int, tag: str):
+        """The two probes (a, center) and (center, b) sharing a center."""
+        self.add(a, center, tag)
+        self.add(center, b, tag)
+
+    def butterflies(self, pool: list[int], tag: str) -> list[int]:
+        """A wing on each consecutive triple of the pool; returns the centers."""
+        centers = []
+        while len(pool) >= 3:
+            a, center, b = pool[:3]
+            del pool[:3]
+            self.wing(a, center, b, tag)
+            centers.append(center)
+        return centers
+
+    def zigzags(self, pb: list[int], pc: list[int]) -> list[int]:
+        """Zig-zag schemes on three vertices of each pool at a time.
+
+        Each scheme is a wing centered in pb followed by one centered in
+        pc; returns the pc centers.
+        """
+        centers = []
+        while len(pb) >= 3 and len(pc) >= 3:
+            b1, b2, b3 = pb[:3]
+            c1, c2, c3 = pc[:3]
+            del pb[:3], pc[:3]
+            self.wing(c1, b1, c2, "zigzag")
+            self.wing(b2, c3, b3, "zigzag")
+            centers.append(c3)
+        return centers
+
+    def hairpins(self, pb: list[int], pc: list[int], spare: int | None) -> list[int]:
+        """Close a one- or two-vertex remainder of pb against pc.
+
+        One vertex: it centers a wing on the first two vertices of pc,
+        borrowing `spare` when pc holds only one.  Two vertices: they are
+        the wings around the first vertex of pc, which is returned as the
+        only center.  Only pc is consumed; pb is used up whole.
+        """
+        if len(pb) == 1:
+            wings = (pc + [spare])[:2]
+            del pc[:2]
+            self.wing(wings[0], pb[0], wings[1], "hairpin")
+        elif len(pb) == 2:
+            center = pc.pop(0)
+            self.wing(pb[0], center, pb[1], "hairpin")
+            return [center]
+        return []
+
+    def leftover_link(self, v: int, partition):
+        """Probe v against the lowest already-used vertex of its partition."""
+        w = min(x for x in partition if x in self.used and x != v)
+        self.add(v, w, "leftover-link")
+
+    def close(self, pool: list[int], designated: int, partition, tag: str):
+        """Cover a partition's one or two leftover vertices after its butterflies."""
+        if len(pool) == 1:
+            self.leftover_link(pool[0], partition)
+        elif len(pool) == 2:
+            self.wing(pool[0], pool[1], designated, tag)
 
     def plan(self, mode: FaultMode = FaultMode.REMOVED) -> MeasurementPlan:
         return MeasurementPlan(tuple(self.measurements), tuple(self.tags), self.family, mode)
@@ -67,19 +141,11 @@ def complete_strategy(n: int) -> MeasurementPlan:
     if n < 6:
         raise ValueError(f"complete-graph strategy needs n >= 6, got {n}")
     b = _Builder(f"complete({n})")
-    for g in range(n // 3):
-        x = 3 * g
-        b.add(x, x + 1, "butterfly")
-        b.add(x + 1, x + 2, "butterfly")
-    for v in range(3 * (n // 3), n):
+    pool = list(range(n))
+    b.butterflies(pool, "butterfly")
+    for v in pool:
         b.add(1, v, "hub-link")
     return b.plan()
-
-
-def _chunk3(pool: list[int]):
-    while len(pool) >= 3:
-        yield pool[:3]
-        del pool[:3]
 
 
 def bipartite_strategy(b_size: int, g_size: int) -> MeasurementPlan:
@@ -113,53 +179,16 @@ def bipartite_strategy(b_size: int, g_size: int) -> MeasurementPlan:
     if b_size < g_size:
         for u in beta_pool:
             builder.add(u, gamma_pool.pop(0), "cross-matching")
-        for x1, x2, x3 in _chunk3(gamma_pool):
-            builder.add(x1, x2, "butterfly")
-            builder.add(x2, x3, "butterfly")
-        if len(gamma_pool) == 1:
-            v = gamma_pool[0]
-            w = min(x for x in gamma if x not in (v, des_g))
-            builder.add(v, w, "leftover-link")
-        elif len(gamma_pool) == 2:
-            u, v = gamma_pool
-            builder.add(u, v, "leftover-butterfly")
-            builder.add(v, des_g, "leftover-butterfly")
+        builder.butterflies(gamma_pool, "butterfly")
+        builder.close(gamma_pool, des_g, gamma, "leftover-butterfly")
         return builder.plan()
 
     # Equal sizes: zig-zag schemes, then hairpin closings.
-    while len(beta_pool) >= 3 and len(gamma_pool) >= 3:
-        g1, g2, g3 = gamma_pool[:3]
-        b1, b2, b3 = beta_pool[:3]
-        del gamma_pool[:3], beta_pool[:3]
-        builder.add(g1, b1, "zigzag")
-        builder.add(b1, g2, "zigzag")
-        builder.add(b2, g3, "zigzag")
-        builder.add(g3, b3, "zigzag")
-    if len(beta_pool) == 1:
-        v = beta_pool[0]
-        builder.add(v, gamma_pool[0], "hairpin")
-        builder.add(v, des_g, "hairpin")
-    elif len(beta_pool) == 2:
-        u, v = beta_pool
-        w, t = gamma_pool[0], gamma_pool[1]
-        builder.add(u, w, "hairpin")
-        builder.add(w, v, "hairpin")
-        builder.add(t, w, "leftover-link")
+    builder.zigzags(beta_pool, gamma_pool)
+    centers = builder.hairpins(beta_pool, gamma_pool, des_g)
+    if gamma_pool:
+        builder.add(gamma_pool[0], centers[0], "leftover-link")
     return builder.plan()
-
-
-def _surplus_cover(builder: _Builder, pool: list[int], designated: int, partition: list[int]):
-    """Cover leftover vertices of one partition: butterflies, then closing rules."""
-    for x1, x2, x3 in _chunk3(pool):
-        builder.add(x1, x2, "partition-butterfly")
-        builder.add(x2, x3, "partition-butterfly")
-    if len(pool) == 1:
-        w = min(x for x in partition if x in builder.used and x != pool[0])
-        builder.add(pool[0], w, "leftover-link")
-    elif len(pool) == 2:
-        v1, v2 = pool
-        builder.add(v1, v2, "partition-butterfly")
-        builder.add(v2, designated, "partition-butterfly")
 
 
 def tripartite_strategy(a: int, b: int, c: int) -> MeasurementPlan:
@@ -185,28 +214,25 @@ def tripartite_strategy(a: int, b: int, c: int) -> MeasurementPlan:
     pools = [p[1:] for p in parts]
 
     if a == b == c:
-        for i in range(a - 1):
-            builder.add(pools[0][i], pools[2][i], "tripartite-butterfly")
-            builder.add(pools[2][i], pools[1][i], "tripartite-butterfly")
+        for u, center, w in zip(pools[0], pools[2], pools[1]):
+            builder.wing(u, center, w, "tripartite-butterfly")
         return builder.plan()
 
     if a < b < c:
         surplus = c - a - b + 1
         if surplus <= 0:
             if shape.n % 2 == 0:
-                builder.add(pools[0][0], pools[2][0], "tripartite-butterfly")
-                builder.add(pools[2][0], pools[1][0], "tripartite-butterfly")
+                builder.wing(pools[0][0], pools[2][0], pools[1][0], "tripartite-butterfly")
                 pools = [p[1:] for p in pools]
             while any(pools):
                 order = sorted(range(3), key=lambda i: (-len(pools[i]), i))
                 first, second = order[0], order[1]
                 builder.add(pools[first].pop(0), pools[second].pop(0), "matching")
             return builder.plan()
-        for u in pools[0]:
+        for u in pools[0] + pools[1]:
             builder.add(u, pools[2].pop(0), "matching")
-        for u in pools[1]:
-            builder.add(u, pools[2].pop(0), "matching")
-        _surplus_cover(builder, pools[2], designated[2], parts[2])
+        builder.butterflies(pools[2], "partition-butterfly")
+        builder.close(pools[2], designated[2], parts[2], "partition-butterfly")
         return builder.plan()
 
     if a == b < c:
@@ -215,39 +241,25 @@ def tripartite_strategy(a: int, b: int, c: int) -> MeasurementPlan:
         while pools[1] and pools[2]:
             builder.add(pools[1].pop(0), pools[2].pop(0), "matching")
         side = 1 if pools[1] else 2
-        _surplus_cover(builder, pools[side], designated[side], parts[side])
+        builder.butterflies(pools[side], "partition-butterfly")
+        builder.close(pools[side], designated[side], parts[side], "partition-butterfly")
         return builder.plan()
 
     # a < b == c: matching into the middle partition, pooled leftovers.
     for u in pools[0]:
         builder.add(u, pools[1].pop(0), "matching")
-    rem1, rem2 = len(pools[1]) % 3, len(pools[2]) % 3
-    left1 = pools[1][len(pools[1]) - rem1 :]
-    left2 = pools[2][len(pools[2]) - rem2 :]
-    for x1, x2, x3 in _chunk3(pools[1][: len(pools[1]) - rem1]):
-        builder.add(x1, x2, "partition-butterfly")
-        builder.add(x2, x3, "partition-butterfly")
-    for x1, x2, x3 in _chunk3(pools[2][: len(pools[2]) - rem2]):
-        builder.add(x1, x2, "partition-butterfly")
-        builder.add(x2, x3, "partition-butterfly")
-    if (rem1, rem2) in ((1, 2), (2, 1)):
+    left1, left2 = pools[1], pools[2]
+    builder.butterflies(left1, "partition-butterfly")
+    builder.butterflies(left2, "partition-butterfly")
+    if {len(left1), len(left2)} == {1, 2}:
         # Mixed remainder: a hairpin covers all three leftover vertices.
-        wings, center = (left2, left1[0]) if rem1 == 1 else (left1, left2[0])
-        builder.add(wings[0], center, "hairpin")
-        builder.add(center, wings[1], "hairpin")
-    elif (rem1, rem2) == (2, 2):
-        builder.add(left1[0], left2[0], "hairpin")
-        builder.add(left2[0], left1[1], "hairpin")
-        w = min(x for x in parts[2] if x in builder.used and x != left2[1])
-        builder.add(left2[1], w, "leftover-link")
+        builder.hairpins(*sorted((left1, left2), key=len), None)
+    elif len(left1) == len(left2) == 2:
+        builder.hairpins(left1, left2, None)
+        builder.leftover_link(left2[0], parts[2])
     else:
-        for rem, left, side in ((rem1, left1, 1), (rem2, left2, 2)):
-            if rem == 1:
-                w = min(x for x in parts[side] if x in builder.used and x != left[0])
-                builder.add(left[0], w, "leftover-link")
-            elif rem == 2:
-                builder.add(left[0], left[1], "partition-butterfly")
-                builder.add(left[1], designated[side], "partition-butterfly")
+        for side in (1, 2):
+            builder.close(pools[side], designated[side], parts[side], "partition-butterfly")
     return builder.plan()
 
 
@@ -261,174 +273,106 @@ def _triple_block(builder: _Builder, shape: KPartiteShape, indices: tuple[int, i
     """
     order = sorted(indices, key=lambda i: (shape.parts[i], i))
     pa, pb, pc = (list(shape.vertices(i)) for i in order)
-    des = [pa[0], pb[0], pc[0]]
+    des_c = pc[0]
     pa, pb, pc = pa[1:], pb[1:], pc[1:]
-    centers_c: list[int] = []
-    for i in range(len(pa)):
-        builder.add(pa[i], pc[i], "tripartite-butterfly")
-        builder.add(pc[i], pb[i], "tripartite-butterfly")
-        centers_c.append(pc[i])
-    pb, pc = pb[len(pa) :], pc[len(pa) :]
-    while len(pb) >= 3 and len(pc) >= 3:
-        g1, g2, g3 = pc[:3]
-        b1, b2, b3 = pb[:3]
-        del pc[:3], pb[:3]
-        builder.add(g1, b1, "zigzag")
-        builder.add(b1, g2, "zigzag")
-        builder.add(b2, g3, "zigzag")
-        builder.add(g3, b3, "zigzag")
-        centers_c.append(g3)
-    if len(pb) == 1:
-        wings = (pc + [des[2]])[:2]
-        builder.add(pb[0], wings[0], "hairpin")
-        builder.add(pb[0], wings[1], "hairpin")
-        pc = [x for x in pc if x not in wings]
-    elif len(pb) == 2:
-        w = pc.pop(0)
-        builder.add(pb[0], w, "hairpin")
-        builder.add(w, pb[1], "hairpin")
-        centers_c.append(w)
-    for x1, x2, x3 in _chunk3(pc):
-        builder.add(x1, x2, "partition-butterfly")
-        builder.add(x2, x3, "partition-butterfly")
-        centers_c.append(x2)
+    centers = []
+    for u, center, w in zip(pa, pc, pb):
+        builder.wing(u, center, w, "tripartite-butterfly")
+        centers.append(center)
+    del pb[: len(pa)], pc[: len(pa)]
+    centers += builder.zigzags(pb, pc)
+    centers += builder.hairpins(pb, pc, des_c)
+    centers += builder.butterflies(pc, "partition-butterfly")
     if len(pc) == 1:
-        builder.add(pc[0], centers_c[0], "leftover-link")
+        builder.add(pc[0], centers[0], "leftover-link")
     elif len(pc) == 2:
-        u, w2 = pc
-        builder.add(u, w2, "partition-butterfly")
-        builder.add(w2, des[2], "partition-butterfly")
+        builder.wing(pc[0], pc[1], des_c, "partition-butterfly")
 
 
-def _select_isolated_partition(shape: KPartiteShape) -> int:
-    """Index of the partition set aside when k = 1 mod 3.
+def _leftover_count(sizes, aside: tuple[int, ...]) -> int:
+    """Vertices the leftover step covers: a whole partition, or a pair less one designated node."""
+    return sum(sizes[i] for i in aside) - len(aside) + 1
 
-    Minimizes the strategy-selection formula; ties resolved toward the
-    stated upper-bound formula, then the lowest index, so the generated
-    plan never exceeds the stated bound.
+
+def _composition(shape: KPartiteShape) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """Partition-index triples of the k-partite composition, and the indices set aside.
+
+    One partition is set aside when k = 1 mod 3 and a pair when k = 2 mod 3;
+    the rest are grouped into consecutive triples.  With m the leftover
+    count, the choice minimizes the strategy-selection formula
+    ceil(2(m-1)/3) + val(rest); ties are resolved toward the stated
+    upper-bound formula ceil(2m/3) + val(rest), then the lowest indices, so
+    the generated plan never exceeds the stated bound.
     """
-    sizes = list(shape.parts)
+    sizes = shape.parts
 
-    def key(i: int):
-        rest = sizes[:i] + sizes[i + 1 :]
-        sel = ceil(2 * (sizes[i] - 1) / 3) + val(rest)
-        bound = ceil(2 * sizes[i] / 3) + val(rest)
-        return (sel, bound, i)
+    def key(aside: tuple[int, ...]):
+        m = _leftover_count(sizes, aside)
+        rest = val(sizes[x] for x in range(shape.k) if x not in aside)
+        return (ceil(2 * (m - 1) / 3) + rest, ceil(2 * m / 3) + rest, aside)
 
-    return min(range(len(sizes)), key=key)
-
-
-def _select_bipartite_pair(shape: KPartiteShape) -> tuple[int, int]:
-    """Index pair set aside when k = 2 mod 3; same tie policy as above."""
-    sizes = list(shape.parts)
-
-    def key(pair: tuple[int, int]):
-        i, j = pair
-        rest = [sizes[x] for x in range(len(sizes)) if x not in (i, j)]
-        s = sizes[i] + sizes[j]
-        sel = ceil(2 * (s - 2) / 3) + val(rest)
-        bound = ceil(2 * (s - 1) / 3) + val(rest)
-        return (sel, bound, i, j)
-
-    pairs = [(i, j) for i in range(len(sizes)) for j in range(i + 1, len(sizes))]
-    return min(pairs, key=key)
+    aside = min(combinations(range(shape.k), shape.k % 3), key=key) if shape.k % 3 else ()
+    rest = [i for i in range(shape.k) if i not in aside]
+    return [tuple(rest[t : t + 3]) for t in range(0, len(rest), 3)], aside
 
 
 def kpartite_strategy(shape: KPartiteShape) -> MeasurementPlan:
     """Probe plan for a complete k-partite graph with all partition sizes >= 2.
 
-    k = 2 delegates to the bipartite plan (it is exactly optimal, tighter
-    than the general composition).  Otherwise the partitions are grouped
-    into consecutive sorted triples, each handled by the tripartite
-    building block; when k is not a multiple of 3 a leftover partition
-    (k = 1 mod 3) or partition pair (k = 2 mod 3) is chosen by the stated
-    minimization and covered by partition butterflies or the bipartite
-    leftover step.
+    The one plan entry point for every k.  k = 2 and k = 3 delegate to the
+    bipartite and tripartite plans, which are never larger than the
+    general composition.  For k >= 4 the partitions are grouped into
+    consecutive sorted triples, each handled by the tripartite building
+    block; when k is not a multiple of 3 a leftover partition (k = 1 mod 3)
+    or partition pair (k = 2 mod 3) is chosen by the stated minimization
+    and covered by partition butterflies or the bipartite leftover step.
     """
     if any(p < 2 for p in shape.parts):
         raise ValueError("k-partite strategy needs every partition size >= 2")
-    k = shape.k
-    if k == 2:
-        return bipartite_strategy(shape.parts[0], shape.parts[1])
+    if shape.k == 2:
+        return bipartite_strategy(*shape.parts)
+    if shape.k == 3:
+        return tripartite_strategy(*shape.parts)
     builder = _Builder(f"k_partite{shape.parts}")
-    indices = list(range(k))
-    if k % 3 == 1:
-        p_idx = _select_isolated_partition(shape)
-        indices.remove(p_idx)
-        for t in range(0, len(indices), 3):
-            _triple_block(builder, shape, tuple(indices[t : t + 3]))
-        _isolated_partition_step(builder, shape, p_idx)
-    elif k % 3 == 2:
-        i_idx, j_idx = _select_bipartite_pair(shape)
-        indices.remove(i_idx)
-        indices.remove(j_idx)
-        for t in range(0, len(indices), 3):
-            _triple_block(builder, shape, tuple(indices[t : t + 3]))
-        _bipartite_pair_step(builder, shape, i_idx, j_idx)
-    else:
-        for t in range(0, len(indices), 3):
-            _triple_block(builder, shape, tuple(indices[t : t + 3]))
+    triples, aside = _composition(shape)
+    for triple in triples:
+        _triple_block(builder, shape, triple)
+    if len(aside) == 1:
+        _isolated_partition_step(builder, shape, *aside)
+    elif aside:
+        _bipartite_pair_step(builder, shape, *aside)
     return builder.plan()
 
 
 def _isolated_partition_step(builder: _Builder, shape: KPartiteShape, p_idx: int):
     """Cover the set-aside partition with butterflies plus links to a center."""
     pool = list(shape.vertices(p_idx))
-    centers: list[int] = []
-    for x1, x2, x3 in _chunk3(pool):
-        builder.add(x1, x2, "partition-butterfly")
-        builder.add(x2, x3, "partition-butterfly")
-        centers.append(x2)
+    centers = builder.butterflies(pool, "partition-butterfly")
     if pool:
-        if centers:
-            w = centers[0]
-            for v in pool:
-                builder.add(v, w, "partition-link")
-        else:
-            # Partition too small for a butterfly: anchor to a used outside vertex.
-            anchor = min(x for x in builder.used if shape.partition_of(x) != p_idx)
-            for v in pool:
-                builder.add(v, anchor, "partition-link")
+        # Partition too small for a butterfly: anchor to a used outside vertex.
+        w = centers[0] if centers else min(
+            x for x in builder.used if shape.partition_of(x) != p_idx
+        )
+        for v in pool:
+            builder.add(v, w, "partition-link")
 
 
 def _bipartite_pair_step(builder: _Builder, shape: KPartiteShape, i_idx: int, j_idx: int):
     """Cover the set-aside partition pair: zig-zags, hairpins, butterflies."""
-    pi = list(shape.vertices(i_idx))
+    pi = list(shape.vertices(i_idx))[1:]  # the first vertex is the designated node
     pj = list(shape.vertices(j_idx))
-    pi = pi[1:]  # pi[0] is the designated node
-    centers_j: list[int] = []
-    while len(pi) >= 3 and len(pj) >= 3:
-        g1, g2, g3 = pj[:3]
-        b1, b2, b3 = pi[:3]
-        del pj[:3], pi[:3]
-        builder.add(g1, b1, "zigzag")
-        builder.add(b1, g2, "zigzag")
-        builder.add(b2, g3, "zigzag")
-        builder.add(g3, b3, "zigzag")
-        centers_j.append(g3)
-    if len(pi) == 1:
-        w1, w2 = pj[0], pj[1]
-        builder.add(pi[0], w1, "hairpin")
-        builder.add(pi[0], w2, "hairpin")
-        del pj[:2]
-    elif len(pi) == 2:
-        w = pj.pop(0)
-        builder.add(pi[0], w, "hairpin")
-        builder.add(w, pi[1], "hairpin")
-        centers_j.append(w)
-    for x1, x2, x3 in _chunk3(pj):
-        builder.add(x1, x2, "partition-butterfly")
-        builder.add(x2, x3, "partition-butterfly")
-        centers_j.append(x2)
+    # pj outlasts pi, so a one-vertex remainder of pi always finds two wings.
+    centers = builder.zigzags(pi, pj)
+    centers += builder.hairpins(pi, pj, None)
+    centers += builder.butterflies(pj, "partition-butterfly")
     if pj:
-        w = centers_j[0] if centers_j else min(
+        w = centers[0] if centers else min(
             x for x in builder.used if shape.partition_of(x) == j_idx
         )
         if len(pj) == 1:
             builder.add(pj[0], w, "leftover-link")
         else:
-            builder.add(pj[0], w, "partition-butterfly")
-            builder.add(w, pj[1], "partition-butterfly")
+            builder.wing(pj[0], w, pj[1], "partition-butterfly")
 
 
 def plan_size_by_rule(family: str | tuple, shape_or_n) -> int:
@@ -442,8 +386,6 @@ def plan_size_by_rule(family: str | tuple, shape_or_n) -> int:
     the selected partitions), which equals the stated k-partite upper
     bound.
     """
-    from .bounds import bipartite_bound, tripartite_bound
-
     if family == "complete":
         n = shape_or_n
         return ceil(2 * n / 3)
@@ -454,20 +396,6 @@ def plan_size_by_rule(family: str | tuple, shape_or_n) -> int:
         return bipartite_bound(*shape.parts).upper
     if shape.k == 3:
         return tripartite_bound(*shape.parts).upper
-    sizes = list(shape.parts)
-    indices = list(range(shape.k))
-    extra = 0
-    if shape.k % 3 == 1:
-        i = _select_isolated_partition(shape)
-        indices.remove(i)
-        extra = ceil(2 * sizes[i] / 3)
-    elif shape.k % 3 == 2:
-        i, j = _select_bipartite_pair(shape)
-        indices.remove(i)
-        indices.remove(j)
-        extra = ceil(2 * (sizes[i] + sizes[j] - 1) / 3)
-    total = extra
-    for t in range(0, len(indices), 3):
-        tri = [sizes[x] for x in indices[t : t + 3]]
-        total += table4_triple_count(*sorted(tri))
-    return total
+    triples, aside = _composition(shape)
+    total = sum(table4_triple_count(*(shape.parts[i] for i in t)) for t in triples)
+    return total + (ceil(2 * _leftover_count(shape.parts, aside) / 3) if aside else 0)

@@ -121,6 +121,17 @@ class TestStrategyCommand:
         assert main(["strategy", "--complete", "6", "--out", str(target)]) == 0
         assert len(json.loads(target.read_text())["measurements"]) == 4
 
+    def test_unwritable_out_file_is_bad_input(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "plan.json"
+        assert main(["strategy", "--complete", "6", "--out", str(target)]) == 2
+        assert f"cannot write {target}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parts", ["1,3", "1,2,3"])
+    def test_partition_of_one_is_out_of_scope(self, parts, capsys):
+        assert main(["strategy", "--k-partite", parts]) == 2
+        err = capsys.readouterr().err
+        assert "out of scope: k-partite strategy needs every partition size >= 2" in err
+
 
 class TestVerifyCommand:
     def test_distinguishing_plan(self, tmp_path, capsys):
@@ -148,6 +159,32 @@ class TestVerifyCommand:
 
     def test_missing_file(self, capsys):
         assert main(["verify", "--network", "K6", "--plan", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "network,plan",
+        [
+            ([{"family": "complete", "n": 6}], {"measurements": [[0, 1]]}),
+            ({"family": "k_partite", "parts": [[1], 3]}, {"measurements": [[0, 1]]}),
+            ({"family": "k_partite", "parts": [2.9, 3]}, {"measurements": [[0, 1]]}),
+            ({"family": "complete", "n": 6}, [[0, 1]]),
+            ({"family": "complete", "n": 6}, {"measurements": [[0, 1]], "provenance": 5}),
+            ({"family": "complete", "n": 6}, "directory"),
+            ("directory", {"measurements": [[0, 1]]}),
+        ],
+        ids=["network-list", "parts-nested", "parts-float", "plan-list", "provenance-int",
+             "plan-dir", "network-dir"],
+    )
+    def test_malformed_files_are_parse_errors(self, tmp_path, capsys, network, plan):
+        paths = []
+        for name, doc in (("net.json", network), ("plan.json", plan)):
+            path = tmp_path / name
+            if doc == "directory":
+                path.mkdir()
+            else:
+                path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        assert main(["verify", "--network", paths[0], "--plan", paths[1]]) == 2
+        assert "parse error" in capsys.readouterr().err
 
 
 class TestSolveCommand:

@@ -1,9 +1,12 @@
+import hashlib
+import json
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from resfault.bounds import bipartite_bound, kpartite_bound, tripartite_bound
 from resfault.families import KPartiteShape, complete_network
+from resfault.fileio import plan_to_dict
 from resfault.network import FaultMode
 from resfault.signatures import is_distinguishing
 from resfault.solver import analyze_measurement_graph
@@ -109,6 +112,12 @@ class TestKPartiteStrategy:
         plan = kpartite_strategy(KPartiteShape((2, 2, 2)))
         assert len(plan) == 2
 
+    def test_delegates_to_tripartite_for_three_partitions(self):
+        plan = kpartite_strategy(KPartiteShape((2, 3, 4)))
+        expected = tripartite_strategy(2, 3, 4)
+        assert plan.measurements == expected.measurements
+        assert plan.provenance == expected.provenance
+
     @pytest.mark.parametrize("parts", [(2, 2, 2, 3), (2, 2, 2, 2), (2, 3, 3, 4, 4)])
     def test_distinguishing_and_within_bounds(self, parts):
         shape = KPartiteShape(parts)
@@ -138,9 +147,7 @@ class TestShortedModeEmpirically:
     def test_family_plans_also_work_shorted(self):
         for parts in [(3, 4), (2, 3, 4), (3, 3, 3)]:
             shape = KPartiteShape(parts)
-            plan = (
-                bipartite_strategy(*parts) if len(parts) == 2 else tripartite_strategy(*parts)
-            )
+            plan = kpartite_strategy(shape)
             assert is_distinguishing(shape.network(), plan.measurements, FaultMode.SHORTED)
 
 
@@ -175,7 +182,7 @@ class TestPlanSizeByRule:
         assert plan_size_by_rule("k_partite", KPartiteShape((5, 5))) == 6
         assert plan_size_by_rule("k_partite", KPartiteShape((2, 3, 4))) == 3
 
-    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_matches_generated_plans_for_larger_k(self, k):
         for parts in combinations_with_replacement(range(2, 5), k):
             shape = KPartiteShape(parts)
@@ -193,3 +200,26 @@ class TestPlanSizeByRule:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             plan_size_by_rule("wheel", 5)
+
+
+class TestPlanIdentity:
+    """Every generated plan below, pinned by one digest.
+
+    The digest is the sha256 of the JSON list of `plan_to_dict` documents,
+    each with the plan's family added.  It was taken before the strategy
+    moves were merged into single builder methods, and changes only with
+    a stated change to a generated plan.
+    """
+
+    DIGEST = "c9b5e98285cd6c0aaf91d58523eac9f2ec31185a842e9f40e0b258f513af77c5"
+
+    def test_generated_plans_are_unchanged(self):
+        plans = [complete_strategy(n) for n in range(6, 41)]
+        plans += [bipartite_strategy(*p) for p in combinations_with_replacement(range(2, 11), 2)]
+        plans += [tripartite_strategy(*p) for p in combinations_with_replacement(range(2, 11), 3)]
+        for k, top in ((2, 10), (4, 5), (5, 5), (6, 5), (7, 5)):
+            for parts in combinations_with_replacement(range(2, top + 1), k):
+                plans.append(kpartite_strategy(KPartiteShape(parts)))
+        assert len(plans) == 585
+        docs = [{**plan_to_dict(p), "family": p.family} for p in plans]
+        assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == self.DIGEST
