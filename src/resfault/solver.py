@@ -6,17 +6,40 @@ candidate fault edges, and a probe "covers" the pairs it tells apart
 its covered pairs are the whole universe.
 
 solve_exact runs iterative-deepening branch and bound over bitmask pair
-sets: targets grow from a counting lower bound until a plan of the target
-size exists, so the first plan found is provably minimum.  Branching
-picks an uncovered pair with the fewest covering probes (read off masks
-bucketed by coverer count) and tries each of them; subtrees are cut when
-some uncovered pair has no usable coverer, or when even the best
-single-probe coverage cannot finish within the target.  Once a child
-fails, its probe is banned from the subtrees of its later siblings: the
-failed subtree already tried every cover that contains it.  For
-vertex-transitive families the caller can supply first-probe orbit
-representatives, which shrinks the root fanout to the number of probe
-types; a failed root is banned from the later roots the same way.
+sets: targets grow from a lower bound until a plan of the target size
+exists, so the first plan found is provably minimum.  Branching picks an
+uncovered pair with the fewest covering probes (read off masks bucketed
+by coverer count) and tries each of them; subtrees are cut when some
+uncovered pair has no usable coverer, or when even the best single-probe
+coverage cannot finish within the target.
+
+Symmetry comes from twin vertices: u ~ v iff c(u, w) = c(v, w) for every
+w other than u and v.  This is an equivalence, the transposition (u v)
+is an automorphism exactly when u ~ v, and each class's vertices may be
+permuted freely (K_n has one class, a complete k-partite graph one per
+partition).  It is used in two ways.
+
+Orbit bans.  Once a child fails, its probe's whole orbit is banned from
+the subtrees of its later siblings, under the group that permutes each
+class's fresh vertices (those no probe on the path touches yet): the
+failed subtree already tried every cover that contains the probe, and
+mapping a cover by a group element that fixes the path maps covers
+through the child to covers through its image.  That needs every ban in
+force to be a union of orbits of the current node's group.  It holds
+because the group only shrinks along a path (touched vertices only
+grow), so an orbit banned at an ancestor is a union of orbits here, and
+bans are made by orbit at every node, the root with caller-given first
+probes included.  Banned siblings are skipped.  A candidate pool
+that is not closed under the group gets single-probe bans only.
+
+Handshake seed.  Two fresh twins u, v (with some w, other than both,
+joined to each, which connectivity gives) leave the faults (u, w) and
+(v, w) reading the same on every probe that touches neither: (u v) maps
+one fault to the other and fixes the probe.  So every distinguishing set
+touches all but at most one vertex per class, and needs at least
+ceil((n - c) / 2) probes for c classes.  The deepening starts at the
+larger of this and the counting bound; each target is searched on its
+own, so skipping targets that cannot succeed leaves the plan unchanged.
 """
 
 from __future__ import annotations
@@ -63,6 +86,98 @@ class _Deadline(Exception):
     pass
 
 
+def _twin_classes(net: Network) -> list[list[int]]:
+    """The twin classes of the vertices, each ascending, in order of first vertex.
+
+    u ~ v iff c(u, w) = c(v, w) for every w other than u and v (c = 0
+    where there is no edge), so twins may be joined to each other or not.
+    Twins have the same multiset of incident conductances, so each vertex
+    is compared only with the classes of that multiset; as ~ is an
+    equivalence, one member stands for its class.
+    """
+    adj: list[dict[int, object]] = [{} for _ in range(net.n)]
+    for e in net.edges:
+        adj[e.u][e.v] = adj[e.v][e.u] = e.conductance
+    classes: list[list[int]] = []
+    by_conductances: dict[tuple, list[list[int]]] = {}
+    for v in range(net.n):
+        same = by_conductances.setdefault(tuple(sorted(adj[v].values())), [])
+        for cls in same:
+            u = cls[0]
+            if {w: c for w, c in adj[u].items() if w != v} == {
+                w: c for w, c in adj[v].items() if w != u
+            }:
+                cls.append(v)
+                break
+        else:
+            same.append([v])
+            classes.append(same[-1])
+    return classes
+
+
+class _TwinOrbits:
+    """Probe orbits under the group that permutes each twin class's fresh vertices.
+
+    A vertex is fresh when the `touched` vertex mask leaves it out.  Probe
+    (a, b) moves a within the fresh vertices of a's class if a is fresh
+    and fixes it otherwise, and likewise b; so with A and B those vertex
+    sets, its orbit is the probes with one end in A and the other in B.
+    Only built for a pool closed under the group (see `of`).
+    """
+
+    def __init__(self, class_bits: list[int], cands: Sequence[Measurement]):
+        self.class_bits = class_bits  # class_bits[v]: vertex mask of v's class
+        self.ends = [(m.r, m.s) for m in cands]
+        self.touch = [1 << r | 1 << s for r, s in self.ends]
+        self.at = [0] * len(class_bits)  # at[v]: candidates with an end at v
+        self.inner: dict[int, int] = {}  # class vertex mask -> candidates inside it
+        for j, (r, s) in enumerate(self.ends):
+            self.at[r] |= 1 << j
+            self.at[s] |= 1 << j
+            if class_bits[r] == class_bits[s]:
+                self.inner[class_bits[r]] = self.inner.get(class_bits[r], 0) | 1 << j
+
+    @classmethod
+    def of(cls, classes: list[list[int]], cands: Sequence[Measurement], n: int):
+        """The orbits, or None when no class has two vertices or the pool is
+        not closed under the group.
+
+        The group is transitive on the pairs of each type (two given
+        classes, or two vertices of one class), so the pool is closed
+        exactly when it holds all pairs of each type it meets.
+        """
+        if all(len(c) == 1 for c in classes):
+            return None
+        class_bits = [0] * n
+        for c in classes:
+            bits = sum(1 << v for v in c)
+            for v in c:
+                class_bits[v] = bits
+        counts = Counter(tuple(sorted((class_bits[m.r], class_bits[m.s]))) for m in set(cands))
+        for (x, y), count in counts.items():
+            size = x.bit_count()
+            if count != (size * (size - 1) // 2 if x == y else size * y.bit_count()):
+                return None
+        return cls(class_bits, cands)
+
+    def _reach(self, vertices: int) -> int:
+        """Candidates with an end in the vertex mask."""
+        out = 0
+        while vertices:
+            low = vertices & -vertices
+            out |= self.at[low.bit_length() - 1]
+            vertices ^= low
+        return out
+
+    def orbit(self, j: int, touched: int) -> int:
+        a, b = self.ends[j]
+        ends_a = 1 << a if touched >> a & 1 else self.class_bits[a] & ~touched
+        ends_b = 1 << b if touched >> b & 1 else self.class_bits[b] & ~touched
+        if ends_a == ends_b:  # a and b fresh in one class
+            return self.inner[self.class_bits[a]] & ~self._reach(self.class_bits[a] & touched)
+        return self._reach(ends_a) & self._reach(ends_b)
+
+
 class _CoverInstance:
     """Bitmask view of the test-cover problem, built from a class-id table.
 
@@ -76,9 +191,18 @@ class _CoverInstance:
     `buckets` partitions the pairs by how many candidates cover them, in
     ascending count order; the counts are summed bit-sliced (a carry-save
     adder over the masks, one bit plane per binary digit of the count).
+    `twins`, when given, supplies the orbits that refuted children ban and
+    `touch[j]`, the vertex mask of candidate j's two ends (0 without it).
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], edge_count: int):
+    def __init__(
+        self,
+        table: Sequence[Sequence[int]],
+        edge_count: int,
+        twins: _TwinOrbits | None = None,
+    ):
+        self.twins = twins
+        self.touch = twins.touch if twins else [0] * len(table)
         ne = edge_count
         self.pair_count = ne * (ne - 1) // 2
         self.full = (1 << self.pair_count) - 1
@@ -111,14 +235,28 @@ class _CoverInstance:
         hit = next(hit for hit in (missing & b for b in self.buckets) if hit)
         return (hit & -hit).bit_length() - 1
 
+    def orbit(self, j: int, touched: int) -> int:
+        """Candidate j's orbit as a candidate mask, given the touched vertices."""
+        return self.twins.orbit(j, touched) if self.twins else 1 << j
+
     def search(
-        self, target: int, chosen: list[int], covered: int, banned: int, deadline: float
+        self,
+        target: int,
+        chosen: list[int],
+        covered: int,
+        banned: int,
+        deadline: float,
+        touched: int = 0,
+        first: Sequence[int] | None = None,
     ) -> list[int] | None:
         """Depth-first cover of every pair with at most `target` candidates.
 
-        Candidates in the `banned` bitmask are left out: each is a refuted
-        earlier sibling of a node on the path, whose subtree already tried
-        every cover that includes it at this target.
+        Candidates in the `banned` bitmask are left out: each is in the
+        orbit of a refuted earlier sibling of a node on the path, whose
+        subtree already tried every cover that includes it (or its image)
+        at this target.  `touched` holds the vertices that the chosen
+        probes touch.  `first`, at the root, replaces the pivot's coverers
+        with caller-given first probes, tried in index order.
         """
         if covered == self.full:
             return chosen
@@ -139,18 +277,31 @@ class _CoverInstance:
             return None
         if ceil(missing.bit_count() / max(gains.values())) > target - len(chosen):
             return None
-        # Pivot on static coverer counts; probes already chosen cannot cover
-        # the pivot, and `gains` drops the banned ones.
-        pivot = self.pivot(missing)
-        coverers = self.coverers_of.get(pivot)
-        if coverers is None:
-            coverers = [j for j, m in enumerate(masks) if m >> pivot & 1]
-            self.coverers_of[pivot] = coverers
-        for j in sorted((j for j in coverers if j in gains), key=lambda j: (-gains[j], j)):
-            result = self.search(target, chosen + [j], covered | masks[j], banned, deadline)
+        if first is not None:
+            children = sorted(first)
+        else:
+            # Pivot on static coverer counts; probes already chosen cannot
+            # cover the pivot, and `gains` drops the banned ones.
+            pivot = self.pivot(missing)
+            coverers = self.coverers_of.get(pivot)
+            if coverers is None:
+                coverers = [j for j, m in enumerate(masks) if m >> pivot & 1]
+                self.coverers_of[pivot] = coverers
+            children = sorted((j for j in coverers if j in gains), key=lambda j: (-gains[j], j))
+        for j in children:
+            if banned >> j & 1:
+                continue
+            result = self.search(
+                target,
+                chosen + [j],
+                covered | masks[j],
+                banned,
+                deadline,
+                touched | self.touch[j],
+            )
             if result is not None:
                 return result
-            banned |= 1 << j
+            banned |= self.orbit(j, touched)
         return None
 
 
@@ -210,28 +361,35 @@ def solve_exact(
     Returns Infeasible when even the whole candidate pool leaves some
     fault pair merged, and TimedOut (carrying the greedy incumbent and
     the size proven insufficient so far) when the budget expires.  The
-    cover masks and the greedy incumbent share one class-id table.
+    cover masks and the greedy incumbent share one class-id table; the
+    budget covers the set-up too, and a budget spent before the masks are
+    built returns the greedy incumbent with the seed lower bound.
     """
     cands = list(candidates) if candidates is not None else net.measurements()
     if not cands:
         raise ValueError("candidate pool must be nonempty")
     deadline = time.monotonic() + budget_seconds
+    ne = len(net.edges)
     table = reading_classes(net, cands, mode)
-    inst = _CoverInstance(table, len(net.edges))
-    if inst.pair_count == 0:
-        return ExactSolution(MeasurementPlan((), (), family, mode))
-    union = 0
-    for m in inst.masks:
-        union |= m
-    if union != inst.full:
+    greedy = _greedy_order(table, ne)
+    if greedy is None:  # greedy stalls exactly when some pair is never split
         return Infeasible(tuple(merged_pairs(net.edges, table)))
-
-    greedy = _greedy_order(table, len(net.edges))
+    if ne < 2:  # no fault pairs: the empty plan
+        return ExactSolution(_plan(cands, greedy, "exact", family, mode))
     greedy_plan = _plan(cands, greedy, "greedy", family, mode)
-    upper = len(greedy_plan)
 
-    max_single = max(m.bit_count() for m in inst.masks)
-    root_lower = max(1, ceil(inst.pair_count / max_single))
+    pair_count = ne * (ne - 1) // 2
+    max_single = max(
+        pair_count - sum(k * (k - 1) // 2 for k in Counter(row).values()) for row in table
+    )
+    classes = _twin_classes(net)
+    handshake = ceil((net.n - len(classes)) / 2)
+    root_lower = max(1, ceil(pair_count / max_single), handshake)
+    if root_lower >= len(greedy):  # no smaller set exists: the greedy plan is optimal
+        return ExactSolution(_plan(cands, greedy, "exact", family, mode))
+    if time.monotonic() > deadline:
+        return TimedOut(incumbent=greedy_plan, lower_bound=root_lower)
+    inst = _CoverInstance(table, ne, _TwinOrbits.of(classes, cands, net.n))
 
     root_indices = None
     if first_probe_orbits is not None:
@@ -239,16 +397,8 @@ def solve_exact(
         root_indices = [index_of[m] for m in first_probe_orbits if m in index_of]
 
     try:
-        for target in range(root_lower, upper):
-            if root_indices is not None:
-                found, banned = None, 0
-                for j in sorted(root_indices):
-                    found = inst.search(target, [j], inst.masks[j], banned, deadline)
-                    if found is not None:
-                        break
-                    banned |= 1 << j
-            else:
-                found = inst.search(target, [], 0, 0, deadline)
+        for target in range(root_lower, len(greedy)):
+            found = inst.search(target, [], 0, 0, deadline, 0, root_indices)
             if found is not None:
                 return ExactSolution(_plan(cands, found, "exact", family, mode))
     except _Deadline:

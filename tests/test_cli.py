@@ -211,14 +211,28 @@ class TestSolveCommand:
         assert "timed out" in captured.err
 
     def test_budget_bounds_wall_time(self, capsys):
-        # The deadline is checked only inside the search, so the set-up before
-        # it (300 candidate probes, 44,850 fault pairs on K25) must stay small.
+        # The deadline is checked after the readings and greedy and then inside
+        # the search; only the cover-mask build (300 candidate probes, 44,850
+        # fault pairs on K25) runs between the two unchecked.
         start = time.monotonic()
         assert main(["solve", "--network", "K25", "--budget", "1"]) == 3
         assert time.monotonic() - start < 10
         captured = capsys.readouterr()
         assert "timed out: best known plan has" in captured.err
         assert json.loads(captured.out)["measurements"]
+
+    def test_timeout_reports_the_handshake_bound(self, capsys):
+        # K25 is one twin class: all but one vertex must be touched, so at
+        # least ceil(24 / 2) = 12 probes; the counting bound alone gives 6.
+        assert main(["solve", "--network", "K25", "--budget", "1"]) == 3
+        assert "at least 12 are necessary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("network,size", [("K13", 9), ("K3,4,8", 7)])
+    def test_exact_solves_that_need_orbit_bans(self, network, size, capsys):
+        assert main(["solve", "--network", network, "--budget", "60"]) == 0
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)["measurements"]) == size
+        assert "optimal" in captured.err
 
     def test_timeout_without_incumbent(self, monkeypatch, capsys):
         monkeypatch.setattr(

@@ -2,11 +2,14 @@
 
 `plain_search.plain_solve` keeps the search without buckets or bans; the
 library's `solve_exact` must return the very same probe sequence.  The
-cover masks and the bucket pivot are checked by brute force.
+cover masks, the bucket pivot, the twin classes and the probe orbits are
+checked by brute force.
 """
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -17,9 +20,16 @@ from resfault.families import (
     complete_orbit_representatives,
     measurement_orbit_representatives,
 )
-from resfault.network import FaultMode
+from resfault.network import FaultMode, Network
 from resfault.signatures import reading_classes
-from resfault.solver import ExactSolution, Infeasible, _CoverInstance, solve_exact
+from resfault.solver import (
+    ExactSolution,
+    Infeasible,
+    _CoverInstance,
+    _twin_classes,
+    _TwinOrbits,
+    solve_exact,
+)
 
 from plain_search import PlainCover, plain_solve
 from test_kernel import pendant_network
@@ -159,3 +169,201 @@ def test_bucket_pivot_is_the_fewest_coverers_then_the_lowest_bit():
             missing = rng.getrandbits(inst.pair_count) or inst.full
             bits = [bit for bit in range(inst.pair_count) if missing >> bit & 1]
             assert inst.pivot(missing) == min(bits, key=lambda bit: (counts[bit], bit))
+
+
+def twin_network(seed, base=7, planted=3):
+    """A p/q network on `base` vertices plus `planted` copies of earlier vertices.
+
+    Each copy gets the neighbours and conductances of a random earlier
+    vertex, so the two are twins when the copy is made; about half the
+    copies are also joined to their original (true twins), the rest are
+    not (false twins).  A later copy may break an earlier pair.
+    """
+    rng = random.Random(seed)
+    edges = {e.pair: e.conductance for e in pendant_network(seed, base).edges}
+    for x in range(base, base + planted):
+        v = rng.randrange(x)
+        for (a, b), c in list(edges.items()):
+            if v in (a, b):
+                edges[(a + b - v, x)] = c
+        if rng.random() < 0.5:
+            edges[(v, x)] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    n = base + planted
+    return Network.from_edge_list(n, [(u, v, c) for (u, v), c in edges.items()])
+
+
+def swap_preserves_conductances(net, u, v):
+    weight = {e.pair: e.conductance for e in net.edges}
+    swap = {u: v, v: u}
+    image = {tuple(sorted(swap.get(x, x) for x in pair)): c for pair, c in weight.items()}
+    return image == weight
+
+
+def class_index(classes, n):
+    out = [None] * n
+    for i, cls in enumerate(classes):
+        for v in cls:
+            out[v] = i
+    return out
+
+
+def symmetric_networks():
+    nets = [twin_network(seed) for seed in range(12)]
+    nets += [family(shape)[0] for shape in [(5,), (1, 1, 3), (2, 3), (2, 2, 3)]]
+    return nets
+
+
+def test_twin_classes_are_the_conductance_preserving_swaps():
+    nets = symmetric_networks() + [pendant_network(seed, 9) for seed in range(4)]
+    nontrivial = 0
+    for net in nets:
+        classes = _twin_classes(net)
+        assert sorted(v for cls in classes for v in cls) == list(range(net.n))
+        assert all(cls == sorted(cls) for cls in classes)
+        index = class_index(classes, net.n)
+        for u, v in combinations(range(net.n), 2):
+            assert (index[u] == index[v]) == swap_preserves_conductances(net, u, v), (u, v)
+        nontrivial += any(len(cls) > 1 for cls in classes)
+    assert nontrivial >= 12
+
+
+def test_family_twin_classes_are_the_partitions():
+    assert _twin_classes(complete_network(6)) == [list(range(6))]
+    assert _twin_classes(KPartiteShape((2, 3, 4)).network()) == [[0, 1], [2, 3, 4], [5, 6, 7, 8]]
+    # Two singleton partitions are joined to everything else alike.
+    assert _twin_classes(KPartiteShape((1, 1, 3)).network()) == [[0, 1], [2, 3, 4]]
+
+
+def closure_orbit(cands, classes, j, touched):
+    """Probe j's orbit, closed under swaps of two fresh vertices of one class."""
+    index = {m.pair: i for i, m in enumerate(cands)}
+    swaps = [
+        {x: y, y: x}
+        for cls in classes
+        for x, y in combinations(cls, 2)
+        if not (touched >> x & 1 or touched >> y & 1)
+    ]
+    seen, todo = {j}, [j]
+    while todo:
+        pair = cands[todo.pop()].pair
+        for swap in swaps:
+            image = index[tuple(sorted(swap.get(x, x) for x in pair))]
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return sum(1 << k for k in seen)
+
+
+def test_orbits_match_the_swap_closure():
+    rng = random.Random(7)
+    for net in symmetric_networks():
+        classes = _twin_classes(net)
+        cands = net.measurements()
+        twins = _TwinOrbits.of(classes, cands, net.n)
+        assert twins is not None
+        for _ in range(6):
+            touched = 0
+            for _ in range(rng.randint(0, 3)):
+                touched |= twins.touch[rng.randrange(len(cands))]
+            for j in range(len(cands)):
+                assert twins.orbit(j, touched) == closure_orbit(cands, classes, j, touched)
+
+
+def invariant_pool(rng, net, classes):
+    """All probes of a random share of the types (two classes, or one class twice)."""
+    index = class_index(classes, net.n)
+    by_type = {}
+    for m in net.measurements():
+        by_type.setdefault(tuple(sorted((index[m.r], index[m.s]))), []).append(m)
+    kept = [t for t in by_type if rng.random() < 0.6] or list(by_type)
+    return [m for t in kept for m in by_type[t]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("mode", list(FaultMode))
+def test_twin_network_plans_match_the_plain_search(seed, mode):
+    rng = random.Random(seed)
+    net = twin_network(seed)
+    classes = _twin_classes(net)
+    outcomes = Counter()
+    for pool in [net.measurements()] + [invariant_pool(rng, net, classes) for _ in range(3)]:
+        assert _TwinOrbits.of(classes, pool, net.n) is not None
+        want = plain_solve(net, pool, mode)
+        result = solve_exact(net, pool, mode)
+        if want is None:
+            assert isinstance(result, Infeasible)
+        else:
+            assert isinstance(result, ExactSolution)
+            assert result.plan.measurements == want
+            roots = rng.sample(pool, len(pool) // 3)
+            result = solve_exact(net, pool, mode, first_probe_orbits=roots)
+            assert result.plan.measurements == plain_solve(net, pool, mode, roots)
+        outcomes[want is None] += 1
+    assert outcomes[False] >= 1
+
+
+@pytest.mark.parametrize("mode", list(FaultMode))
+@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 6), (3, 4, 5)], ids=label)
+def test_invariant_family_pools_match_the_plain_search(shape, mode):
+    # Pools that keep whole probe types keep the partitions' symmetry, so the
+    # orbit bans act below the root of these searches.
+    net, _ = family(shape)
+    classes = _twin_classes(net)
+    rng = random.Random(len(net.edges))
+    for _ in range(3):
+        pool = invariant_pool(rng, net, classes)
+        want = plain_solve(net, pool, mode)
+        result = solve_exact(net, pool, mode)
+        if want is None:
+            assert isinstance(result, Infeasible)
+        else:
+            assert result.plan.measurements == want
+
+
+def test_twin_network_pools_include_infeasible_ones():
+    # The invariant pools above reach infeasible instances, not only easy ones.
+    infeasible = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        net = twin_network(seed)
+        classes = _twin_classes(net)
+        for _ in range(3):
+            pool = invariant_pool(rng, net, classes)
+            infeasible += isinstance(solve_exact(net, pool), Infeasible)
+    assert infeasible >= 1
+
+
+def test_pools_not_closed_under_the_group_ban_single_probes():
+    net = complete_network(6)
+    classes = _twin_classes(net)
+    pool = net.measurements()[1:]
+    assert _TwinOrbits.of(classes, pool, net.n) is None
+    inst = _CoverInstance(reading_classes(net, pool, FaultMode.REMOVED), len(net.edges))
+    assert all(inst.orbit(j, 0) == 1 << j for j in range(len(pool)))
+    assert inst.touch == [0] * len(pool)
+    result = solve_exact(net, pool)
+    assert result.plan.measurements == plain_solve(net, pool)
+
+
+def test_orbit_bans_prune_below_the_root():
+    # With the first probe fixed, every child that fails bans its orbit under
+    # the group of fresh vertices; single bans search many more nodes.  No
+    # node is entered through a banned probe.
+    net = complete_network(9)
+    cands = net.measurements()
+    table = reading_classes(net, cands, FaultMode.REMOVED)
+    nodes = []
+    for twins in (_TwinOrbits.of(_twin_classes(net), cands, net.n), None):
+        inst = _CoverInstance(table, len(net.edges), twins)
+        search, calls = inst.search, []
+
+        def counted(target, chosen, covered, banned, *rest):
+            assert not banned >> chosen[-1] & 1
+            calls.append(1)
+            return search(target, chosen, covered, banned, *rest)
+
+        inst.search = counted
+        touched = 1 << 0 | 1 << 1
+        assert inst.search(5, [0], inst.masks[0], 0, math.inf, touched) is None
+        nodes.append(len(calls))
+    assert nodes[0] * 5 < nodes[1], nodes

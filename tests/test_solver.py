@@ -1,6 +1,9 @@
 from itertools import combinations
+from math import ceil
 
 import pytest
+
+import resfault.solver
 
 from resfault.families import (
     KPartiteShape,
@@ -20,6 +23,7 @@ from resfault.solver import (
     ExactSolution,
     Infeasible,
     TimedOut,
+    _twin_classes,
     analyze_measurement_graph,
     solve_exact,
     solve_greedy,
@@ -141,6 +145,79 @@ class TestExactSolver:
         result = solve_exact(net, mode=FaultMode.SHORTED)
         assert isinstance(result, ExactSolution)
         assert len(result.plan) == enumeration_optimum(net, FaultMode.SHORTED)
+
+
+    def test_spent_budget_skips_the_mask_build(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("cover masks built after the budget was spent")
+
+        monkeypatch.setattr(resfault.solver, "_CoverInstance", unbuilt)
+        net = complete_network(8)
+        result = solve_exact(net, budget_seconds=0.0)
+        assert isinstance(result, TimedOut)
+        assert len(result.incumbent) == len(solve_greedy(net))
+        # The handshake seed ceil((8 - 1) / 2) beats the counting bound 2.
+        assert result.lower_bound == 4
+
+    def test_greedy_met_by_the_seed_needs_no_budget(self):
+        # K(2,2,2): the handshake seed ceil((6 - 3) / 2) = 2 is greedy's size,
+        # so greedy is optimal before any search, even with no time at all.
+        net = KPartiteShape((2, 2, 2)).network()
+        result = solve_exact(net, budget_seconds=0.0)
+        assert isinstance(result, ExactSolution)
+        assert len(result.plan) == enumeration_optimum(net, FaultMode.REMOVED) == 2
+
+
+def handshake_seed(net):
+    return ceil((net.n - len(_twin_classes(net))) / 2)
+
+
+def small_symmetric_networks():
+    from test_cover_search import twin_network
+
+    shapes = [(2, 2), (2, 3), (3, 3), (1, 1, 3), (2, 2, 2)]
+    nets = [complete_network(n) for n in (4, 5, 6)]
+    nets += [KPartiteShape(shape).network() for shape in shapes]
+    nets += [twin_network(seed, base=5, planted=2) for seed in range(6)]
+    return nets
+
+
+class TestHandshakeSeed:
+    """Every distinguishing set touches all but one vertex of each twin class.
+
+    For twins u, v and a neighbour w of both, the swap (u v) maps fault
+    (u, w) to (v, w) and fixes every probe that touches neither, so such
+    probes read the two faults the same.  Hence ceil((n - c) / 2) probes
+    for c twin classes.
+    """
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_probes_away_from_twins_read_their_faults_the_same(self, mode):
+        for net in small_symmetric_networks():
+            for cls in _twin_classes(net):
+                for u, v in combinations(cls, 2):
+                    for w in range(net.n):
+                        if w in (u, v) or not any(w in e.pair and u in e.pair for e in net.edges):
+                            continue
+                        faults = (net.edge_between(u, w), net.edge_between(v, w))
+                        for m in net.measurements():
+                            if u in m.pair or v in m.pair:
+                                continue
+                            first, second = (
+                                perturbed_effective_resistance(net, m, e, mode) for e in faults
+                            )
+                            assert first == second, (net.edges, u, v, w, m)
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_seed_never_exceeds_the_enumeration_optimum(self, mode):
+        tight = 0
+        for net in small_symmetric_networks():
+            optimum = enumeration_optimum(net, mode)
+            assert handshake_seed(net) <= optimum, net.edges
+            tight += handshake_seed(net) == optimum
+            result = solve_exact(net, mode=mode)
+            assert isinstance(result, ExactSolution) and len(result.plan) == optimum
+        assert tight >= 1
 
 
 class TestSizeTwoPartitionCertificate:
