@@ -50,11 +50,7 @@ from .network import (
 )
 from .signatures import (
     EquivalenceClasses,
-    SignatureMatrix,
-    UndetectableFaultError,
-    build_signature,
     equivalence_classes,
-    extend_for_no_fault,
     is_distinguishing,
     undistinguished_pairs,
 )

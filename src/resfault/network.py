@@ -149,24 +149,7 @@ class Network:
 
 
 def _is_connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == n
+    return len(_component_of(n, pairs, 0)) == n
 
 
 def build_reduced_laplacian(net: Network, ground: int) -> list[list[Fraction]]:

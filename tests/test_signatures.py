@@ -9,16 +9,19 @@ from resfault.network import (
     Measurement,
     direct_effective_resistance_oracle,
     effective_resistance,
+    perturbed_effective_resistance,
 )
 from resfault.signatures import (
-    UndetectableFaultError,
-    build_signature,
     equivalence_classes,
-    extend_for_no_fault,
     is_distinguishing,
+    merged_pairs,
+    reading_classes,
     undistinguished_pairs,
 )
+from resfault.solver import ExactSolution, Infeasible, solve_exact, solve_greedy
 from resfault.strategies import complete_strategy
+
+from reference import build_signature
 
 
 class TestBuildSignature:
@@ -150,37 +153,49 @@ class TestUndistinguishedPairs:
 
 
 class TestNoFaultExtension:
+    """The healthy network as one more column of the class table."""
+
+    @staticmethod
+    def healthy_merges(net, probes):
+        return merged_pairs(net.edges, reading_classes(net, probes, FaultMode.REMOVED, True))
+
     def test_k6_plan_already_separates_the_baseline(self):
         net = complete_network(6)
         plan = list(complete_strategy(6).measurements)
-        assert extend_for_no_fault(net, plan, FaultMode.REMOVED) == plan
+        assert self.healthy_merges(net, plan) == []
+        result = solve_exact(net, no_fault=True)
+        assert isinstance(result, ExactSolution)
+        assert len(result.plan) == len(plan) == 4
 
     def test_extension_adds_at_most_one(self):
         shape = KPartiteShape((4, 4))
         net = shape.network()
         probes = [Measurement(0, 1), Measurement(1, 2), Measurement(4, 5), Measurement(5, 6)]
         assert is_distinguishing(net, probes, FaultMode.REMOVED)
-        extended = extend_for_no_fault(net, probes, FaultMode.REMOVED)
-        assert len(extended) == len(probes) + 1
-        # the added probe really does see the suspect fault
-        added = extended[-1]
         edge = net.edge_between(3, 7)
-        from resfault.network import perturbed_effective_resistance
-
-        assert perturbed_effective_resistance(
-            net, added, edge, FaultMode.REMOVED
-        ) != effective_resistance(net, added)
+        assert self.healthy_merges(net, probes) == [(edge, None)]
+        optimum = solve_exact(net)
+        with_healthy = solve_exact(net, no_fault=True)
+        assert isinstance(optimum, ExactSolution) and isinstance(with_healthy, ExactSolution)
+        # Extending these probes would take 5; solving with the column takes none extra.
+        assert len(with_healthy.plan) == len(optimum.plan) == 4
+        assert self.healthy_merges(net, with_healthy.plan.measurements) == []
+        # some probe of the plan really does see the suspect fault
+        assert any(
+            perturbed_effective_resistance(net, m, edge, FaultMode.REMOVED)
+            != effective_resistance(net, m)
+            for m in with_healthy.plan.measurements
+        )
 
     def test_restricted_pool_raises_naming_the_edge(self):
         shape = KPartiteShape((4, 4))
         net = shape.network()
-        probes = [Measurement(0, 1), Measurement(1, 2), Measurement(4, 5), Measurement(5, 6)]
         pool = [Measurement(a, b) for a, b in [(0, 1), (0, 2), (1, 2), (4, 5), (4, 6), (5, 6)]]
-        with pytest.raises(UndetectableFaultError) as err:
-            extend_for_no_fault(net, probes, FaultMode.REMOVED, candidates=pool)
-        assert err.value.edge.pair == (3, 7)
-
-    def test_non_distinguishing_input_rejected(self):
-        net = complete_network(6)
-        with pytest.raises(ValueError, match="distinguishing"):
-            extend_for_no_fault(net, [Measurement(0, 1)], FaultMode.REMOVED)
+        assert isinstance(solve_exact(net, candidates=pool), ExactSolution)
+        witness = ((net.edge_between(3, 7), None),)
+        for result in (
+            solve_exact(net, candidates=pool, no_fault=True),
+            solve_greedy(net, candidates=pool, no_fault=True),
+        ):
+            assert isinstance(result, Infeasible)
+            assert result.witness_pairs == witness

@@ -1,5 +1,7 @@
+import random
 from itertools import combinations
 from math import ceil
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,9 +18,10 @@ from resfault.network import (
     Measurement,
     Network,
     direct_effective_resistance_oracle,
+    effective_resistance,
     perturbed_effective_resistance,
 )
-from resfault.signatures import build_signature, is_distinguishing
+from resfault.signatures import is_distinguishing, merged_pairs, reading_classes
 from resfault.solver import (
     ExactSolution,
     Infeasible,
@@ -29,12 +32,19 @@ from resfault.solver import (
     solve_greedy,
 )
 
+from reference import build_signature
 
-def enumeration_optimum(net, mode):
-    """Ground truth by subset enumeration over all candidate probes."""
+
+def enumeration_optimum(net, mode, no_fault=False):
+    """Ground truth by subset enumeration over all candidate probes.
+
+    With `no_fault`, the healthy network's readings are one more column.
+    """
     candidates = net.measurements()
     sig = build_signature(net, candidates, mode)
     cols = sig.columns()
+    if no_fault:
+        cols.append(tuple(effective_resistance(net, m) for m in candidates))
     for size in range(1, len(candidates) + 1):
         for subset in combinations(range(len(candidates)), size):
             proj = [tuple(col[i] for i in subset) for col in cols]
@@ -166,6 +176,112 @@ class TestExactSolver:
         result = solve_exact(net, budget_seconds=0.0)
         assert isinstance(result, ExactSolution)
         assert len(result.plan) == enumeration_optimum(net, FaultMode.REMOVED) == 2
+
+
+def tree_plus_chords(seed):
+    """Seeded unit-conductance network: a random tree on 4..7 vertices plus up to 4 chords."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
+    pairs.update(rng.sample(chords, min(len(chords), rng.randint(0, 4))))
+    return Network.from_edge_list(n, [(u, v, 1) for u, v in sorted(pairs)])
+
+
+class TestHealthyColumn:
+    """`no_fault`: the healthy network is one more column to tell apart."""
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_exact_matches_enumeration_with_the_healthy_column(self, mode):
+        grew = 0
+        for seed in range(150):
+            net = tree_plus_chords(seed)
+            result = solve_exact(net, mode=mode, no_fault=True)
+            assert isinstance(result, ExactSolution)
+            optimum = enumeration_optimum(net, mode, no_fault=True)
+            assert len(result.plan) == optimum, (seed, net.edges)
+            without = enumeration_optimum(net, mode)
+            assert without <= optimum <= without + 1
+            grew += optimum > without
+        assert grew  # some networks need the extra probe, so the column matters
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_greedy_separates_every_column(self, mode):
+        for seed in range(150):
+            net = tree_plus_chords(seed)
+            plan = solve_greedy(net, mode=mode, no_fault=True)
+            probes = plan.measurements
+            columns = build_signature(net, probes, mode).columns()
+            columns.append(tuple(effective_resistance(net, m) for m in probes))
+            assert len(set(columns)) == len(columns), (seed, net.edges)
+
+    def test_one_probe_fewer_than_extending_the_optimum(self):
+        # The faults-only optimum found first, (0, 1) and (0, 2), leaves fault
+        # (1, 3) reading like the healthy network, so extending it takes 3
+        # probes; another pair of probes separates all five columns.
+        net = Network.from_edge_list(4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (1, 3, 1)])
+        faults_only = solve_exact(net)
+        assert isinstance(faults_only, ExactSolution)
+        assert faults_only.plan.measurements == (Measurement(0, 1), Measurement(0, 2))
+        merged = reading_classes(net, faults_only.plan.measurements, FaultMode.REMOVED, True)
+        assert merged_pairs(net.edges, merged) == [(net.edge_between(1, 3), None)]
+        result = solve_exact(net, no_fault=True)
+        assert isinstance(result, ExactSolution)
+        assert len(result.plan) == enumeration_optimum(net, FaultMode.REMOVED, True) == 2
+
+    def test_witness_names_the_healthy_network_last(self):
+        # Two edges and the healthy network share one group: (2, 7), (3, 7)
+        # and None.  Pairs come in column order, so None never gets compared.
+        net = KPartiteShape((4, 4)).network()
+        pool = [Measurement(a, b) for a, b in [(0, 1), (4, 5), (4, 6), (5, 6)]]
+        columns = build_signature(net, pool, FaultMode.REMOVED).columns()
+        columns.append(tuple(effective_resistance(net, m) for m in pool))
+        names = list(net.edges) + [None]
+        expected = tuple(
+            (names[i], names[j])
+            for i, j in combinations(range(len(columns)), 2)
+            if columns[i] == columns[j]
+        )
+        assert (net.edge_between(2, 7), None) in expected
+        assert (net.edge_between(3, 7), None) in expected
+        for result in (
+            solve_exact(net, candidates=pool, no_fault=True),
+            solve_greedy(net, candidates=pool, no_fault=True),
+        ):
+            assert isinstance(result, Infeasible)
+            assert result.witness_pairs == expected
+
+    def test_without_the_flag_no_healthy_column(self):
+        net = KPartiteShape((4, 4)).network()
+        pool = [Measurement(a, b) for a, b in [(0, 1), (4, 5), (4, 6), (5, 6)]]
+        result = solve_exact(net, candidates=pool)
+        assert isinstance(result, Infeasible)
+        assert all(None not in pair for pair in result.witness_pairs)
+
+
+class TestMaskBuildDeadline:
+    def test_deadline_checked_once_per_row(self, monkeypatch):
+        # Fake clock: the deadline is set at 0, the check after greedy and
+        # the first row of the mask build still read 0, the second reads 10.
+        readings = iter([0.0, 0.0, 0.0])
+        calls = []
+
+        def clock():
+            calls.append(None)
+            return next(readings, 10.0)
+
+        def unreachable(*args):
+            raise AssertionError("search ran after the budget was spent")
+
+        net = complete_network(8)
+        greedy = solve_greedy(net)
+        monkeypatch.setattr(resfault.solver, "time", SimpleNamespace(monotonic=clock))
+        monkeypatch.setattr(resfault.solver._CoverInstance, "search", unreachable)
+        result = solve_exact(net, budget_seconds=1.0)
+        assert isinstance(result, TimedOut)
+        assert result.incumbent == greedy
+        assert result.lower_bound == 4  # the handshake seed ceil((8 - 1) / 2)
+        assert len(calls) == 4  # set the deadline, after greedy, rows 0 and 1 of 28
 
 
 def handshake_seed(net):
