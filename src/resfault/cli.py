@@ -19,7 +19,7 @@ from . import closed_forms, signatures, solver, strategies
 from .families import KPartiteShape, complete_network
 from .fileio import (
     FileFormatError,
-    NetworkSpec,
+    check_vertex_count,
     load_network,
     load_plan,
     plan_to_dict,
@@ -88,6 +88,7 @@ def cmd_bounds(args) -> int:
 def cmd_strategy(args) -> int:
     family, param = _parse_family(args)
     try:
+        check_vertex_count(param if family == "complete" else param.n)
         if family == "complete":
             plan = strategies.complete_strategy(param)
         else:
@@ -138,13 +139,12 @@ def cmd_verify(args) -> int:
         print(f"undistinguished edge pairs ({len(pairs)}):")
         for e1, e2 in pairs:
             print(f"  {e1.pair} ~ {e2.pair}")
-        report = solver.analyze_measurement_graph(spec.n, plan.measurements, spec.shape)
+        report = solver.analyze_measurement_graph(spec.network, plan.measurements)
         print(f"measurement graph: {len(report.components)} components, "
               f"{len(report.isolated)} isolated, "
               f"{len(report.size_two_components)} size-two components")
-        if spec.family in ("complete", "k_partite"):  # the conditions hold for these only
-            for violation in report.violations:
-                print(f"  violated: {violation}")
+        for violation in report.violations:
+            print(f"  violated: {violation}")
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
@@ -159,9 +159,7 @@ def cmd_solve(args) -> int:
     no_fault = args.allow_no_fault
     scope = " to tell every fault and the no-fault outcome apart" if no_fault else ""
     if args.greedy:
-        result = solver.solve_greedy(
-            spec.network, mode=mode, family=spec.describe(), no_fault=no_fault
-        )
+        result = solver.solve_greedy(spec.network, mode=mode, no_fault=no_fault)
         if isinstance(result, solver.Infeasible):
             return _print_infeasible(result)
         plan, status = result, f"greedy (upper bound{scope}, not proven minimum)"
@@ -171,7 +169,6 @@ def cmd_solve(args) -> int:
             mode=mode,
             budget_seconds=args.budget,
             first_probe_orbits=spec.orbit_representatives(),
-            family=spec.describe(),
             no_fault=no_fault,
         )
         if isinstance(result, solver.Infeasible):

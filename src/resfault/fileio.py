@@ -43,35 +43,52 @@ class FileFormatError(ValueError):
     """A network or plan document failed validation; message carries context."""
 
 
+MAX_VERTICES = 256  # largest network a file or shorthand may describe
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse a network above MAX_VERTICES before any edge or plan is built."""
+    if n > MAX_VERTICES:
+        raise FileFormatError(
+            f"network has {n} vertices; the limit is MAX_VERTICES = {MAX_VERTICES}"
+        )
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """A parsed network plus the family information the closed forms need."""
 
     family: str  # "complete" | "k_partite" | "explicit"
     network: Network
-    n: int
-    parts: tuple[int, ...] | None = None
-
-    @property
-    def shape(self) -> KPartiteShape | None:
-        return KPartiteShape(self.parts) if self.parts else None
+    shape: KPartiteShape | None = None
 
     def orbit_representatives(self) -> list[Measurement] | None:
         if self.family == "complete":
-            return complete_orbit_representatives(self.n)
+            return complete_orbit_representatives(self.network.n)
         if self.family == "k_partite":
             return measurement_orbit_representatives(self.shape)
         return None
 
     def describe(self) -> str:
         if self.family == "complete":
-            return f"complete({self.n})"
+            return f"complete({self.network.n})"
         if self.family == "k_partite":
-            return f"k_partite{self.parts}"
-        return f"explicit(n={self.n})"
+            return f"k_partite{self.shape.parts}"
+        return f"explicit(n={self.network.n})"
 
 
 _SHORTHAND = re.compile(r"^[Kk](\d+(?:,\d+)*)$")
+
+
+def _complete_spec(n: int) -> NetworkSpec:
+    check_vertex_count(n)
+    return NetworkSpec("complete", complete_network(n))
+
+
+def _kpartite_spec(parts) -> NetworkSpec:
+    shape = KPartiteShape(tuple(sorted(parts)))
+    check_vertex_count(shape.n)
+    return NetworkSpec("k_partite", kpartite_network(shape), shape)
 
 
 def parse_shorthand(text: str) -> NetworkSpec | None:
@@ -80,27 +97,23 @@ def parse_shorthand(text: str) -> NetworkSpec | None:
     if not match:
         return None
     nums = [int(x) for x in match.group(1).split(",")]
-    if len(nums) == 1:
-        return NetworkSpec("complete", complete_network(nums[0]), nums[0])
-    shape = KPartiteShape(tuple(sorted(nums)))
-    return NetworkSpec("k_partite", kpartite_network(shape), shape.n, shape.parts)
+    return _complete_spec(nums[0]) if len(nums) == 1 else _kpartite_spec(nums)
 
 
 def network_spec_from_dict(data: dict) -> NetworkSpec:
     family = data.get("family")
     if family == "complete":
-        n = _require_int(data, "n")
-        return NetworkSpec("complete", complete_network(n), n)
+        return _complete_spec(_require_int(data, "n"))
     if family == "k_partite":
         parts = data.get("parts")
         if not isinstance(parts, list) or not parts:
             raise FileFormatError('k_partite network needs a nonempty "parts" list')
         if not all(isinstance(p, int) and not isinstance(p, bool) for p in parts):
             raise FileFormatError('"parts" must hold integers')
-        shape = KPartiteShape(tuple(sorted(parts)))
-        return NetworkSpec("k_partite", kpartite_network(shape), shape.n, shape.parts)
+        return _kpartite_spec(parts)
     if family == "explicit":
         n = _require_int(data, "n")
+        check_vertex_count(n)
         raw = data.get("edges")
         if not isinstance(raw, list):
             raise FileFormatError('explicit network needs an "edges" list')
@@ -114,7 +127,7 @@ def network_spec_from_dict(data: dict) -> NetworkSpec:
             if edges[-1][2] <= 0:
                 raise FileFormatError(f"edges[{pos}]: conductance must be positive")
         try:
-            return NetworkSpec("explicit", Network.from_edge_list(n, edges), n)
+            return NetworkSpec("explicit", Network.from_edge_list(n, edges))
         except ValueError as exc:
             raise FileFormatError(str(exc)) from exc
     raise FileFormatError(f"unknown network family {family!r}")
@@ -135,7 +148,7 @@ def plan_to_dict(plan: MeasurementPlan) -> dict:
     }
 
 
-def plan_from_dict(data: dict, family: str = "file") -> MeasurementPlan:
+def plan_from_dict(data: dict) -> MeasurementPlan:
     mode_text = data.get("mode", "removed")
     try:
         mode = FaultMode(mode_text)
@@ -159,9 +172,7 @@ def plan_from_dict(data: dict, family: str = "file") -> MeasurementPlan:
     if len(provenance) != len(measurements):
         raise FileFormatError("provenance length must match measurements")
     try:
-        return MeasurementPlan(
-            tuple(measurements), tuple(str(t) for t in provenance), family, mode
-        )
+        return MeasurementPlan(tuple(measurements), tuple(str(t) for t in provenance), mode)
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc
 

@@ -37,14 +37,15 @@ bans are made by orbit at every node, the root with caller-given first
 probes included.  Banned siblings are skipped.  A candidate pool
 that is not closed under the group gets single-probe bans only.
 
-Handshake seed.  Two fresh twins u, v (with some w, other than both,
-joined to each, which connectivity gives) leave the faults (u, w) and
-(v, w) reading the same on every probe that touches neither: (u v) maps
-one fault to the other and fixes the probe.  So every distinguishing set
-touches all but at most one vertex per class, and needs at least
-ceil((n - c) / 2) probes for c classes.  The deepening starts at the
-larger of this and the counting bound; each target is searched on its
-own, so skipping targets that cannot succeed leaves the plan unchanged.
+Handshake seed.  Two twins u, v (with some w, other than both, joined
+to each, which connectivity gives when n >= 3) leave the faults (u, w)
+and (v, w) reading the same on every probe that touches neither, and on
+the probe (u, v): (u v) maps one fault to the other and fixes the probe.
+So every distinguishing set touches all but at most one vertex per
+class, and needs at least ceil((n - c) / 2) probes for c classes.  The
+deepening starts at the larger of this and the counting bound; each
+target is searched on its own, so skipping targets that cannot succeed
+leaves the plan unchanged.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from math import ceil
 from operator import itemgetter
 from typing import Sequence
 
-from .families import KPartiteShape
 from .network import Edge, FaultMode, Measurement, Network
 from .signatures import merged_pairs, reading_classes
 from .strategies import MeasurementPlan
@@ -358,9 +358,9 @@ def _greedy_order(table: Sequence[Sequence[int]], column_count: int) -> list[int
     return chosen
 
 
-def _plan(cands, indices, tag: str, family: str, mode: FaultMode) -> MeasurementPlan:
+def _plan(cands, indices, tag: str, mode: FaultMode) -> MeasurementPlan:
     ms = tuple(cands[j] for j in indices)
-    return MeasurementPlan(ms, (tag,) * len(ms), family, mode)
+    return MeasurementPlan(ms, (tag,) * len(ms), mode)
 
 
 def solve_exact(
@@ -369,7 +369,6 @@ def solve_exact(
     mode: FaultMode = FaultMode.REMOVED,
     budget_seconds: float = 300.0,
     first_probe_orbits: Sequence[Measurement] | None = None,
-    family: str = "network",
     no_fault: bool = False,
 ) -> ExactSolution | Infeasible | TimedOut:
     """Minimum distinguishing probe set, with proof of optimality.
@@ -392,8 +391,8 @@ def solve_exact(
     if greedy is None:  # greedy stalls exactly when some pair is never split
         return Infeasible(tuple(merged_pairs(net.edges, table)))
     if ne < 2:  # no column pairs: the empty plan
-        return ExactSolution(_plan(cands, greedy, "exact", family, mode))
-    greedy_plan = _plan(cands, greedy, "greedy", family, mode)
+        return ExactSolution(_plan(cands, greedy, "exact", mode))
+    greedy_plan = _plan(cands, greedy, "greedy", mode)
 
     pair_count = ne * (ne - 1) // 2
     max_single = max(
@@ -403,7 +402,7 @@ def solve_exact(
     handshake = ceil((net.n - len(classes)) / 2)
     root_lower = max(1, ceil(pair_count / max_single), handshake)
     if root_lower >= len(greedy):  # no smaller set exists: the greedy plan is optimal
-        return ExactSolution(_plan(cands, greedy, "exact", family, mode))
+        return ExactSolution(_plan(cands, greedy, "exact", mode))
     if time.monotonic() > deadline:
         return TimedOut(incumbent=greedy_plan, lower_bound=root_lower)
 
@@ -418,18 +417,17 @@ def solve_exact(
         for target in range(root_lower, len(greedy)):
             found = inst.search(target, [], 0, 0, deadline, 0, root_indices)
             if found is not None:
-                return ExactSolution(_plan(cands, found, "exact", family, mode))
+                return ExactSolution(_plan(cands, found, "exact", mode))
     except _Deadline:
         return TimedOut(incumbent=greedy_plan, lower_bound=target)
     # No smaller set exists: the greedy plan is optimal.
-    return ExactSolution(_plan(cands, greedy, "exact", family, mode))
+    return ExactSolution(_plan(cands, greedy, "exact", mode))
 
 
 def solve_greedy(
     net: Network,
     candidates: Sequence[Measurement] | None = None,
     mode: FaultMode = FaultMode.REMOVED,
-    family: str = "network",
     no_fault: bool = False,
 ) -> MeasurementPlan | Infeasible:
     """Greedy distinguishing set: repeatedly add the probe that splits the most.
@@ -447,7 +445,7 @@ def solve_greedy(
     chosen = _greedy_order(table, len(table[0]))
     if chosen is None:
         return Infeasible(tuple(merged_pairs(net.edges, table)))
-    return _plan(cands, chosen, "greedy", family, mode)
+    return _plan(cands, chosen, "greedy", mode)
 
 
 @dataclass(frozen=True)
@@ -458,21 +456,24 @@ class MeasurementGraphReport:
     components: tuple[tuple[int, ...], ...]
     isolated: tuple[int, ...]
     size_two_components: tuple[tuple[int, int], ...]
-    isolated_by_partition: tuple[int, ...] | None
     violations: tuple[str, ...]
 
 
 def analyze_measurement_graph(
-    n: int, measurements: Sequence[Measurement], shape: KPartiteShape | None = None
+    net: Network, measurements: Sequence[Measurement]
 ) -> MeasurementGraphReport:
-    """Check a probe set against the structural conditions every solution obeys.
+    """Check a probe set against two structural conditions every solution obeys.
 
-    Any distinguishing set must leave at most one vertex isolated per
-    partition (one in total for complete graphs), and no component of
-    exactly two vertices inside a single partition (none at all for
-    complete graphs).  Violations are reported by name; an empty tuple
-    means the necessary conditions hold.
+    By the handshake argument in the module docstring, a distinguishing
+    set on n >= 3 vertices leaves at most one vertex of each twin class
+    untouched, and has no two-vertex component whose vertices are twins:
+    there the probe joining them is the only one touching either, and
+    the transposition fixes it.  In a complete graph the one class is
+    every vertex; in a complete k-partite graph with parts of two or
+    more, the classes are the partitions.  Violations are reported by
+    name; an empty tuple means the necessary conditions hold.
     """
+    n = net.n
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -493,37 +494,17 @@ def analyze_measurement_graph(
     size_two = tuple((c[0], c[1]) for c in components if len(c) == 2)
 
     violations: list[str] = []
-    isolated_by_partition = None
-    if shape is None:
-        if len(isolated) > 1:
-            violations.append(
-                f"{len(isolated)} isolated vertices (a complete graph allows at most one)"
-            )
-        for c in size_two:
-            violations.append(f"component of size two {c} (none are allowed)")
-    else:
-        if shape.n != n:
-            raise ValueError("shape does not match vertex count")
-        counts = [0] * shape.k
-        for v in isolated:
-            counts[shape.partition_of(v)] += 1
-        isolated_by_partition = tuple(counts)
-        for i, cnt in enumerate(counts):
-            if cnt > 1:
+    if n >= 3:
+        lone = set(isolated)
+        class_of: dict[int, tuple[int, ...]] = {}
+        for cls in map(tuple, _twin_classes(net)):
+            untouched = len(lone.intersection(cls))
+            if untouched > 1:
                 violations.append(
-                    f"partition {i} has {cnt} isolated vertices (at most one is allowed)"
+                    f"twin class {cls} has {untouched} isolated vertices (at most one is allowed)"
                 )
+            class_of.update(dict.fromkeys(cls, cls))
         for c in size_two:
-            if shape.partition_of(c[0]) == shape.partition_of(c[1]):
-                violations.append(
-                    f"component of size two {c} inside partition {shape.partition_of(c[0])}"
-                )
-        need = ceil((n - shape.k) / 2)
-        if len(measurements) < need:
-            violations.append(
-                f"only {len(measurements)} measurements, fewer than the handshake "
-                f"minimum ceil((n-k)/2) = {need}"
-            )
-    return MeasurementGraphReport(
-        n, components, isolated, size_two, isolated_by_partition, tuple(violations)
-    )
+            if class_of[c[0]] == class_of[c[1]]:
+                violations.append(f"component of size two {c} inside twin class {class_of[c[0]]}")
+    return MeasurementGraphReport(n, components, isolated, size_two, tuple(violations))

@@ -34,7 +34,6 @@ class MeasurementPlan:
 
     measurements: tuple[Measurement, ...]
     provenance: tuple[str, ...]
-    family: str
     mode: FaultMode = FaultMode.REMOVED
 
     def __post_init__(self):
@@ -55,8 +54,7 @@ class _Builder:
     the rest to the caller's closing rules.
     """
 
-    def __init__(self, family: str):
-        self.family = family
+    def __init__(self):
         self.measurements: list[Measurement] = []
         self.tags: list[str] = []
         self.used: set[int] = set()
@@ -128,7 +126,7 @@ class _Builder:
             self.wing(pool[0], pool[1], designated, tag)
 
     def plan(self, mode: FaultMode = FaultMode.REMOVED) -> MeasurementPlan:
-        return MeasurementPlan(tuple(self.measurements), tuple(self.tags), self.family, mode)
+        return MeasurementPlan(tuple(self.measurements), tuple(self.tags), mode)
 
 
 def complete_strategy(n: int) -> MeasurementPlan:
@@ -140,7 +138,7 @@ def complete_strategy(n: int) -> MeasurementPlan:
     """
     if n < 6:
         raise ValueError(f"complete-graph strategy needs n >= 6, got {n}")
-    b = _Builder(f"complete({n})")
+    b = _Builder()
     pool = list(range(n))
     b.butterflies(pool, "butterfly")
     for v in pool:
@@ -163,7 +161,7 @@ def bipartite_strategy(b_size: int, g_size: int) -> MeasurementPlan:
     if not (2 <= b_size <= g_size):
         raise ValueError("need 2 <= b_size <= g_size")
     shape = KPartiteShape((b_size, g_size))
-    builder = _Builder(f"k_partite{shape.parts}")
+    builder = _Builder()
     beta = list(shape.vertices(0))
     gamma = list(shape.vertices(1))
     des_b, des_g = beta[0], gamma[0]
@@ -208,7 +206,7 @@ def tripartite_strategy(a: int, b: int, c: int) -> MeasurementPlan:
     if not (2 <= a <= b <= c):
         raise ValueError("need 2 <= a <= b <= c")
     shape = KPartiteShape((a, b, c))
-    builder = _Builder(f"k_partite{shape.parts}")
+    builder = _Builder()
     parts = [list(shape.vertices(i)) for i in range(3)]
     designated = [p[0] for p in parts]
     pools = [p[1:] for p in parts]
@@ -333,7 +331,7 @@ def kpartite_strategy(shape: KPartiteShape) -> MeasurementPlan:
         return bipartite_strategy(*shape.parts)
     if shape.k == 3:
         return tripartite_strategy(*shape.parts)
-    builder = _Builder(f"k_partite{shape.parts}")
+    builder = _Builder()
     triples, aside = _composition(shape)
     for triple in triples:
         _triple_block(builder, shape, triple)

@@ -122,7 +122,6 @@ def test_criterion_2_complete_graph_exactness():
             mode=FaultMode.REMOVED,
             budget_seconds=300.0,
             first_probe_orbits=complete_orbit_representatives(n),
-            family=f"complete({n})",
         )
         assert isinstance(result, ExactSolution), f"K{n} solve did not finish"
         assert len(result.plan) == want, f"K{n}: optimum {len(result.plan)} != {want}"
@@ -147,7 +146,6 @@ def test_criterion_3_bipartite_exactness():
             mode=FaultMode.REMOVED,
             budget_seconds=300.0,
             first_probe_orbits=measurement_orbit_representatives(shape),
-            family=f"k_partite({b}, {g})",
         )
         stated = bipartite_bound(b, g).exact
         if not isinstance(result, ExactSolution):
@@ -201,7 +199,6 @@ def test_criterion_4_tripartite_table():
             mode=FaultMode.REMOVED,
             budget_seconds=300.0,
             first_probe_orbits=measurement_orbit_representatives(shape),
-            family=f"k_partite{sizes}",
         )
         if not isinstance(result, ExactSolution) or len(result.plan) != want:
             failures.append(f"K{sizes}: exact solve did not give {want}")

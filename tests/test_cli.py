@@ -3,16 +3,17 @@ import time
 
 import pytest
 
-from resfault import solver
+from resfault import fileio, solver, strategies
 from resfault.cli import main
 from resfault.fileio import (
+    MAX_VERTICES,
     FileFormatError,
     load_network,
     parse_shorthand,
     plan_from_dict,
     plan_to_dict,
 )
-from resfault.network import FaultMode, Measurement
+from resfault.network import FaultMode, Measurement, Network
 from resfault.signatures import merged_pairs, reading_classes
 from resfault.strategies import complete_strategy
 
@@ -158,12 +159,29 @@ class TestVerifyCommand:
         plan_file.write_text(json.dumps({"mode": "removed", "measurements": [[0, 1]]}))
         assert main(["verify", "--network", "K6", "--plan", str(plan_file)]) == 1
         out = capsys.readouterr().out
-        assert "violated: 4 isolated vertices (a complete graph allows at most one)" in out
-        assert "violated: component of size two (0, 1) (none are allowed)" in out
+        everyone = "twin class (0, 1, 2, 3, 4, 5)"
+        assert f"violated: {everyone} has 4 isolated vertices (at most one is allowed)" in out
+        assert f"violated: component of size two (0, 1) inside {everyone}" in out
+
+    def test_explicit_network_with_twins_is_checked(self, tmp_path, capsys):
+        # Vertices 3 and 4 hang off vertex 2 with equal conductance: twins, so a
+        # plan may leave at most one of them untouched.
+        net_file, plan_file = tmp_path / "net.json", tmp_path / "plan.json"
+        net_file.write_text(json.dumps({
+            "family": "explicit", "n": 5,
+            "edges": [[0, 1, "1"], [1, 2, "3/2"], [2, 3, "2"], [2, 4, "2"]],
+        }))
+        plan_file.write_text(json.dumps({"mode": "removed", "measurements": [[0, 1], [1, 2]]}))
+        assert main(["verify", "--network", str(net_file), "--plan", str(plan_file)]) == 1
+        out = capsys.readouterr().out
+        violations = [line for line in out.splitlines() if "violated" in line]
+        assert violations == [
+            "  violated: twin class (3, 4) has 2 isolated vertices (at most one is allowed)"
+        ]
 
     def test_explicit_network_gets_no_family_rules(self, tmp_path, capsys):
-        # On a weighted 6-cycle neither complete-graph condition is necessary,
-        # so only the component summary is printed.
+        # A weighted 6-cycle has no twins, so neither twin-class condition
+        # applies and only the component summary is printed.
         net_file, plan_file = tmp_path / "net.json", tmp_path / "plan.json"
         weights = ["1", "2", "3/2", "1", "5", "1/3"]
         net_file.write_text(json.dumps({
@@ -210,6 +228,58 @@ class TestVerifyCommand:
             paths.append(str(path))
         assert main(["verify", "--network", paths[0], "--plan", paths[1]]) == 2
         assert "parse error" in capsys.readouterr().err
+
+
+class TestInputSizeGuard:
+    """A network above MAX_VERTICES exits 2 before any edge list or plan is built."""
+
+    OVER = MAX_VERTICES + 1
+    PARTS = [MAX_VERTICES // 2, MAX_VERTICES // 2 + 1]
+
+    @pytest.fixture(autouse=True)
+    def nothing_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a network or plan above the vertex limit")
+
+        for name in ("complete_network", "kpartite_network"):
+            monkeypatch.setattr(fileio, name, refuse)
+        monkeypatch.setattr(Network, "from_edge_list", refuse)
+        monkeypatch.setattr(strategies, "complete_strategy", refuse)
+        monkeypatch.setattr(strategies, "kpartite_strategy", refuse)
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            f"K{OVER}",
+            "K" + ",".join(map(str, PARTS)),
+            {"family": "complete", "n": OVER},
+            {"family": "k_partite", "parts": PARTS},
+            {"family": "explicit", "n": OVER, "edges": [[0, 1, "1"]]},
+        ],
+        ids=["K-n", "K-parts", "complete", "k-partite", "explicit"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "resistance", "verify"])
+    def test_network_inputs(self, tmp_path, capsys, network, command):
+        if isinstance(network, dict):
+            (tmp_path / "net.json").write_text(json.dumps(network))
+            network = str(tmp_path / "net.json")
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({"measurements": [[0, 1]]}))
+        extra = {"solve": [], "resistance": ["--pair", "0", "1"],
+                 "verify": ["--plan", str(plan_file)]}
+        assert main([command, "--network", network, *extra[command]]) == 2
+        assert f"the limit is MAX_VERTICES = {MAX_VERTICES}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["complete", "k-partite"])
+    def test_strategy(self, capsys, family):
+        size = str(self.OVER) if family == "complete" else ",".join(map(str, self.PARTS))
+        assert main(["strategy", f"--{family}", size]) == 2
+        err = capsys.readouterr().err
+        assert f"out of scope: network has {self.OVER} vertices; the limit is" in err
+
+    @pytest.mark.parametrize("command", ["bounds", "delta"])
+    def test_formula_commands_stay_unlimited(self, capsys, command):
+        assert main([command, "--complete", str(self.OVER), "--json"]) == 0
 
 
 class TestSolveCommand:

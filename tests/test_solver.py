@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 from math import ceil
 from types import SimpleNamespace
@@ -57,9 +58,7 @@ class TestExactSolver:
     @pytest.mark.parametrize("n,want", [(6, 4), (7, 5)])
     def test_complete_graphs(self, n, want):
         net = complete_network(n)
-        result = solve_exact(
-            net, first_probe_orbits=complete_orbit_representatives(n), family=f"complete({n})"
-        )
+        result = solve_exact(net, first_probe_orbits=complete_orbit_representatives(n))
         assert isinstance(result, ExactSolution)
         assert len(result.plan) == want
         assert is_distinguishing(net, result.plan.measurements, FaultMode.REMOVED)
@@ -406,7 +405,7 @@ class TestGreedy:
 
 class TestMeasurementGraph:
     def test_empty_plan_is_all_isolated(self):
-        report = analyze_measurement_graph(5, [])
+        report = analyze_measurement_graph(complete_network(5), [])
         assert len(report.isolated) == 5
         assert len(report.components) == 5
 
@@ -414,26 +413,94 @@ class TestMeasurementGraph:
         from resfault.strategies import complete_strategy
 
         plan = complete_strategy(6)
-        report = analyze_measurement_graph(6, plan.measurements)
+        report = analyze_measurement_graph(complete_network(6), plan.measurements)
         assert report.violations == ()
         assert report.isolated == ()
         assert all(len(c) == 3 for c in report.components)
 
     def test_double_isolated_in_one_partition_flagged(self):
-        shape = KPartiteShape((4, 4))
+        net = KPartiteShape((4, 4)).network()
         probes = [Measurement(0, 4), Measurement(1, 5)]
-        report = analyze_measurement_graph(8, probes, shape)
-        assert report.isolated_by_partition == (2, 2)
-        assert any("isolated" in v for v in report.violations)
+        report = analyze_measurement_graph(net, probes)
+        assert report.violations == (
+            "twin class (0, 1, 2, 3) has 2 isolated vertices (at most one is allowed)",
+            "twin class (4, 5, 6, 7) has 2 isolated vertices (at most one is allowed)",
+        )
 
     def test_intra_partition_pair_flagged(self):
-        shape = KPartiteShape((3, 3))
+        net = KPartiteShape((3, 3)).network()
         probes = [Measurement(0, 1), Measurement(3, 4), Measurement(2, 5)]
-        report = analyze_measurement_graph(6, probes, shape)
-        assert any("inside partition" in v for v in report.violations)
+        report = analyze_measurement_graph(net, probes)
+        assert any("inside twin class" in v for v in report.violations)
 
     def test_size_two_component_flagged_for_complete(self):
         probes = [Measurement(0, 1), Measurement(2, 3), Measurement(3, 4)]
-        report = analyze_measurement_graph(6, probes)
+        report = analyze_measurement_graph(complete_network(6), probes)
         assert any("size two" in v for v in report.violations)
         assert report.size_two_components == ((0, 1),)
+
+    def test_two_vertices_need_no_probe(self):
+        # K2 has one fault, so the empty plan distinguishes and nothing is flagged.
+        report = analyze_measurement_graph(complete_network(2), [])
+        assert report.isolated == (0, 1)
+        assert report.violations == ()
+
+
+def two_weight_network(seed):
+    """Seeded network on 3..7 vertices: a random tree plus random chords, conductances 1 or 2."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
+    pairs.update(rng.sample(chords, rng.randint(0, len(chords))))
+    return Network.from_edge_list(n, [(u, v, rng.choice((1, 2))) for u, v in sorted(pairs)])
+
+
+class TestTwinClassRules:
+    """The violations are necessary conditions: a flagged probe set never distinguishes."""
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_flagged_sets_never_distinguish(self, mode):
+        rng = random.Random(5)
+        flagged = Counter()
+        with_twins = 0
+        for seed in range(400):
+            net = two_weight_network(seed)
+            with_twins += len(_twin_classes(net)) < net.n
+            pool = net.measurements()
+            for _ in range(20):
+                probes = rng.sample(pool, rng.randint(1, min(len(pool), net.n)))
+                violations = analyze_measurement_graph(net, probes).violations
+                for rule in ("isolated", "size two"):
+                    flagged[rule] += any(rule in v for v in violations)
+                if violations:
+                    assert not is_distinguishing(net, probes, mode), (seed, net.edges, probes)
+            result = solve_exact(net, mode=mode)
+            assert isinstance(result, ExactSolution)
+            report = analyze_measurement_graph(net, result.plan.measurements)
+            assert report.violations == (), (seed, net.edges)
+        assert with_twins >= 100  # 166 of the 400 networks have twins
+        assert flagged["isolated"] >= 100 and flagged["size two"] >= 100
+
+    @pytest.mark.parametrize(
+        "parts", [(6,), (7,), (2, 2), (2, 4), (3, 3), (2, 2, 3), (2, 3, 4), (3, 3, 3)]
+    )
+    def test_families_are_judged_by_their_partitions(self, parts):
+        # Twin classes of K_n and of a k-partite graph with parts >= 2 are its
+        # partitions, so the rules are the paper's: at most one isolated vertex
+        # per partition, and no two-vertex component inside one.
+        if len(parts) == 1:
+            net, part_of = complete_network(parts[0]), [0] * parts[0]
+        else:
+            net = KPartiteShape(parts).network()
+            part_of = [i for i, size in enumerate(parts) for _ in range(size)]
+        rng = random.Random(len(part_of))
+        pool = net.measurements()
+        for _ in range(200):
+            probes = rng.sample(pool, rng.randint(0, net.n))
+            report = analyze_measurement_graph(net, probes)
+            isolated = Counter(part_of[v] for v in report.isolated)
+            expected = any(k > 1 for k in isolated.values()) or any(
+                part_of[u] == part_of[v] for u, v in report.size_two_components
+            )
+            assert bool(report.violations) == expected, probes
