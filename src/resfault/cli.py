@@ -123,13 +123,9 @@ def cmd_strategy(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        spec = load_network(args.network)
-        plan = load_plan(args.plan)
-        validate_plan_for(plan, spec.network)
-    except FileFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    spec = load_network(args.network)
+    plan = load_plan(args.plan)
+    validate_plan_for(plan, spec.network)
     mode = plan.mode if args.mode is None else FaultMode(args.mode)
     distinguishing = signatures.is_distinguishing(spec.network, plan.measurements, mode)
     print(f"network: {spec.describe()}  mode: {mode.value}  measurements: {len(plan)}")
@@ -150,11 +146,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        spec = load_network(args.network)
-    except FileFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    spec = load_network(args.network)
     mode = FaultMode(args.mode)
     no_fault = args.allow_no_fault
     scope = " to tell every fault and the no-fault outcome apart" if no_fault else ""
@@ -200,11 +192,7 @@ def _print_infeasible(result: solver.Infeasible) -> int:
 
 
 def cmd_resistance(args) -> int:
-    try:
-        spec = load_network(args.network)
-    except FileFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    spec = load_network(args.network)
     m = Measurement(args.pair[0], args.pair[1])
     if args.fault:
         edge = spec.network.edge_between(args.fault[0], args.fault[1])
@@ -221,11 +209,7 @@ def cmd_resistance(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    try:
-        spec = load_network(args.network)
-    except FileFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    spec = load_network(args.network)
     m = Measurement(args.measurement[0], args.measurement[1])
     mode = FaultMode(args.mode)
     classes = signatures.equivalence_classes(spec.network, m, mode)
@@ -310,6 +294,17 @@ def cmd_delta(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> float:
+    """A --budget value: seconds, zero or more (NaN would never expire)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a number of seconds >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resfault",
@@ -342,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     how = p.add_mutually_exclusive_group()
     how.add_argument("--exact", action="store_true", default=True)
     how.add_argument("--greedy", action="store_true")
-    p.add_argument("--budget", type=float, default=300.0, help="seconds, exact solve")
+    p.add_argument("--budget", type=_budget, default=300.0, help="seconds, exact solve")
     p.add_argument("--allow-no-fault", action="store_true",
                    help="also separate the nothing-is-broken outcome")
     p.set_defaults(func=cmd_solve)
@@ -374,6 +369,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except FileFormatError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

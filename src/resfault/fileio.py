@@ -183,11 +183,12 @@ def load_plan(path: str) -> MeasurementPlan:
 
 def validate_plan_for(plan: MeasurementPlan, net: Network):
     for m in plan.measurements:
-        if m.s >= net.n:
-            raise FileFormatError(
-                f"measurement ({m.r}, {m.s}) references vertex {m.s}, "
-                f"but the network has n={net.n}"
-            )
+        for v in m.pair:
+            if not 0 <= v < net.n:
+                raise FileFormatError(
+                    f"measurement {m.pair} references vertex {v}, "
+                    f"but the network has n={net.n}"
+                )
 
 
 def _load_json(path: str) -> dict:

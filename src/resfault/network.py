@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Union
 
@@ -106,7 +107,9 @@ class Network:
     """Connected simple graph with positive rational conductances.
 
     Vertices are 0..n-1.  Construction validates simplicity, ranges and
-    connectivity; use `from_edge_list` to merge parallel edges first.
+    connectivity; use `from_edge_list` to merge parallel edges first.  The
+    reading kernel, the edge index and the oracle's rebuilt graphs are
+    built on first use and kept on the instance.
     """
 
     n: int
@@ -123,7 +126,7 @@ class Network:
                 raise ValueError(f"duplicate edge {e.pair}; merge parallel edges first")
             seen.add(e.pair)
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        if not _is_connected(self.n, [e.pair for e in self.edges]):
+        if len(_components(self.n, [e.pair for e in self.edges])) > 1:
             raise ValueError("network must be connected")
 
     @classmethod
@@ -137,8 +140,23 @@ class Network:
             merged[key] = merged.get(key, Fraction(0)) + Fraction(w)
         return cls(n, tuple(Edge(u, v, w) for (u, v), w in merged.items()))
 
+    @cached_property
+    def _reading_kernel(self) -> "_ReadingKernel":
+        """One grounding of the network (one inversion); see `_ReadingKernel`."""
+        return _ReadingKernel(self)
+
+    @cached_property
+    def _edge_positions(self) -> dict[tuple[int, int], int]:
+        """Edge pair -> position in `edges`."""
+        return {e.pair: j for j, e in enumerate(self.edges)}
+
+    @cached_property
+    def _oracle_views(self) -> dict:
+        """(fault mode, fault pair) -> the rebuilt graph the oracle reads."""
+        return {}
+
     def edge_between(self, u: int, v: int) -> Edge:
-        j = _edge_index(self).get((min(u, v), max(u, v)))
+        j = self._edge_positions.get((min(u, v), max(u, v)))
         if j is None:
             raise KeyError(f"no edge between {u} and {v}")
         return self.edges[j]
@@ -148,8 +166,30 @@ class Network:
         return [Measurement(r, s) for r in range(self.n) for s in range(r + 1, self.n)]
 
 
-def _is_connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    return len(_component_of(n, pairs, 0)) == n
+def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 with these edges.
+
+    Each component is ascending, and they come in order of lowest vertex.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, stack = [start], [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    stack.append(y)
+        components.append(sorted(comp))
+    return components
 
 
 def build_reduced_laplacian(net: Network, ground: int) -> list[list[Fraction]]:
@@ -169,24 +209,6 @@ def build_reduced_laplacian(net: Network, ground: int) -> list[list[Fraction]]:
             if x != ground:
                 lap[idx(x)][idx(x)] += w
     return lap
-
-
-def _instance_cache(net: Network, name: str) -> dict:
-    """Per-network memo dict, attached lazily; identity-keyed, so hot paths
-    never rehash the (potentially large) edge tuple."""
-    cache = net.__dict__.get(name)
-    if cache is None:
-        cache = {}
-        object.__setattr__(net, name, cache)
-    return cache
-
-
-def _edge_index(net: Network) -> dict:
-    """Edge pair -> position in `net.edges`, memoized."""
-    cache = _instance_cache(net, "_edge_cache")
-    if "index" not in cache:
-        cache["index"] = {e.pair: j for j, e in enumerate(net.edges)}
-    return cache["index"]
 
 
 NO_CHANGE = (0, 1)
@@ -278,22 +300,13 @@ class _ReadingKernel:
         return Fraction(c * (base * den + w * c * x * x), det * den)
 
 
-def _kernel(net: Network) -> _ReadingKernel:
-    """The network's reading kernel, built on first use (one inversion)."""
-    kernel = net.__dict__.get("_kernel")
-    if kernel is None:
-        kernel = _ReadingKernel(net)
-        object.__setattr__(net, "_kernel", kernel)
-    return kernel
-
-
 def _check_measurement(net: Network, m: Measurement):
     if m.s >= net.n or m.r < 0:
         raise ValueError(f"measurement {m.pair} out of range for n={net.n}")
 
 
 def _fault_index(net: Network, fault: Edge) -> int:
-    j = _edge_index(net).get(fault.pair)
+    j = net._edge_positions.get(fault.pair)
     if j is None or net.edges[j] != fault:
         raise ValueError(f"fault edge {fault.pair} is not in the network")
     return j
@@ -302,7 +315,7 @@ def _fault_index(net: Network, fault: Edge) -> int:
 def effective_resistance(net: Network, m: Measurement) -> Fraction:
     """Effective resistance between the probe pair (exact)."""
     _check_measurement(net, m)
-    kernel = _kernel(net)
+    kernel = net._reading_kernel
     return Fraction(kernel.scale * kernel.base(m.r, m.s), kernel.det)
 
 
@@ -318,7 +331,7 @@ def perturbed_effective_resistance(
     """
     j = _fault_index(net, fault)
     _check_measurement(net, m)
-    return _kernel(net).reading(m.r, m.s, j, mode)
+    return net._reading_kernel.reading(m.r, m.s, j, mode)
 
 
 def reading_keys(net: Network, m: Measurement, mode: FaultMode) -> list:
@@ -330,57 +343,31 @@ def reading_keys(net: Network, m: Measurement, mode: FaultMode) -> list:
     (or INFINITE); no Fraction is built.
     """
     _check_measurement(net, m)
-    return _kernel(net).keys(m.r, m.s, mode)
+    return net._reading_kernel.keys(m.r, m.s, mode)
 
 
 def _deleted_edge_view(net: Network, fault: Edge):
     """Edge-deleted graph, split into relabeled connected components.
 
     Returns (component id per vertex, local index per vertex, component
-    subnetworks; None for single-vertex components).  Memoized per network.
+    subnetworks).
     """
-    cache = _instance_cache(net, "_deleted_cache")
-    hit = cache.get(fault.pair)
-    if hit is not None:
-        return hit
     kept = [e for e in net.edges if e != fault]
-    pairs = [e.pair for e in kept]
-    comp_id = [-1] * net.n
-    networks = []
+    components = _components(net.n, [e.pair for e in kept])
+    comp_id = [0] * net.n
     locals_ = [0] * net.n
-    for start in range(net.n):
-        if comp_id[start] != -1:
-            continue
-        comp = sorted(_component_of(net.n, pairs, start))
-        cid = len(networks)
+    for cid, comp in enumerate(components):
         for local, v in enumerate(comp):
-            comp_id[v] = cid
-            locals_[v] = local
-        if len(comp) == 1:
-            networks.append(None)
-        else:
-            members = set(comp)
-            networks.append(
-                Network.from_edge_list(
-                    len(comp),
-                    [
-                        (locals_[e.u], locals_[e.v], e.conductance)
-                        for e in kept
-                        if e.u in members and e.v in members
-                    ],
-                )
-            )
-    view = (tuple(comp_id), tuple(locals_), tuple(networks))
-    cache[fault.pair] = view
-    return view
+            comp_id[v], locals_[v] = cid, local
+    edges: list[list] = [[] for _ in components]
+    for e in kept:
+        edges[comp_id[e.u]].append((locals_[e.u], locals_[e.v], e.conductance))
+    networks = (Network.from_edge_list(len(c), es) for c, es in zip(components, edges))
+    return (tuple(comp_id), tuple(locals_), tuple(networks))
 
 
 def _contracted_view(net: Network, fault: Edge):
     """Graph with the fault edge contracted and parallels merged; plus the relabeling."""
-    cache = _instance_cache(net, "_contracted_cache")
-    hit = cache.get(fault.pair)
-    if hit is not None:
-        return hit
     a, b = fault.u, fault.v
 
     def remap(x: int) -> int:
@@ -392,9 +379,7 @@ def _contracted_view(net: Network, fault: Edge):
         net.n - 1,
         [(remap(e.u), remap(e.v), e.conductance) for e in net.edges if e != fault],
     )
-    view = (merged, tuple(remap(x) for x in range(net.n)))
-    cache[fault.pair] = view
-    return view
+    return (merged, tuple(remap(x) for x in range(net.n)))
 
 
 def direct_effective_resistance_oracle(
@@ -405,33 +390,23 @@ def direct_effective_resistance_oracle(
     Removal deletes the edge (answer INFINITE if the pair is separated);
     shorting contracts it, merging parallel edges that appear.  This path
     shares no update formula with `perturbed_effective_resistance` and is
-    the verification oracle for it.
+    the verification oracle for it.  The altered graph is built once per
+    (mode, fault) and kept on the network.
     """
     _fault_index(net, fault)
+    views = net._oracle_views
+    key = (mode, fault.pair)
+    if key not in views:
+        build = _deleted_edge_view if mode is FaultMode.REMOVED else _contracted_view
+        views[key] = build(net, fault)
     if mode is FaultMode.REMOVED:
-        comp_id, locals_, networks = _deleted_edge_view(net, fault)
+        comp_id, locals_, networks = views[key]
         if comp_id[m.r] != comp_id[m.s]:
             return INFINITE
         sub = networks[comp_id[m.r]]
         return effective_resistance(sub, Measurement(locals_[m.r], locals_[m.s]))
-    merged, remap = _contracted_view(net, fault)
+    merged, remap = views[key]
     rr, ss = remap[m.r], remap[m.s]
     if rr == ss:
         return Fraction(0)
     return effective_resistance(merged, Measurement(rr, ss))
-
-
-def _component_of(n: int, pairs: list[tuple[int, int]], start: int) -> set[int]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen

@@ -1,15 +1,14 @@
-"""Signature matrices: which faults a set of probes can tell apart.
+"""Which faults a set of probes can tell apart.
 
 Each probe (measurement) assigns every candidate fault edge an exact
 resistance reading; stacking probes gives each edge a column of readings.
 A probe set solves the detection problem precisely when all columns are
 distinct.  When the "nothing is broken" outcome must be told apart too,
 the healthy network is one more column, holding each probe's unaltered
-reading.  Everything here compares exact rationals (or the INFINITE
-open-circuit sentinel) -- no tolerances anywhere.  Questions about which
-faults a probe set separates are answered on `reading_classes`, small
-integer class ids keyed on the exact readings, so they never build a
-Fraction.
+reading.  `reading_classes` turns the exact readings (rationals, or the
+INFINITE open-circuit sentinel; no tolerance anywhere) into small integer
+class ids without building a Fraction, and every question here groups
+the columns of that table.
 """
 
 from __future__ import annotations
@@ -41,19 +40,27 @@ def reading_classes(
     healthy network: its key is NO_CHANGE, which a fault's key equals
     exactly when the fault leaves the reading unaltered.  Ids are
     numbered from 0 in column order within each row, so every id of a
-    row is below the column count.
+    row is below the column count.  No probes give no rows.
     """
-    ms = tuple(measurements)
-    if not ms:
-        raise ValueError("need at least one measurement")
     healthy = [NO_CHANGE] if no_fault else []
     table = []
-    for m in ms:
+    for m in measurements:
         ids: dict = {}
         table.append(
             [ids.setdefault(key, len(ids)) for key in reading_keys(net, m, mode) + healthy]
         )
     return table
+
+
+def _column_groups(table: Sequence[Sequence[int]], column_count: int) -> list[list[int]]:
+    """Columns whose class ids agree in every row, grouped in order of first column.
+
+    With no rows every column reads alike, so they form one group.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for j, column in enumerate(zip(*table) if table else [()] * column_count):
+        groups.setdefault(column, []).append(j)
+    return list(groups.values())
 
 
 def merged_pairs(
@@ -62,15 +69,12 @@ def merged_pairs(
     """Column pairs whose class ids agree in every row of `table`, in column order.
 
     Column j is `edges[j]`; a column past the edges is the healthy
-    network, named None.
+    network, named None.  An empty table has one column per edge.
     """
     names = list(edges) + [None]
-    by_column: dict[tuple, list[int]] = {}
-    for j, column in enumerate(zip(*table)):
-        by_column.setdefault(column, []).append(j)
     pairs = sorted(
         (group[x], group[y])
-        for group in by_column.values()
+        for group in _column_groups(table, len(table[0]) if table else len(edges))
         for x in range(len(group))
         for y in range(x + 1, len(group))
     )
@@ -79,19 +83,16 @@ def merged_pairs(
 
 def equivalence_classes(net: Network, m: Measurement, mode: FaultMode) -> EquivalenceClasses:
     """Group edges that one probe cannot tell apart (identical exact readings)."""
-    groups: dict[object, list[Edge]] = {}
-    for e, key in zip(net.edges, reading_keys(net, m, mode)):
-        groups.setdefault(key, []).append(e)
-    classes = tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
-    return EquivalenceClasses(m, classes)
+    groups = _column_groups(reading_classes(net, [m], mode), len(net.edges))
+    return EquivalenceClasses(m, tuple(tuple(net.edges[j] for j in g) for g in groups))
 
 
 def is_distinguishing(
     net: Network, measurements: Sequence[Measurement], mode: FaultMode
 ) -> bool:
     """True iff all fault columns of the signature matrix are pairwise distinct."""
-    columns = list(zip(*reading_classes(net, measurements, mode)))
-    return len(set(columns)) == len(columns)
+    table = reading_classes(net, measurements, mode)
+    return len(_column_groups(table, len(net.edges))) == len(net.edges)
 
 
 def undistinguished_pairs(

@@ -57,7 +57,7 @@ from math import ceil
 from operator import itemgetter
 from typing import Sequence
 
-from .network import Edge, FaultMode, Measurement, Network
+from .network import Edge, FaultMode, Measurement, Network, _components
 from .signatures import merged_pairs, reading_classes
 from .strategies import MeasurementPlan
 
@@ -386,7 +386,7 @@ def solve_exact(
         raise ValueError("candidate pool must be nonempty")
     deadline = time.monotonic() + budget_seconds
     table = reading_classes(net, cands, mode, no_fault)
-    ne = len(table[0])
+    ne = len(net.edges) + no_fault
     greedy = _greedy_order(table, ne)
     if greedy is None:  # greedy stalls exactly when some pair is never split
         return Infeasible(tuple(merged_pairs(net.edges, table)))
@@ -442,7 +442,7 @@ def solve_greedy(
     if not cands:
         raise ValueError("candidate pool must be nonempty")
     table = reading_classes(net, cands, mode, no_fault)
-    chosen = _greedy_order(table, len(table[0]))
+    chosen = _greedy_order(table, len(net.edges) + no_fault)
     if chosen is None:
         return Infeasible(tuple(merged_pairs(net.edges, table)))
     return _plan(cands, chosen, "greedy", mode)
@@ -452,7 +452,6 @@ def solve_greedy(
 class MeasurementGraphReport:
     """Component structure of the probe pairs viewed as a graph on the vertices."""
 
-    n: int
     components: tuple[tuple[int, ...], ...]
     isolated: tuple[int, ...]
     size_two_components: tuple[tuple[int, int], ...]
@@ -473,28 +472,12 @@ def analyze_measurement_graph(
     more, the classes are the partitions.  Violations are reported by
     name; an empty tuple means the necessary conditions hold.
     """
-    n = net.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in measurements:
-        ra, rb = find(m.r), find(m.s)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    components = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+    components = tuple(map(tuple, _components(net.n, [m.pair for m in measurements])))
     isolated = tuple(c[0] for c in components if len(c) == 1)
     size_two = tuple((c[0], c[1]) for c in components if len(c) == 2)
 
     violations: list[str] = []
-    if n >= 3:
+    if net.n >= 3:
         lone = set(isolated)
         class_of: dict[int, tuple[int, ...]] = {}
         for cls in map(tuple, _twin_classes(net)):
@@ -507,4 +490,4 @@ def analyze_measurement_graph(
         for c in size_two:
             if class_of[c[0]] == class_of[c[1]]:
                 violations.append(f"component of size two {c} inside twin class {class_of[c[0]]}")
-    return MeasurementGraphReport(n, components, isolated, size_two, tuple(violations))
+    return MeasurementGraphReport(components, isolated, size_two, tuple(violations))

@@ -200,6 +200,29 @@ class TestVerifyCommand:
         assert main(["verify", "--network", "K6", "--plan", str(plan_file)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    def test_negative_vertex_is_a_parse_error(self, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({"mode": "removed", "measurements": [[-1, 2]]}))
+        assert main(["verify", "--network", "K6", "--plan", str(plan_file)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: measurement (-1, 2) references vertex -1, but the network has n=6\n"
+        )
+
+    def test_empty_plan_tells_the_one_edge_of_k2_apart(self, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({"mode": "removed", "measurements": []}))
+        assert main(["verify", "--network", "K2", "--plan", str(plan_file)]) == 0
+        assert "distinguishing: yes" in capsys.readouterr().out
+
+    def test_empty_plan_on_k3_merges_every_pair(self, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({"mode": "removed", "measurements": []}))
+        assert main(["verify", "--network", "K3", "--plan", str(plan_file)]) == 1
+        out = capsys.readouterr().out
+        assert "distinguishing: no" in out
+        assert "undistinguished edge pairs (3):" in out
+        assert "violated: twin class (0, 1, 2) has 3 isolated vertices" in out
+
     def test_missing_file(self, capsys):
         assert main(["verify", "--network", "K6", "--plan", "/nonexistent.json"]) == 2
 
@@ -319,6 +342,15 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert len(json.loads(captured.out)["measurements"]) >= 6
         assert "greedy" in captured.err
+
+    @pytest.mark.parametrize("budget", ["nan", "-1", "soon"])
+    def test_budget_must_be_seconds_at_least_zero(self, budget, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--network", "K6", "--budget", budget])
+        assert exit_info.value.code == 2
+        assert f"argument --budget: must be a number of seconds >= 0, got {budget!r}" in (
+            capsys.readouterr().err
+        )
 
     def test_timeout_exit_code(self, capsys):
         assert main(["solve", "--network", "K8", "--exact", "--budget", "0"]) == 3

@@ -92,6 +92,30 @@ def test_one_inversion_per_network(monkeypatch):
     assert calls == [9]
 
 
+@pytest.mark.parametrize("mode", list(FaultMode))
+def test_oracle_rebuilds_each_altered_graph_once(monkeypatch, mode):
+    # The core of pendant_network(seed, 9) is K6 less three edges, which has
+    # no bridge, so every altered graph has one part that needs an inversion;
+    # a removed pendant edge (a bridge) also cuts its leaf e.v off alone.
+    calls = []
+    real = resfault.network.fraction_free_invert
+
+    def counting(mat):
+        calls.append(len(mat))
+        return real(mat)
+
+    monkeypatch.setattr(resfault.network, "fraction_free_invert", counting)
+    net = pendant_network(5, 9)
+    core = net.n - 3
+    probes = net.measurements()
+    for _ in range(2):
+        for e in net.edges:
+            readings = [direct_effective_resistance_oracle(net, m, e, mode) for m in probes]
+            cut_off = mode is FaultMode.REMOVED and e.v >= core
+            assert [r == INFINITE for r in readings] == [cut_off and e.v in m.pair for m in probes]
+    assert len(calls) == len(net.edges)
+
+
 def _merged_by_fractions(net, pool, mode):
     sig = build_signature(net, pool, mode)
     cols = sig.columns()

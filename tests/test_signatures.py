@@ -127,6 +127,23 @@ class TestDistinguishing:
         assert is_distinguishing(net, extended, FaultMode.REMOVED)
 
 
+class TestEmptyProbeList:
+    """No probes read every fault alike: only a network with one edge is solved."""
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_one_edge_is_told_apart(self, mode):
+        net = complete_network(2)
+        assert reading_classes(net, [], mode) == []
+        assert is_distinguishing(net, [], mode)
+        assert undistinguished_pairs(net, [], mode) == []
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_every_edge_pair_of_k3_stays_merged(self, mode):
+        net = complete_network(3)
+        assert not is_distinguishing(net, [], mode)
+        assert undistinguished_pairs(net, [], mode) == list(combinations(net.edges, 2))
+
+
 class TestUndistinguishedPairs:
     def test_empty_for_a_distinguishing_set(self):
         net = complete_network(6)
