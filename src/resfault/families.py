@@ -4,13 +4,16 @@ A complete k-partite shape is an ordered (nondecreasing) list of partition
 sizes.  Vertices are numbered partition by partition: partition 0 holds
 0..parts[0]-1, partition 1 the next block, and so on.  All table lookups,
 strategies and bounds in the rest of the package assume this labeling.
+
+The network builders make a new network on every call and keep no copy:
+a network, with the reading kernel and oracle graphs it memoizes, lives
+only as long as its caller holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .network import Measurement, Network
 
@@ -64,7 +67,6 @@ class KPartiteShape:
         return kpartite_network(self)
 
 
-@lru_cache(maxsize=256)
 def complete_network(n: int) -> Network:
     """Unit-conductance complete graph on n vertices."""
     if n < 2:
@@ -74,9 +76,8 @@ def complete_network(n: int) -> Network:
     )
 
 
-@lru_cache(maxsize=256)
-def _kpartite_network_cached(parts: tuple[int, ...]) -> Network:
-    shape = KPartiteShape(parts)
+def kpartite_network(shape: KPartiteShape) -> Network:
+    """Unit-conductance complete k-partite graph in canonical labeling."""
     edges = []
     for i in range(shape.k):
         for j in range(i + 1, shape.k):
@@ -84,11 +85,6 @@ def _kpartite_network_cached(parts: tuple[int, ...]) -> Network:
                 for v in shape.vertices(j):
                     edges.append((u, v, Fraction(1)))
     return Network.from_edge_list(shape.n, edges)
-
-
-def kpartite_network(shape: KPartiteShape) -> Network:
-    """Unit-conductance complete k-partite graph in canonical labeling."""
-    return _kpartite_network_cached(shape.parts)
 
 
 def measurement_orbit_representatives(shape: KPartiteShape) -> list[Measurement]:

@@ -64,21 +64,20 @@ def _column_groups(table: Sequence[Sequence[int]], column_count: int) -> list[li
 
 
 def merged_pairs(
-    edges: Sequence[Edge], table: Sequence[Sequence[int]]
+    columns: Sequence[Edge | None], table: Sequence[Sequence[int]]
 ) -> list[tuple[Edge, Edge | None]]:
     """Column pairs whose class ids agree in every row of `table`, in column order.
 
-    Column j is `edges[j]`; a column past the edges is the healthy
-    network, named None.  An empty table has one column per edge.
+    `columns` names the table's columns: the edges, then None for the
+    healthy network when it is one.  An empty table merges every pair.
     """
-    names = list(edges) + [None]
     pairs = sorted(
         (group[x], group[y])
-        for group in _column_groups(table, len(table[0]) if table else len(edges))
+        for group in _column_groups(table, len(columns))
         for x in range(len(group))
         for y in range(x + 1, len(group))
     )
-    return [(names[i], names[j]) for i, j in pairs]
+    return [(columns[i], columns[j]) for i, j in pairs]
 
 
 def equivalence_classes(net: Network, m: Measurement, mode: FaultMode) -> EquivalenceClasses:

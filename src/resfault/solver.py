@@ -65,7 +65,6 @@ from .strategies import MeasurementPlan
 @dataclass(frozen=True)
 class ExactSolution:
     plan: MeasurementPlan
-    optimal: bool = True
 
 
 @dataclass(frozen=True)
@@ -363,6 +362,21 @@ def _plan(cands, indices, tag: str, mode: FaultMode) -> MeasurementPlan:
     return MeasurementPlan(ms, (tag,) * len(ms), mode)
 
 
+def _greedy_start(net: Network, candidates, mode: FaultMode, no_fault: bool):
+    """Both solvers' set-up: the pool, its class-id table, the column count, the greedy order.
+
+    The order is Infeasible, naming every merged column pair, when the
+    greedy stalls, which it does exactly when some pair is never split.
+    """
+    cands = list(candidates) if candidates is not None else net.measurements()
+    table = reading_classes(net, cands, mode, no_fault)
+    columns = net.edges + (None,) * no_fault
+    greedy = _greedy_order(table, len(columns))
+    if greedy is None:
+        greedy = Infeasible(tuple(merged_pairs(columns, table)))
+    return cands, table, len(columns), greedy
+
+
 def solve_exact(
     net: Network,
     candidates: Sequence[Measurement] | None = None,
@@ -381,26 +395,21 @@ def solve_exact(
     budget covers the set-up too, and a budget spent before or while the
     masks are built returns the greedy incumbent with the seed lower bound.
     """
-    cands = list(candidates) if candidates is not None else net.measurements()
-    if not cands:
-        raise ValueError("candidate pool must be nonempty")
     deadline = time.monotonic() + budget_seconds
-    table = reading_classes(net, cands, mode, no_fault)
-    ne = len(net.edges) + no_fault
-    greedy = _greedy_order(table, ne)
-    if greedy is None:  # greedy stalls exactly when some pair is never split
-        return Infeasible(tuple(merged_pairs(net.edges, table)))
-    if ne < 2:  # no column pairs: the empty plan
-        return ExactSolution(_plan(cands, greedy, "exact", mode))
+    cands, table, ne, greedy = _greedy_start(net, candidates, mode, no_fault)
+    if isinstance(greedy, Infeasible):
+        return greedy
     greedy_plan = _plan(cands, greedy, "greedy", mode)
 
     pair_count = ne * (ne - 1) // 2
     max_single = max(
-        pair_count - sum(k * (k - 1) // 2 for k in Counter(row).values()) for row in table
+        (pair_count - sum(k * (k - 1) // 2 for k in Counter(row).values()) for row in table),
+        default=0,
     )
     classes = _twin_classes(net)
     handshake = ceil((net.n - len(classes)) / 2)
-    root_lower = max(1, ceil(pair_count / max_single), handshake)
+    # max_single is 0 only when there is no pair to split (else greedy stalled).
+    root_lower = max(1, ceil(pair_count / max(max_single, 1)), handshake)
     if root_lower >= len(greedy):  # no smaller set exists: the greedy plan is optimal
         return ExactSolution(_plan(cands, greedy, "exact", mode))
     if time.monotonic() > deadline:
@@ -438,14 +447,8 @@ def solve_greedy(
     The result is distinguishing whenever the full pool is, but not
     necessarily minimum; the exact solver uses it as its incumbent.
     """
-    cands = list(candidates) if candidates is not None else net.measurements()
-    if not cands:
-        raise ValueError("candidate pool must be nonempty")
-    table = reading_classes(net, cands, mode, no_fault)
-    chosen = _greedy_order(table, len(net.edges) + no_fault)
-    if chosen is None:
-        return Infeasible(tuple(merged_pairs(net.edges, table)))
-    return _plan(cands, chosen, "greedy", mode)
+    cands, _, _, greedy = _greedy_start(net, candidates, mode, no_fault)
+    return greedy if isinstance(greedy, Infeasible) else _plan(cands, greedy, "greedy", mode)
 
 
 @dataclass(frozen=True)

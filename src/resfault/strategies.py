@@ -195,12 +195,13 @@ def tripartite_strategy(a: int, b: int, c: int) -> MeasurementPlan:
     Four regimes by size coincidences.  All sizes equal: tripartite
     butterflies.  All distinct: designated vertices plus a cross matching
     (with one tripartite butterfly absorbing the odd vertex when n is
-    even); when the largest partition outweighs the other two, its
-    surplus s is covered by partition butterflies instead, a + b - 2 +
-    ceil(2s/3) probes in all, the tripartite upper bound.  That is above
-    the table value for s = 2 and s >= 4, and the exact solver proves no
-    plan of the table size exists for K(2,3,6) and K(2,4,7).  Two equal
-    sizes: matchings plus partition butterflies, pooling the two leftover
+    even); when the largest partition outweighs the other two, both
+    smaller pools are matched into it as for a = b < c, and its surplus
+    s is covered by partition butterflies, a + b - 2 + ceil(2s/3) probes
+    in all, the tripartite upper bound.  That is above the table value
+    for s = 2 and s >= 4, and the exact solver proves no plan of the
+    table size exists for K(2,3,6) and K(2,4,7).  Two equal sizes:
+    matchings plus partition butterflies, pooling the two leftover
     partitions through hairpins.
     """
     if not (2 <= a <= b <= c):
@@ -216,24 +217,18 @@ def tripartite_strategy(a: int, b: int, c: int) -> MeasurementPlan:
             builder.wing(u, center, w, "tripartite-butterfly")
         return builder.plan()
 
-    if a < b < c:
-        surplus = c - a - b + 1
-        if surplus <= 0:
-            if shape.n % 2 == 0:
-                builder.wing(pools[0][0], pools[2][0], pools[1][0], "tripartite-butterfly")
-                pools = [p[1:] for p in pools]
-            while any(pools):
-                order = sorted(range(3), key=lambda i: (-len(pools[i]), i))
-                first, second = order[0], order[1]
-                builder.add(pools[first].pop(0), pools[second].pop(0), "matching")
-            return builder.plan()
-        for u in pools[0] + pools[1]:
-            builder.add(u, pools[2].pop(0), "matching")
-        builder.butterflies(pools[2], "partition-butterfly")
-        builder.close(pools[2], designated[2], parts[2], "partition-butterfly")
+    if a < b < c < a + b:
+        if shape.n % 2 == 0:
+            builder.wing(pools[0][0], pools[2][0], pools[1][0], "tripartite-butterfly")
+            pools = [p[1:] for p in pools]
+        while any(pools):
+            order = sorted(range(3), key=lambda i: (-len(pools[i]), i))
+            first, second = order[0], order[1]
+            builder.add(pools[first].pop(0), pools[second].pop(0), "matching")
         return builder.plan()
 
-    if a == b < c:
+    if b < c:
+        # a == b, or c >= a + b: then pool 2 outlasts pools 0 and 1.
         for u in pools[0]:
             builder.add(u, pools[2].pop(0), "matching")
         while pools[1] and pools[2]:
@@ -381,8 +376,8 @@ def plan_size_by_rule(family: str | tuple, shape_or_n) -> int:
     which is the table value except for a dominated largest partition,
     where it counts the matching-plus-butterfly plan.  k >= 4: the
     composed count (triple table entries plus the leftover-step terms at
-    the selected partitions), which equals the stated k-partite upper
-    bound.
+    the selected partitions), which is at most the stated k-partite upper
+    bound and often below it: 7 against 8 for K(2,2,3,5).
     """
     if family == "complete":
         n = shape_or_n

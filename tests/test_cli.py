@@ -333,9 +333,20 @@ class TestSolveCommand:
         assert len(doc["measurements"]) == 2
         net = load_network(str(net_file)).network
         probes = [Measurement(r, s) for r, s in doc["measurements"]]
-        assert merged_pairs(net.edges, reading_classes(net, probes, FaultMode.REMOVED, True)) == []
+        table = reading_classes(net, probes, FaultMode.REMOVED, True)
+        assert merged_pairs(net.edges + (None,), table) == []
         assert set(doc["provenance"]) == {how.lstrip("-")}
         assert "to tell every fault and the no-fault outcome apart" in captured.err
+
+    @pytest.mark.parametrize("how", ["--exact", "--greedy"])
+    @pytest.mark.parametrize("no_fault", [[], ["--allow-no-fault"]], ids=["faults", "no-fault"])
+    def test_one_vertex_network_gets_the_empty_plan(self, how, no_fault, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps({"family": "explicit", "n": 1, "edges": []}))
+        assert main(["solve", "--network", str(net_file), how, *no_fault]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["measurements"] == []
+        assert captured.err.startswith("0 measurements: ")
 
     def test_greedy_k8(self, capsys):
         assert main(["solve", "--network", "K8", "--greedy"]) == 0

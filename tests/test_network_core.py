@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -80,6 +82,19 @@ class TestConstruction:
     def test_duplicate_edges_rejected_in_direct_constructor(self):
         with pytest.raises(ValueError, match="duplicate"):
             Network(2, (Edge(0, 1, 1), Edge(1, 0, 2)))
+
+    def test_family_networks_are_freed_with_their_caller(self):
+        # The builders keep no copy, so a network and everything it memoizes
+        # (here the reading kernel and one rebuilt oracle graph) go with it.
+        refs = []
+        for net in (complete_network(12), KPartiteShape((2, 3, 4)).network()):
+            probe, fault = Measurement(0, 5), net.edges[0]
+            perturbed_effective_resistance(net, probe, fault, FaultMode.REMOVED)
+            direct_effective_resistance_oracle(net, probe, fault, FaultMode.REMOVED)
+            refs.append(weakref.ref(net))
+        del net
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_infinite_sentinel_equality(self):
         from resfault.network import InfiniteResistance

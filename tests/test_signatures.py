@@ -174,7 +174,8 @@ class TestNoFaultExtension:
 
     @staticmethod
     def healthy_merges(net, probes):
-        return merged_pairs(net.edges, reading_classes(net, probes, FaultMode.REMOVED, True))
+        table = reading_classes(net, probes, FaultMode.REMOVED, True)
+        return merged_pairs(net.edges + (None,), table)
 
     def test_k6_plan_already_separates_the_baseline(self):
         net = complete_network(6)

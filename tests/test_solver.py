@@ -127,6 +127,36 @@ class TestExactSolver:
         assert isinstance(result, ExactSolution)
         assert len(result.plan) == 0
 
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_k2_needs_a_probe_only_for_the_healthy_column(self, mode):
+        # One fault column leaves no pair to split; the healthy column adds
+        # one, which only the probe across the edge splits.
+        net = complete_network(2)
+        for no_fault, probes in ((False, ()), (True, (Measurement(0, 1),))):
+            exact = solve_exact(net, mode=mode, no_fault=no_fault)
+            assert isinstance(exact, ExactSolution)
+            assert exact.plan.measurements == probes
+            assert solve_greedy(net, mode=mode, no_fault=no_fault).measurements == probes
+
+    @pytest.mark.parametrize("no_fault", [False, True])
+    def test_empty_pool_is_a_normal_input(self, no_fault):
+        # On one vertex there is nothing to tell apart, even with the healthy
+        # column; on K3 an empty pool merges every column pair.
+        point = Network.from_edge_list(1, [])
+        exact = solve_exact(point, candidates=[], no_fault=no_fault)
+        assert isinstance(exact, ExactSolution) and len(exact.plan) == 0
+        assert len(solve_greedy(point, candidates=[], no_fault=no_fault)) == 0
+        net = complete_network(3)
+        columns = net.edges + (None,) * no_fault
+        expected = tuple(combinations(columns, 2))
+        assert len(expected) == (6 if no_fault else 3)
+        for result in (
+            solve_exact(net, candidates=[], no_fault=no_fault),
+            solve_greedy(net, candidates=[], no_fault=no_fault),
+        ):
+            assert isinstance(result, Infeasible)
+            assert result.witness_pairs == expected
+
     def test_budget_exhaustion_reports_incumbent_and_bound(self):
         net = complete_network(8)
         result = solve_exact(net, budget_seconds=0.0)
@@ -223,7 +253,7 @@ class TestHealthyColumn:
         assert isinstance(faults_only, ExactSolution)
         assert faults_only.plan.measurements == (Measurement(0, 1), Measurement(0, 2))
         merged = reading_classes(net, faults_only.plan.measurements, FaultMode.REMOVED, True)
-        assert merged_pairs(net.edges, merged) == [(net.edge_between(1, 3), None)]
+        assert merged_pairs(net.edges + (None,), merged) == [(net.edge_between(1, 3), None)]
         result = solve_exact(net, no_fault=True)
         assert isinstance(result, ExactSolution)
         assert len(result.plan) == enumeration_optimum(net, FaultMode.REMOVED, True) == 2

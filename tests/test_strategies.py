@@ -195,6 +195,11 @@ class TestPlanSizeByRule:
             report = kpartite_bound(shape)
             assert report.lower <= plan_size_by_rule("k_partite", shape) <= report.upper
 
+    def test_can_fall_below_the_stated_upper_bound(self):
+        shape = KPartiteShape((2, 2, 3, 5))
+        assert len(kpartite_strategy(shape)) == plan_size_by_rule("k_partite", shape) == 7
+        assert kpartite_bound(shape).upper == 8
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             plan_size_by_rule("wheel", 5)
