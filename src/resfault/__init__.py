@@ -12,7 +12,6 @@ from .bounds import (
     bipartite_bound,
     complete_bound,
     kpartite_bound,
-    table4_triple_count,
     tripartite_bound,
     val,
 )
@@ -21,11 +20,8 @@ from .closed_forms import (
     KPartiteCase,
     KPartiteColumn,
     c_coefficient,
-    classify_complete,
-    classify_kpartite,
     complete_delta,
     kpartite_delta,
-    kpartite_inverse_entry,
 )
 from .families import (
     KPartiteShape,
@@ -42,7 +38,6 @@ from .network import (
     Measurement,
     Network,
     Resistance,
-    build_reduced_laplacian,
     direct_effective_resistance_oracle,
     effective_resistance,
     perturbed_effective_resistance,
@@ -68,7 +63,6 @@ from .strategies import (
     bipartite_strategy,
     complete_strategy,
     kpartite_strategy,
-    plan_size_by_rule,
     tripartite_strategy,
 )
 

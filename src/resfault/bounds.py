@@ -43,21 +43,6 @@ def val(sizes) -> int:
     return sum(2 * p - 2 for i, p in enumerate(sizes, start=1) if i % 3 == 0)
 
 
-def table4_triple_count(a: int, b: int, c: int) -> int:
-    """Probe count of the tripartite building block for sizes a <= b <= c.
-
-    2(a+b+c)/3 minus 2, 5/3 or 4/3 according to the size differences
-    modulo 3; always an integer.
-    """
-    if not (a <= b <= c):
-        raise ValueError("sizes must be nondecreasing")
-    d1, d2 = (b - a) % 3, (c - b) % 3
-    offset = {0: 6, 1: 5, 2: 4}[(d2 - d1) % 3]
-    total = 2 * (a + b + c) - offset
-    assert total % 3 == 0
-    return total // 3
-
-
 def complete_bound(n: int) -> BoundReport:
     """Exact count for complete graphs: ceil(2n/3), stated for n >= 6."""
     if n < 6:

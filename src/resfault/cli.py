@@ -53,10 +53,6 @@ def _parse_family(args) -> tuple[str, object]:
     return "k_partite", KPartiteShape(parts)
 
 
-def _mode(args) -> FaultMode:
-    return FaultMode(args.mode)
-
-
 def cmd_bounds(args) -> int:
     family, param = _parse_family(args)
     try:
@@ -97,7 +93,7 @@ def cmd_strategy(args) -> int:
         print(f"out of scope: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     net = param.network() if family == "k_partite" else complete_network(param)
-    mode = _mode(args)
+    mode = FaultMode(args.mode)
     ok = signatures.is_distinguishing(net, plan.measurements, mode)
     doc = plan_to_dict(plan)
     doc["mode"] = mode.value
@@ -255,21 +251,16 @@ def cmd_delta(args) -> int:
         title = f"resistance-change table for complete({n})"
     else:
         shape: KPartiteShape = param
-        seen = set()
-        combos = []
+        combos = {}  # first (q, g) for each pair of partition sizes
         for q in range(shape.k):
             for g in range(shape.k):
-                if q == g:
-                    continue
-                key = (shape.parts[q], shape.parts[g])
-                if key not in seen:
-                    seen.add(key)
-                    combos.append((q, g))
+                if q != g:
+                    combos.setdefault((shape.parts[q], shape.parts[g]), (q, g))
         for column in closed_forms.KPartiteColumn:
             if column in closed_forms.ZERO_COLUMNS:
                 rows.append({"column": column.value, "roles": "-", "shorted": "0", "removed": "0"})
                 continue
-            for q, g in combos:
+            for q, g in combos.values():
                 case = closed_forms.KPartiteCase(column, q, g)
                 rows.append(
                     {

@@ -4,14 +4,12 @@ For these families the inverse reduced Laplacian has an explicit block
 structure, so the change in effective resistance caused by a single
 faulted edge collapses to a small table of rational expressions indexed
 by how the fault edge sits relative to the probe pair.  This module
-implements those tables exactly, plus the classifier that maps a
-(measurement, fault edge) pair to its table column.
+implements those tables exactly; `resfault delta` prints them.
 
 Complete graphs have four cases; complete k-partite graphs have nine
 columns when the probe endpoints lie in different partitions (I..IX) and
 three more when they share a partition (X..XII).  Ground is always placed
-at the fault endpoint written `b`, and the classifier records when edge
-or probe endpoints had to be relabeled to match the table conventions.
+at the fault endpoint written `b`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .families import KPartiteShape
-from .network import Edge, FaultMode, Measurement
+from .network import FaultMode
 
 
 class CompleteCase(enum.Enum):
@@ -32,15 +30,6 @@ class CompleteCase(enum.Enum):
     TOUCHES_R = "a=r, b!=s"
     TOUCHES_S = "a!=r, b=s"
     DISJOINT = "a,b not in {r,s}"
-
-
-def classify_complete(m: Measurement, fault: Edge) -> CompleteCase:
-    shared = {fault.u, fault.v} & {m.r, m.s}
-    if len(shared) == 2:
-        return CompleteCase.MATCHES_PROBE
-    if not shared:
-        return CompleteCase.DISJOINT
-    return CompleteCase.TOUCHES_R if m.r in shared else CompleteCase.TOUCHES_S
 
 
 def complete_delta(n: int, case: CompleteCase, mode: FaultMode) -> Fraction:
@@ -79,31 +68,6 @@ def c_coefficient(shape: KPartiteShape, q: int, b: int) -> Fraction:
     return Fraction((n - 1) ** 2 + (pb - 1) - pq * (n - 1), (n - pq) * (n - pb) * n)
 
 
-def kpartite_inverse_entry(shape: KPartiteShape, ground: int, i: int, j: int) -> Fraction:
-    """Entry (i, j) of the inverse reduced Laplacian of a unit k-partite graph.
-
-    The block form is stated for a ground in the first partition; other
-    grounds follow by permuting partition roles, which is what the
-    partition lookups below implement.
-    """
-    n = shape.n
-    if i == ground or j == ground:
-        raise ValueError("requested entry indexes the deleted ground row/column")
-    g = shape.partition_of(ground)
-    pi_, pj_ = shape.partition_of(i), shape.partition_of(j)
-    ng = n - shape.parts[g]
-    if pi_ == g and pj_ == g:
-        return Fraction(2 if i == j else 1, ng)
-    if pi_ == g or pj_ == g:
-        return Fraction(1, ng)
-    if pi_ == pj_:
-        c = c_coefficient(shape, pi_, g)
-        if i == j:
-            return c + Fraction(1, n - shape.parts[pi_])
-        return c
-    return Fraction(n - 1, n * ng)
-
-
 class KPartiteColumn(enum.Enum):
     """Table columns: I..IX for cross-partition probes, X..XII for same-partition."""
 
@@ -126,78 +90,15 @@ ZERO_COLUMNS = frozenset({KPartiteColumn.IX, KPartiteColumn.XI, KPartiteColumn.X
 
 @dataclass(frozen=True)
 class KPartiteCase:
-    """Classified table column plus the partition roles its formula consumes.
+    """Table column plus the partition roles its formula consumes.
 
     a_partition is the partition of the edge endpoint playing `a`;
-    b_partition is the partition of the grounded endpoint `b`.  The swap
-    flags record the relabelings applied to the inputs to match the table
-    header conventions (the values are invariant under them).
+    b_partition is the partition of the grounded endpoint `b`.
     """
 
     column: KPartiteColumn
     a_partition: int
     b_partition: int
-    swapped_edge: bool = False
-    swapped_probe: bool = False
-
-
-def classify_kpartite(shape: KPartiteShape, m: Measurement, fault: Edge) -> KPartiteCase:
-    """Map a (probe, fault edge) pair to its unique table column.
-
-    The probe pair is taken unordered; when the table header requires the
-    roles of r and s (or of the edge endpoints) exchanged, the returned
-    flags say so.
-    """
-    pa_, pb_ = shape.partition_of(fault.u), shape.partition_of(fault.v)
-    if pa_ == pb_:
-        raise ValueError(f"edge {fault.pair} lies inside partition {pa_}: impossible edge")
-    pr_, ps_ = shape.partition_of(m.r), shape.partition_of(m.s)
-    u, v = fault.u, fault.v
-
-    if pr_ == ps_:
-        # Probe endpoints share a partition: columns X..XII.
-        if u in (m.r, m.s) or v in (m.r, m.s):
-            a, b = (u, v) if u in (m.r, m.s) else (v, u)
-            return KPartiteCase(
-                KPartiteColumn.X,
-                a_partition=pr_,
-                b_partition=shape.partition_of(b),
-                swapped_edge=(a != u),
-                swapped_probe=(a == m.s),
-            )
-        if pa_ == pr_ or pb_ == pr_:
-            a, b = (u, v) if pa_ == pr_ else (v, u)
-            return KPartiteCase(
-                KPartiteColumn.XI,
-                a_partition=pr_,
-                b_partition=shape.partition_of(b),
-                swapped_edge=(a != u),
-            )
-        return KPartiteCase(KPartiteColumn.XII, a_partition=pa_, b_partition=pb_)
-
-    # Cross-partition probe: columns I..IX.
-    touches_r_part = pa_ == pr_ or pb_ == pr_
-    touches_s_part = pa_ == ps_ or pb_ == ps_
-    if touches_r_part and touches_s_part:
-        a, b = (u, v) if pa_ == pr_ else (v, u)
-        at_r, at_s = a == m.r, b == m.s
-        column = {
-            (True, True): KPartiteColumn.I,
-            (True, False): KPartiteColumn.II,
-            (False, True): KPartiteColumn.III,
-            (False, False): KPartiteColumn.IV,
-        }[(at_r, at_s)]
-        return KPartiteCase(column, pr_, ps_, swapped_edge=(a != u))
-    if touches_r_part:
-        a, b = (u, v) if pa_ == pr_ else (v, u)
-        column = KPartiteColumn.V if a == m.r else KPartiteColumn.VI
-        return KPartiteCase(column, pr_, shape.partition_of(b), swapped_edge=(a != u))
-    if touches_s_part:
-        # The p_s endpoint is grounded (`b`); the far endpoint plays `a`.
-        b, a = (u, v) if pa_ == ps_ else (v, u)
-        column = KPartiteColumn.VII if b == m.s else KPartiteColumn.VIII
-        return KPartiteCase(column, shape.partition_of(a), ps_, swapped_edge=(a != fault.u))
-    return KPartiteCase(KPartiteColumn.IX, pa_, pb_)
 
 
 @lru_cache(maxsize=8192)

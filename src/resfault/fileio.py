@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 from .families import (
@@ -44,6 +46,12 @@ class FileFormatError(ValueError):
 
 
 MAX_VERTICES = 256  # largest network a file or shorthand may describe
+
+# Bounds on one conductance token, checked before and after `Fraction` parses
+# it: an unbounded exponent ("1e-10000000") would make the parse itself hang.
+MAX_CONDUCTANCE_CHARS = 1000
+MAX_CONDUCTANCE_EXPONENT = 1000
+MAX_CONDUCTANCE_BITS = 1024  # of the numerator and of the denominator
 
 
 def check_vertex_count(n: int) -> None:
@@ -121,8 +129,8 @@ def network_spec_from_dict(data: dict) -> NetworkSpec:
         for pos, item in enumerate(raw):
             try:
                 u, v, w = item
-                edges.append((int(u), int(v), Fraction(str(w))))
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                edges.append((int(u), int(v), _conductance(w)))
+            except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
                 raise FileFormatError(f"edges[{pos}]: {exc}") from exc
             if edges[-1][2] <= 0:
                 raise FileFormatError(f"edges[{pos}]: conductance must be positive")
@@ -131,6 +139,33 @@ def network_spec_from_dict(data: dict) -> NetworkSpec:
         except ValueError as exc:
             raise FileFormatError(str(exc)) from exc
     raise FileFormatError(f"unknown network family {family!r}")
+
+
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)")
+
+
+def _conductance(w) -> Fraction:
+    """Parse one conductance token within the MAX_CONDUCTANCE_* bounds."""
+    text = str(w)
+    if len(text) > MAX_CONDUCTANCE_CHARS:
+        raise ValueError(
+            f"conductance has {len(text)} characters; "
+            f"the limit is MAX_CONDUCTANCE_CHARS = {MAX_CONDUCTANCE_CHARS}"
+        )
+    exponent = _EXPONENT.search(text)
+    if exponent and int(exponent.group(1).replace("_", "")) > MAX_CONDUCTANCE_EXPONENT:
+        raise ValueError(
+            f"conductance exponent {exponent.group(1)} is too large; "
+            f"the limit is MAX_CONDUCTANCE_EXPONENT = {MAX_CONDUCTANCE_EXPONENT}"
+        )
+    value = Fraction(text)
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > MAX_CONDUCTANCE_BITS:
+        raise ValueError(
+            f"conductance needs {bits}-bit integers; "
+            f"the limit is MAX_CONDUCTANCE_BITS = {MAX_CONDUCTANCE_BITS}"
+        )
+    return value
 
 
 def load_network(path_or_shorthand: str) -> NetworkSpec:
@@ -162,7 +197,7 @@ def plan_from_dict(data: dict) -> MeasurementPlan:
         try:
             r, s = item
             measurements.append(Measurement(int(r), int(s)))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise FileFormatError(f"measurements[{pos}]: {exc}") from exc
     provenance = data.get("provenance")
     if provenance is None:
@@ -201,6 +236,10 @@ def _load_json(path: str) -> dict:
         raise FileFormatError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # undecodable bytes, an integer too long to read
+        raise FileFormatError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
     return data
@@ -214,14 +253,27 @@ def _require_int(data: dict, key: str) -> int:
 
 
 def resistance_text(value: Resistance) -> str:
-    """Exact rendering: "p/q" (or plain integer) for finite, "inf" for open circuit."""
+    """Exact rendering: "p/q" (or plain integer) for finite, "inf" for open circuit.
+
+    Lifts Python's int-to-str digit limit, so an accepted answer prints in full.
+    """
     if value == INFINITE:
         return "inf"
-    return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def resistance_with_decimal(value: Resistance) -> str:
-    """Exact text plus a float annotation for human eyes."""
+    """Exact text plus a six-digit annotation for human eyes."""
     if value == INFINITE:
         return "inf"
-    return f"{value} (~{float(value):.6g})"
+    try:
+        approx = f"{float(value):.6g}"
+    except OverflowError:  # beyond the float range: round in decimal instead
+        with localcontext(Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            approx = f"{(Decimal(value.numerator) / value.denominator).normalize():.6g}"
+    return f"{resistance_text(value)} (~{approx})"

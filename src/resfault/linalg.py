@@ -1,48 +1,37 @@
-"""Exact fraction-free linear algebra for small dense rational matrices.
+"""Exact fraction-free linear algebra for small dense integer matrices.
 
-Everything here works on plain lists of Fractions (or ints) and never
-touches floating point.  The central routine is a Bareiss-style
-Gauss-Jordan elimination: all intermediate values are integers, every
-division is exact, and the pivots produced along the way are the leading
-principal minors of the input.  That last fact doubles as a positive
-definiteness certificate for reduced Laplacians.
+Everything here works on plain lists of ints and never touches floating
+point; callers with rational entries scale them to integers first.  The
+central routine is a Bareiss-style Gauss-Jordan elimination: all
+intermediate values are integers, every division is exact, and the
+pivots produced along the way are the leading principal minors of the
+input.  That last fact doubles as a positive definiteness certificate
+for reduced Laplacians.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 
 class SingularMatrixError(ValueError):
     """Elimination hit a zero pivot: the matrix is not invertible."""
 
 
-def _to_integer_matrix(mat) -> tuple[list[list[int]], int]:
-    """Clear denominators: return (integer matrix A, scale c) with mat = A / c."""
-    denoms = [x.denominator for row in mat for x in (map(Fraction, row))]
-    scale = lcm(*denoms) if denoms else 1
-    rows = [[int(Fraction(x) * scale) for x in row] for row in mat]
-    return rows, scale
+def fraction_free_invert(mat: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Invert a square integer matrix by Bareiss Gauss-Jordan elimination.
 
-
-def fraction_free_invert(mat) -> tuple[list[list[int]], int, int]:
-    """Invert a square rational matrix by Bareiss Gauss-Jordan elimination.
-
-    Returns (adj, det, scale) such that mat**-1 == scale * adj / det
-    entrywise.  All three parts are integers; no rounding ever occurs.
+    Returns (adj, det) such that mat**-1 == adj / det entrywise.  Both
+    parts are integers; no rounding ever occurs.
 
     Raises SingularMatrixError on a zero pivot (no pivoting is attempted:
     the intended inputs are reduced Laplacians, which are positive
     definite and therefore have nonzero leading principal minors).
     """
-    a, scale = _to_integer_matrix(mat)
-    n = len(a)
-    if any(len(row) != n for row in a):
+    n = len(mat)
+    if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
     # Augment with the identity; the right half becomes the adjugate.
     width = 2 * n
-    b = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    b = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     prev = 1
     for k in range(n):
         pivot = b[k][k]
@@ -59,4 +48,4 @@ def fraction_free_invert(mat) -> tuple[list[list[int]], int, int]:
         prev = pivot
     det = b[n - 1][n - 1] if n else 1
     adj = [row[n:] for row in b]
-    return adj, det, scale
+    return adj, det

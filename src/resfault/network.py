@@ -3,13 +3,13 @@
 A network is a connected weighted simple graph; weights are conductances
 (reciprocal resistances) kept as exact rationals throughout.  Each network
 is grounded once, at vertex 0: one fraction-free inversion of the reduced
-Laplacian gives an integer adjugate and determinant, from which every
-base resistance and every single-fault reading follows by the rank-one
-(Sherman-Morrison) update in integer arithmetic.  Within one probe, the
-readings differ only by the update's correction term, so faults can be
-compared through reduced integer keys (`reading_keys`) without forming a
-Fraction.  A direct oracle that rebuilds the altered graph from scratch
-is kept alongside as an independent cross-check.
+Laplacian, scaled to integers, gives an integer adjugate and determinant,
+from which every base resistance and every single-fault reading follows
+by the rank-one (Sherman-Morrison) update in integer arithmetic.  Within
+one probe, the readings differ only by the update's correction term, so
+faults can be compared through reduced integer keys (`reading_keys`)
+without forming a Fraction.  A direct oracle that rebuilds the altered
+graph from scratch is kept alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .linalg import fraction_free_invert
@@ -192,25 +192,6 @@ def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return components
 
 
-def build_reduced_laplacian(net: Network, ground: int) -> list[list[Fraction]]:
-    """Laplacian of the network with the ground row and column deleted."""
-    if not (0 <= ground < net.n):
-        raise ValueError(f"ground vertex {ground} out of range")
-    m = net.n - 1
-    idx = lambda v: v if v < ground else v - 1
-    lap = [[Fraction(0)] * m for _ in range(m)]
-    for e in net.edges:
-        w = e.conductance
-        if e.u != ground and e.v != ground:
-            iu, iv = idx(e.u), idx(e.v)
-            lap[iu][iv] -= w
-            lap[iv][iu] -= w
-        for x in (e.u, e.v):
-            if x != ground:
-                lap[idx(x)][idx(x)] += w
-    return lap
-
-
 NO_CHANGE = (0, 1)
 """Reading key of a fault the probe does not see: the reading is the base value."""
 
@@ -218,12 +199,13 @@ NO_CHANGE = (0, 1)
 class _ReadingKernel:
     """One grounding of a network, shared by every probe and every fault.
 
-    Grounding vertex 0, fraction-free inversion of the reduced Laplacian
-    gives integers P, D, c with L^-1 = c P / D; P is padded with a zero
-    row and column at the ground, so it indexes vertices directly.  For a
-    probe x = e_r - e_s the base resistance is R = c (x^T P x) / D.  A
-    fault on edge (a, b) of conductance p/q changes the Laplacian along
-    v = e_a - e_b.  With the integers X = v^T P x and Z = v^T P v the
+    Vertex 0 is the ground.  With c the lcm of the conductance
+    denominators, c L is an integer matrix (L the reduced Laplacian), and
+    its fraction-free inversion gives integers P, D with L^-1 = c P / D;
+    P is padded with a zero row and column at the ground, so it indexes
+    vertices directly.  For a probe x = e_r - e_s the base resistance is
+    R = c (x^T P x) / D.  A fault on edge (a, b) of conductance p/q
+    changes the Laplacian along v = e_a - e_b.  With the integers X = v^T P x and Z = v^T P v the
     Sherman-Morrison formula gives
 
         shorted:  R' = R - c X^2 / (D Z)
@@ -238,7 +220,17 @@ class _ReadingKernel:
     __slots__ = ("p", "det", "scale", "terms")
 
     def __init__(self, net: Network):
-        adj, det, scale = fraction_free_invert(build_reduced_laplacian(net, 0))
+        scale = lcm(*(e.conductance.denominator for e in net.edges))
+        lap = [[0] * (net.n - 1) for _ in range(net.n - 1)]
+        for e in net.edges:
+            w = e.conductance.numerator * (scale // e.conductance.denominator)
+            a, b = e.u - 1, e.v - 1  # reduced indices; a = -1 is the ground
+            lap[b][b] += w
+            if a >= 0:
+                lap[a][a] += w
+                lap[a][b] -= w
+                lap[b][a] -= w
+        adj, det = fraction_free_invert(lap)
         p = [[0] * net.n] + [[0] + row for row in adj]
         self.p, self.det, self.scale = p, det, scale
         # Per edge: (a, b, conductance numerator, Z, q D - p c Z).

@@ -388,12 +388,13 @@ def solve_exact(
     """Minimum distinguishing probe set, with proof of optimality.
 
     With `no_fault`, the healthy network is one more column, so the plan
-    also tells "nothing is broken" from every fault.  Returns Infeasible when even the whole candidate pool leaves some
-    column pair merged, and TimedOut (carrying the greedy incumbent and
-    the size proven insufficient so far) when the budget expires.  The
-    cover masks and the greedy incumbent share one class-id table; the
-    budget covers the set-up too, and a budget spent before or while the
-    masks are built returns the greedy incumbent with the seed lower bound.
+    also tells "nothing is broken" from every fault.  Returns Infeasible
+    when even the whole candidate pool leaves some column pair merged,
+    and TimedOut (carrying the greedy incumbent and the size proven
+    insufficient so far) when the budget expires.  The cover masks and
+    the greedy incumbent share one class-id table; the budget covers the
+    set-up too, and a budget spent before or while the masks are built
+    returns the greedy incumbent with the seed lower bound.
     """
     deadline = time.monotonic() + budget_seconds
     cands, table, ne, greedy = _greedy_start(net, candidates, mode, no_fault)

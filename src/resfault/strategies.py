@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
 
-from .bounds import bipartite_bound, table4_triple_count, tripartite_bound, val
+from .bounds import val
 from .families import KPartiteShape
 from .network import FaultMode, Measurement
 
@@ -366,29 +366,3 @@ def _bipartite_pair_step(builder: _Builder, shape: KPartiteShape, i_idx: int, j_
             builder.add(pj[0], w, "leftover-link")
         else:
             builder.wing(pj[0], w, pj[1], "partition-butterfly")
-
-
-def plan_size_by_rule(family: str | tuple, shape_or_n) -> int:
-    """Predicted plan size from the counting rules, without generating the plan.
-
-    family "complete": ceil(2n/3).  k = 2: the exact bipartite count,
-    max(g, 3) with a size-2 partition.  k = 3: the tripartite upper bound,
-    which is the table value except for a dominated largest partition,
-    where it counts the matching-plus-butterfly plan.  k >= 4: the
-    composed count (triple table entries plus the leftover-step terms at
-    the selected partitions), which is at most the stated k-partite upper
-    bound and often below it: 7 against 8 for K(2,2,3,5).
-    """
-    if family == "complete":
-        n = shape_or_n
-        return ceil(2 * n / 3)
-    if family != "k_partite":
-        raise ValueError(f"unknown family {family!r}")
-    shape: KPartiteShape = shape_or_n
-    if shape.k == 2:
-        return bipartite_bound(*shape.parts).upper
-    if shape.k == 3:
-        return tripartite_bound(*shape.parts).upper
-    triples, aside = _composition(shape)
-    total = sum(table4_triple_count(*(shape.parts[i] for i in t)) for t in triples)
-    return total + (ceil(2 * _leftover_count(shape.parts, aside) / 3) if aside else 0)

@@ -1,20 +1,44 @@
-"""Inverse reduced Laplacians at any ground, built in the tests.
+"""Reduced Laplacians and their inverses at any ground, built in the tests.
 
-The library grounds each network once.  These helpers ground it at a
-chosen vertex with `build_reduced_laplacian` and `fraction_free_invert`,
-so tests can check the library's resistances against every grounding.
+The library grounds each network once, at vertex 0, and builds the
+scaled integer Laplacian inside its reading kernel.  These helpers build
+the rational reduced Laplacian at a chosen vertex, scale it to integers
+by the lcm of its entries' denominators and invert it with
+`fraction_free_invert`, so tests can check the library's resistances
+against every grounding.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from resfault.linalg import fraction_free_invert
-from resfault.network import build_reduced_laplacian
+
+
+def build_reduced_laplacian(net, ground):
+    """Laplacian of the network with the ground row and column deleted."""
+    if not (0 <= ground < net.n):
+        raise ValueError(f"ground vertex {ground} out of range")
+    m = net.n - 1
+    idx = lambda v: v if v < ground else v - 1
+    lap = [[Fraction(0)] * m for _ in range(m)]
+    for e in net.edges:
+        w = e.conductance
+        if e.u != ground and e.v != ground:
+            iu, iv = idx(e.u), idx(e.v)
+            lap[iu][iv] -= w
+            lap[iv][iu] -= w
+        for x in (e.u, e.v):
+            if x != ground:
+                lap[idx(x)][idx(x)] += w
+    return lap
 
 
 def grounded_inverse(net, ground):
     """Inverse reduced Laplacian at `ground`, padded with a zero row and
     column there so that it indexes vertices directly."""
-    adj, det, scale = fraction_free_invert(build_reduced_laplacian(net, ground))
+    lap = build_reduced_laplacian(net, ground)
+    scale = lcm(*(x.denominator for row in lap for x in row))
+    adj, det = fraction_free_invert([[int(x * scale) for x in row] for row in lap])
     rows = [[Fraction(x * scale, det) for x in row] for row in adj]
     for row in rows:
         row.insert(ground, Fraction(0))

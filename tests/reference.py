@@ -3,17 +3,23 @@
 Each one restates something the library computes another way: a plain
 matrix product to check inverses, the leading principal minors that
 fraction-free elimination produces as its pivots, the summation form
-of the k-partite block-inverse coefficient, and the probe-by-edge table
-of Fraction readings that the integer class ids must agree with.
+of the k-partite block-inverse coefficient, the block inverse itself,
+the classifiers that map a (probe, fault edge) pair to its closed-form
+table column, the paper's counting rules for plan sizes, and the
+probe-by-edge table of Fraction readings that the integer class ids
+must agree with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import ceil
+from typing import NamedTuple, Sequence
 
-from resfault.linalg import _to_integer_matrix
+from resfault.bounds import bipartite_bound, tripartite_bound
+from resfault.closed_forms import CompleteCase, KPartiteCase, KPartiteColumn, c_coefficient
+from resfault.families import KPartiteShape
 from resfault.network import (
     Edge,
     FaultMode,
@@ -22,6 +28,7 @@ from resfault.network import (
     Resistance,
     perturbed_effective_resistance,
 )
+from resfault.strategies import _composition, _leftover_count
 
 
 def multiply(a, b):
@@ -37,12 +44,12 @@ def multiply(a, b):
 
 
 def leading_principal_minors(mat):
-    """Pivot sequence of fraction-free elimination on the integer-scaled matrix.
+    """Pivot sequence of fraction-free elimination on an integer matrix.
 
-    Entry k is the k-th leading principal minor of (mat * scale); all
-    positive iff the matrix is positive definite.
+    Entry k is the k-th leading principal minor; all positive iff the
+    matrix is positive definite.
     """
-    a, _ = _to_integer_matrix(mat)
+    a = [list(row) for row in mat]
     n = len(a)
     minors = []
     prev = 1
@@ -67,6 +74,146 @@ def c_coefficient_sum_form(shape, q, b):
         shape.parts[i] * (n - 1) for i in range(shape.k) if i not in (b, q)
     )
     return Fraction(num, (n - pq) * (n - pb) * n)
+
+
+def kpartite_inverse_entry(shape: KPartiteShape, ground: int, i: int, j: int) -> Fraction:
+    """Entry (i, j) of the inverse reduced Laplacian of a unit k-partite graph.
+
+    The block form is stated for a ground in the first partition; other
+    grounds follow by permuting partition roles, which is what the
+    partition lookups below implement.
+    """
+    n = shape.n
+    if i == ground or j == ground:
+        raise ValueError("requested entry indexes the deleted ground row/column")
+    g = shape.partition_of(ground)
+    pi_, pj_ = shape.partition_of(i), shape.partition_of(j)
+    ng = n - shape.parts[g]
+    if pi_ == g and pj_ == g:
+        return Fraction(2 if i == j else 1, ng)
+    if pi_ == g or pj_ == g:
+        return Fraction(1, ng)
+    if pi_ == pj_:
+        c = c_coefficient(shape, pi_, g)
+        if i == j:
+            return c + Fraction(1, n - shape.parts[pi_])
+        return c
+    return Fraction(n - 1, n * ng)
+
+
+def classify_complete(m: Measurement, fault: Edge) -> CompleteCase:
+    """Column of the K_n table for a (probe, fault edge) pair."""
+    shared = {fault.u, fault.v} & {m.r, m.s}
+    if len(shared) == 2:
+        return CompleteCase.MATCHES_PROBE
+    if not shared:
+        return CompleteCase.DISJOINT
+    return CompleteCase.TOUCHES_R if m.r in shared else CompleteCase.TOUCHES_S
+
+
+class Classified(NamedTuple):
+    """A k-partite table case plus the relabelings that led to it.
+
+    The swap flags record when the edge endpoints or the probe ends were
+    exchanged to match the table header conventions; the values are
+    invariant under them.
+    """
+
+    case: KPartiteCase
+    swapped_edge: bool = False
+    swapped_probe: bool = False
+
+
+def classify_kpartite(shape: KPartiteShape, m: Measurement, fault: Edge) -> Classified:
+    """Map a (probe, fault edge) pair to its unique table column.
+
+    The probe pair is taken unordered; when the table header requires the
+    roles of r and s (or of the edge endpoints) exchanged, the returned
+    flags say so.
+    """
+    pa_, pb_ = shape.partition_of(fault.u), shape.partition_of(fault.v)
+    if pa_ == pb_:
+        raise ValueError(f"edge {fault.pair} lies inside partition {pa_}: impossible edge")
+    pr_, ps_ = shape.partition_of(m.r), shape.partition_of(m.s)
+    u, v = fault.u, fault.v
+
+    if pr_ == ps_:
+        # Probe endpoints share a partition: columns X..XII.
+        if u in (m.r, m.s) or v in (m.r, m.s):
+            a, b = (u, v) if u in (m.r, m.s) else (v, u)
+            case = KPartiteCase(KPartiteColumn.X, pr_, shape.partition_of(b))
+            return Classified(case, swapped_edge=(a != u), swapped_probe=(a == m.s))
+        if pa_ == pr_ or pb_ == pr_:
+            a, b = (u, v) if pa_ == pr_ else (v, u)
+            case = KPartiteCase(KPartiteColumn.XI, pr_, shape.partition_of(b))
+            return Classified(case, swapped_edge=(a != u))
+        return Classified(KPartiteCase(KPartiteColumn.XII, pa_, pb_))
+
+    # Cross-partition probe: columns I..IX.
+    touches_r_part = pa_ == pr_ or pb_ == pr_
+    touches_s_part = pa_ == ps_ or pb_ == ps_
+    if touches_r_part and touches_s_part:
+        a, b = (u, v) if pa_ == pr_ else (v, u)
+        at_r, at_s = a == m.r, b == m.s
+        column = {
+            (True, True): KPartiteColumn.I,
+            (True, False): KPartiteColumn.II,
+            (False, True): KPartiteColumn.III,
+            (False, False): KPartiteColumn.IV,
+        }[(at_r, at_s)]
+        return Classified(KPartiteCase(column, pr_, ps_), swapped_edge=(a != u))
+    if touches_r_part:
+        a, b = (u, v) if pa_ == pr_ else (v, u)
+        column = KPartiteColumn.V if a == m.r else KPartiteColumn.VI
+        case = KPartiteCase(column, pr_, shape.partition_of(b))
+        return Classified(case, swapped_edge=(a != u))
+    if touches_s_part:
+        # The p_s endpoint is grounded (`b`); the far endpoint plays `a`.
+        b, a = (u, v) if pa_ == ps_ else (v, u)
+        column = KPartiteColumn.VII if b == m.s else KPartiteColumn.VIII
+        case = KPartiteCase(column, shape.partition_of(a), ps_)
+        return Classified(case, swapped_edge=(a != u))
+    return Classified(KPartiteCase(KPartiteColumn.IX, pa_, pb_))
+
+
+def table4_triple_count(a: int, b: int, c: int) -> int:
+    """Probe count of the tripartite building block for sizes a <= b <= c.
+
+    2(a+b+c)/3 minus 2, 5/3 or 4/3 according to the size differences
+    modulo 3; always an integer.
+    """
+    if not (a <= b <= c):
+        raise ValueError("sizes must be nondecreasing")
+    d1, d2 = (b - a) % 3, (c - b) % 3
+    offset = {0: 6, 1: 5, 2: 4}[(d2 - d1) % 3]
+    total = 2 * (a + b + c) - offset
+    assert total % 3 == 0
+    return total // 3
+
+
+def plan_size_by_rule(family: str, shape_or_n) -> int:
+    """Predicted plan size from the counting rules, without generating the plan.
+
+    family "complete": ceil(2n/3).  k = 2: the exact bipartite count,
+    max(g, 3) with a size-2 partition.  k = 3: the tripartite upper bound,
+    which is the table value except for a dominated largest partition,
+    where it counts the matching-plus-butterfly plan.  k >= 4: the
+    composed count (triple table entries plus the leftover-step terms at
+    the selected partitions), which is at most the stated k-partite upper
+    bound and often below it: 7 against 8 for K(2,2,3,5).
+    """
+    if family == "complete":
+        return ceil(2 * shape_or_n / 3)
+    if family != "k_partite":
+        raise ValueError(f"unknown family {family!r}")
+    shape: KPartiteShape = shape_or_n
+    if shape.k == 2:
+        return bipartite_bound(*shape.parts).upper
+    if shape.k == 3:
+        return tripartite_bound(*shape.parts).upper
+    triples, aside = _composition(shape)
+    total = sum(table4_triple_count(*(shape.parts[i] for i in t)) for t in triples)
+    return total + (ceil(2 * _leftover_count(shape.parts, aside) / 3) if aside else 0)
 
 
 @dataclass(frozen=True)

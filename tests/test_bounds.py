@@ -6,11 +6,12 @@ from resfault.bounds import (
     bipartite_bound,
     complete_bound,
     kpartite_bound,
-    table4_triple_count,
     tripartite_bound,
     val,
 )
 from resfault.families import KPartiteShape
+
+from reference import table4_triple_count
 
 
 class TestVal:

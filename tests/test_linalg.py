@@ -6,7 +6,7 @@ import pytest
 from resfault.linalg import SingularMatrixError, fraction_free_invert
 from resfault.network import Measurement, Network, effective_resistance
 
-from grounding import grounded_inverse, grounded_resistance
+from grounding import build_reduced_laplacian, grounded_inverse, grounded_resistance
 from reference import leading_principal_minors, multiply
 
 
@@ -19,9 +19,9 @@ def random_spd(rng, n):
     ]
 
 
-def as_fractions(adj, det, scale):
+def as_fractions(adj, det):
     n = len(adj)
-    return [[Fraction(adj[i][j] * scale, det) for j in range(n)] for i in range(n)]
+    return [[Fraction(adj[i][j], det) for j in range(n)] for i in range(n)]
 
 
 def test_inverse_times_matrix_is_identity():
@@ -35,9 +35,15 @@ def test_inverse_times_matrix_is_identity():
 
 
 def test_rational_entries_are_scaled_exactly():
-    a = [[Fraction(3, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(5, 7)]]
-    inv = as_fractions(*fraction_free_invert(a))
-    assert multiply(a, inv) == [[1, 0], [0, 1]]
+    # Grounded at 0, this network's reduced Laplacian is
+    # [[3/2, -1/3], [-1/3, 5/7]]; the kernel scales it by lcm(6, 3, 21).
+    net = Network.from_edge_list(
+        3, [(0, 1, Fraction(7, 6)), (1, 2, Fraction(1, 3)), (0, 2, Fraction(8, 21))]
+    )
+    kernel = net._reading_kernel
+    assert kernel.scale == 42
+    inv = [[Fraction(kernel.scale * x, kernel.det) for x in row[1:]] for row in kernel.p[1:]]
+    assert multiply(build_reduced_laplacian(net, 0), inv) == [[1, 0], [0, 1]]
 
 
 def test_inverse_columns_give_resistances_at_every_ground():
@@ -67,7 +73,7 @@ def test_pivots_are_leading_minors_and_positive_for_spd():
     assert all(m > 0 for m in minors)
     # first minor is the top-left entry, last is the determinant
     assert minors[0] == a[0][0]
-    _, det, _ = fraction_free_invert(a)
+    _, det = fraction_free_invert(a)
     assert minors[-1] == det
 
 

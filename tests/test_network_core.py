@@ -12,13 +12,12 @@ from resfault.network import (
     FaultMode,
     Measurement,
     Network,
-    build_reduced_laplacian,
     direct_effective_resistance_oracle,
     effective_resistance,
     perturbed_effective_resistance,
 )
 
-from grounding import grounded_inverse, grounded_resistance
+from grounding import build_reduced_laplacian, grounded_inverse, grounded_resistance
 
 
 def dense_resistance_oracle(net, r, s):

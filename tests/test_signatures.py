@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from resfault.closed_forms import classify_kpartite, kpartite_delta
+from resfault.closed_forms import kpartite_delta
 from resfault.families import KPartiteShape, complete_network
 from resfault.network import (
     FaultMode,
@@ -21,7 +21,7 @@ from resfault.signatures import (
 from resfault.solver import ExactSolution, Infeasible, solve_exact, solve_greedy
 from resfault.strategies import complete_strategy
 
-from reference import build_signature
+from reference import build_signature, classify_kpartite
 
 
 class TestBuildSignature:
@@ -80,7 +80,7 @@ class TestEquivalenceClasses:
         for mode in FaultMode:
             by_delta = {}
             for e in net.edges:
-                delta = kpartite_delta(shape, classify_kpartite(shape, m, e), mode)
+                delta = kpartite_delta(shape, classify_kpartite(shape, m, e).case, mode)
                 by_delta.setdefault(delta, []).append(e)
             expected = sorted(tuple(g) for g in by_delta.values())
             got = sorted(equivalence_classes(net, m, mode).classes)
