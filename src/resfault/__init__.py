@@ -23,13 +23,7 @@ from .closed_forms import (
     complete_delta,
     kpartite_delta,
 )
-from .families import (
-    KPartiteShape,
-    complete_network,
-    complete_orbit_representatives,
-    kpartite_network,
-    measurement_orbit_representatives,
-)
+from .families import KPartiteShape, complete_network, kpartite_network
 from .network import (
     INFINITE,
     Edge,

@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
     validate_plan_for(plan, spec.network)
     mode = plan.mode if args.mode is None else FaultMode(args.mode)
     distinguishing = signatures.is_distinguishing(spec.network, plan.measurements, mode)
-    print(f"network: {spec.describe()}  mode: {mode.value}  measurements: {len(plan)}")
+    print(f"network: {spec.label}  mode: {mode.value}  measurements: {len(plan)}")
     print(f"distinguishing: {'yes' if distinguishing else 'no'}")
     if not distinguishing:
         pairs = signatures.undistinguished_pairs(spec.network, plan.measurements, mode)
@@ -153,24 +153,17 @@ def cmd_solve(args) -> int:
         plan, status = result, f"greedy (upper bound{scope}, not proven minimum)"
     else:
         result = solver.solve_exact(
-            spec.network,
-            mode=mode,
-            budget_seconds=args.budget,
-            first_probe_orbits=spec.orbit_representatives(),
-            no_fault=no_fault,
+            spec.network, mode=mode, budget_seconds=args.budget, no_fault=no_fault
         )
         if isinstance(result, solver.Infeasible):
             return _print_infeasible(result)
         if isinstance(result, solver.TimedOut):
-            known = "no plan is known"
-            if result.incumbent is not None:
-                known = f"best known plan has {len(result.incumbent)} measurements"
             print(
-                f"timed out: {known}; at least {result.lower_bound} are necessary",
+                f"timed out: best known plan has {len(result.incumbent)} measurements; "
+                f"at least {result.lower_bound} are necessary",
                 file=sys.stderr,
             )
-            if result.incumbent is not None:
-                print(json.dumps(plan_to_dict(result.incumbent), indent=2))
+            print(json.dumps(plan_to_dict(result.incumbent), indent=2))
             return EXIT_TIMEOUT
         plan, status = result.plan, f"optimal (proven minimum{scope})"
     print(json.dumps(plan_to_dict(plan), indent=2))
@@ -222,7 +215,7 @@ def cmd_classes(args) -> int:
         print(json.dumps({"measurement": list(m.pair), "classes": doc}))
     else:
         print(
-            f"measurement {m.pair} on {spec.describe()}, mode={mode.value}: "
+            f"measurement {m.pair} on {spec.label}, mode={mode.value}: "
             f"{classes.class_count} classes"
         )
         for group in classes.classes:
@@ -364,7 +357,8 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -92,8 +92,8 @@ def measurement_orbit_representatives(shape: KPartiteShape) -> list[Measurement]
 
     Vertices within a partition are interchangeable, and whole partitions
     of equal size are interchangeable, so pair orbits are classified by
-    the (multiset of) partition sizes they touch.  Used by the exact
-    solver to fix its first branching decision up to symmetry.
+    the (multiset of) partition sizes they touch.  Kept only for
+    perfbench/workloads.py, which still seeds exact solves with it.
     """
     reps: list[Measurement] = []
     seen: set[tuple] = set()
@@ -115,5 +115,5 @@ def measurement_orbit_representatives(shape: KPartiteShape) -> list[Measurement]
 
 
 def complete_orbit_representatives(n: int) -> list[Measurement]:
-    """The complete graph is pair-transitive: a single representative."""
+    """The complete graph is pair-transitive: a single representative (perfbench only)."""
     return [Measurement(0, 1)]

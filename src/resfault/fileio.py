@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
-from .families import (
-    KPartiteShape,
-    complete_network,
-    complete_orbit_representatives,
-    kpartite_network,
-    measurement_orbit_representatives,
-)
+from .families import KPartiteShape, complete_network, kpartite_network
 from .network import (
     INFINITE,
     FaultMode,
@@ -64,25 +58,10 @@ def check_vertex_count(n: int) -> None:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """A parsed network plus the family information the closed forms need."""
+    """A parsed network and its report label: complete(8), k_partite(2, 3, 4), explicit(n=4)."""
 
-    family: str  # "complete" | "k_partite" | "explicit"
     network: Network
-    shape: KPartiteShape | None = None
-
-    def orbit_representatives(self) -> list[Measurement] | None:
-        if self.family == "complete":
-            return complete_orbit_representatives(self.network.n)
-        if self.family == "k_partite":
-            return measurement_orbit_representatives(self.shape)
-        return None
-
-    def describe(self) -> str:
-        if self.family == "complete":
-            return f"complete({self.network.n})"
-        if self.family == "k_partite":
-            return f"k_partite{self.shape.parts}"
-        return f"explicit(n={self.network.n})"
+    label: str
 
 
 _SHORTHAND = re.compile(r"^[Kk](\d+(?:,\d+)*)$")
@@ -90,13 +69,13 @@ _SHORTHAND = re.compile(r"^[Kk](\d+(?:,\d+)*)$")
 
 def _complete_spec(n: int) -> NetworkSpec:
     check_vertex_count(n)
-    return NetworkSpec("complete", complete_network(n))
+    return NetworkSpec(complete_network(n), f"complete({n})")
 
 
 def _kpartite_spec(parts) -> NetworkSpec:
     shape = KPartiteShape(tuple(sorted(parts)))
     check_vertex_count(shape.n)
-    return NetworkSpec("k_partite", kpartite_network(shape), shape)
+    return NetworkSpec(kpartite_network(shape), f"k_partite{shape.parts}")
 
 
 def parse_shorthand(text: str) -> NetworkSpec | None:
@@ -111,7 +90,7 @@ def parse_shorthand(text: str) -> NetworkSpec | None:
 def network_spec_from_dict(data: dict) -> NetworkSpec:
     family = data.get("family")
     if family == "complete":
-        return _complete_spec(_require_int(data, "n"))
+        return _complete_spec(_integer(data.get("n"), 'field "n"'))
     if family == "k_partite":
         parts = data.get("parts")
         if not isinstance(parts, list) or not parts:
@@ -120,7 +99,7 @@ def network_spec_from_dict(data: dict) -> NetworkSpec:
             raise FileFormatError('"parts" must hold integers')
         return _kpartite_spec(parts)
     if family == "explicit":
-        n = _require_int(data, "n")
+        n = _integer(data.get("n"), 'field "n"')
         check_vertex_count(n)
         raw = data.get("edges")
         if not isinstance(raw, list):
@@ -129,13 +108,13 @@ def network_spec_from_dict(data: dict) -> NetworkSpec:
         for pos, item in enumerate(raw):
             try:
                 u, v, w = item
-                edges.append((int(u), int(v), _conductance(w)))
+                edges.append((_integer(u, "vertex"), _integer(v, "vertex"), _conductance(w)))
             except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
                 raise FileFormatError(f"edges[{pos}]: {exc}") from exc
             if edges[-1][2] <= 0:
                 raise FileFormatError(f"edges[{pos}]: conductance must be positive")
         try:
-            return NetworkSpec("explicit", Network.from_edge_list(n, edges))
+            return NetworkSpec(Network.from_edge_list(n, edges), f"explicit(n={n})")
         except ValueError as exc:
             raise FileFormatError(str(exc)) from exc
     raise FileFormatError(f"unknown network family {family!r}")
@@ -196,8 +175,8 @@ def plan_from_dict(data: dict) -> MeasurementPlan:
     for pos, item in enumerate(raw):
         try:
             r, s = item
-            measurements.append(Measurement(int(r), int(s)))
-        except (ValueError, TypeError, OverflowError) as exc:
+            measurements.append(Measurement(_integer(r, "vertex"), _integer(s, "vertex")))
+        except (ValueError, TypeError) as exc:
             raise FileFormatError(f"measurements[{pos}]: {exc}") from exc
     provenance = data.get("provenance")
     if provenance is None:
@@ -245,10 +224,10 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _require_int(data: dict, key: str) -> int:
-    value = data.get(key)
+def _integer(value, what: str) -> int:
+    """A JSON integer as the file wrote it: a bool, float or string is refused."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise FileFormatError(f'field "{key}" must be an integer')
+        raise FileFormatError(f"{what} must be an integer")
     return value
 
 

@@ -80,13 +80,13 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class TimedOut:
-    """Search budget exhausted: best known plan and the size proven necessary.
+    """Search budget exhausted: the greedy plan and the size proven necessary.
 
     `lower_bound` is the smallest target not yet refuted: the search
     proved that no plan of fewer probes exists.
     """
 
-    incumbent: MeasurementPlan | None
+    incumbent: MeasurementPlan
     lower_bound: int
 
 
@@ -395,6 +395,8 @@ def solve_exact(
     the greedy incumbent share one class-id table; the budget covers the
     set-up too, and a budget spent before or while the masks are built
     returns the greedy incumbent with the seed lower bound.
+    `first_probe_orbits`, first probes to try at the root, is kept only
+    for perfbench/workloads.py: the twin-orbit root makes it pure overhead.
     """
     deadline = time.monotonic() + budget_seconds
     cands, table, ne, greedy = _greedy_start(net, candidates, mode, no_fault)

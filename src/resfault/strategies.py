@@ -125,8 +125,8 @@ class _Builder:
         elif len(pool) == 2:
             self.wing(pool[0], pool[1], designated, tag)
 
-    def plan(self, mode: FaultMode = FaultMode.REMOVED) -> MeasurementPlan:
-        return MeasurementPlan(tuple(self.measurements), tuple(self.tags), mode)
+    def plan(self) -> MeasurementPlan:
+        return MeasurementPlan(tuple(self.measurements), tuple(self.tags))
 
 
 def complete_strategy(n: int) -> MeasurementPlan:
@@ -213,8 +213,7 @@ def tripartite_strategy(a: int, b: int, c: int) -> MeasurementPlan:
     pools = [p[1:] for p in parts]
 
     if a == b == c:
-        for u, center, w in zip(pools[0], pools[2], pools[1]):
-            builder.wing(u, center, w, "tripartite-butterfly")
+        _triple_block(builder, shape, (0, 1, 2))
         return builder.plan()
 
     if a < b < c < a + b:
@@ -265,21 +264,15 @@ def _triple_block(builder: _Builder, shape: KPartiteShape, indices: tuple[int, i
     partition butterflies plus closing rules for the largest.
     """
     order = sorted(indices, key=lambda i: (shape.parts[i], i))
-    pa, pb, pc = (list(shape.vertices(i)) for i in order)
-    des_c = pc[0]
-    pa, pb, pc = pa[1:], pb[1:], pc[1:]
-    centers = []
+    pa, pb, part_c = (list(shape.vertices(i)) for i in order)
+    pa, pb, pc = pa[1:], pb[1:], part_c[1:]
     for u, center, w in zip(pa, pc, pb):
         builder.wing(u, center, w, "tripartite-butterfly")
-        centers.append(center)
     del pb[: len(pa)], pc[: len(pa)]
-    centers += builder.zigzags(pb, pc)
-    centers += builder.hairpins(pb, pc, des_c)
-    centers += builder.butterflies(pc, "partition-butterfly")
-    if len(pc) == 1:
-        builder.add(pc[0], centers[0], "leftover-link")
-    elif len(pc) == 2:
-        builder.wing(pc[0], pc[1], des_c, "partition-butterfly")
+    builder.zigzags(pb, pc)
+    builder.hairpins(pb, pc, part_c[0])
+    builder.butterflies(pc, "partition-butterfly")
+    builder.close(pc, part_c[0], part_c, "partition-butterfly")
 
 
 def _leftover_count(sizes, aside: tuple[int, ...]) -> int:

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from resfault import fileio, solver, strategies
+from resfault import fileio, strategies
 from resfault.cli import main
+from resfault.families import KPartiteShape
 from resfault.fileio import (
     MAX_VERTICES,
     FileFormatError,
@@ -23,8 +24,8 @@ from resfault.strategies import complete_strategy
 
 class TestFileFormats:
     def test_shorthand_parsing(self):
-        assert parse_shorthand("K8").describe() == "complete(8)"
-        assert parse_shorthand("K2,3,4").describe() == "k_partite(2, 3, 4)"
+        assert parse_shorthand("K8").label == "complete(8)"
+        assert parse_shorthand("K2,3,4").label == "k_partite(2, 3, 4)"
         assert parse_shorthand("nope") is None
 
     def test_network_file_round_trip(self, tmp_path):
@@ -33,7 +34,7 @@ class TestFileFormats:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
         spec = load_network(str(path))
-        assert spec.family == "explicit"
+        assert spec.label == "explicit(n=3)"
         assert spec.network.n == 3
         assert str(spec.network.edge_between(1, 2).conductance) == "3/2"
 
@@ -57,6 +58,24 @@ class TestFileFormats:
             load_network(str(broken))
         with pytest.raises(FileFormatError, match="mode"):
             plan_from_dict({"mode": "melted", "measurements": []})
+
+    # Each of these once became vertex 1 (or 0) by int() and was answered for.
+    @pytest.mark.parametrize("vertex", [1.9, True, "1"], ids=["float", "bool", "str"])
+    def test_edge_vertices_must_be_json_integers(self, tmp_path, capsys, vertex):
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps(
+            {"family": "explicit", "n": 3, "edges": [[0, 2, "1"], [0, vertex, "1"]]}))
+        assert main(["resistance", "--network", str(net_file), "--pair", "0", "1"]) == 2
+        assert capsys.readouterr() == ("", "parse error: edges[1]: vertex must be an integer\n")
+
+    @pytest.mark.parametrize("probe", [[0.7, 1.2], [0, True], ["0", 1]], ids=["float", "bool", "str"])
+    def test_probe_vertices_must_be_json_integers(self, tmp_path, capsys, probe):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({"measurements": [[2, 3], probe]}))
+        assert main(["verify", "--network", "K4", "--plan", str(plan_file)]) == 2
+        assert capsys.readouterr() == (
+            "", "parse error: measurements[1]: vertex must be an integer\n"
+        )
 
 
 class TestBoundsCommand:
@@ -395,14 +414,19 @@ class TestSolveCommand:
         assert len(json.loads(captured.out)["measurements"]) == size
         assert "optimal" in captured.err
 
-    def test_timeout_without_incumbent(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            solver, "solve_exact", lambda *a, **k: solver.TimedOut(incumbent=None, lower_bound=4)
-        )
-        assert main(["solve", "--network", "K6"]) == 3
-        captured = capsys.readouterr()
-        assert "timed out: no plan is known; at least 4 are necessary" in captured.err
-        assert captured.out == ""
+    @pytest.mark.parametrize("parts", [(2, 3, 6), (2, 2, 3, 5)])
+    @pytest.mark.parametrize("mode", ["removed", "shorted"])
+    def test_plan_depends_only_on_the_network(self, parts, mode, tmp_path, capsys):
+        # The same graph as a shorthand and as an explicit edge list.
+        shape = KPartiteShape(parts)
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps({"family": "explicit", "n": shape.n, "edges": [
+            [e.u, e.v, str(e.conductance)] for e in shape.network().edges]}))
+        outputs = []
+        for network in ("K" + ",".join(map(str, parts)), str(net_file)):
+            assert main(["solve", "--network", network, "--mode", mode]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     def test_explicit_network_file(self, tmp_path, capsys):
         net_file = tmp_path / "net.json"
@@ -428,6 +452,30 @@ class TestValueCommands:
         out = capsys.readouterr().out
         assert "= 0" in out
 
+    def test_resistance_json(self, capsys):
+        assert main(["resistance", "--network", "K8", "--pair", "0", "1", "--json"]) == 0
+        assert capsys.readouterr().out == '{"value": "1/4"}\n'
+
+    @pytest.fixture
+    def path3(self, tmp_path):
+        """The path 0 - 1 - 2 with unit conductances."""
+        net_file = tmp_path / "path3.json"
+        net_file.write_text(json.dumps(
+            {"family": "explicit", "n": 3, "edges": [[0, 1, "1"], [1, 2, "1"]]}))
+        return str(net_file)
+
+    def test_open_circuit_reads_inf(self, path3, capsys):
+        argv = ["resistance", "--network", path3, "--pair", "0", "2", "--fault", "0", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "R'(0, 2) with removed fault (0, 1) = inf\n"
+        assert main([*argv, "--json"]) == 0
+        assert capsys.readouterr().out == '{"value": "inf"}\n'
+
+    def test_missing_fault_edge_is_named_without_quotes(self, path3, capsys):
+        argv = ["resistance", "--network", path3, "--pair", "0", "2", "--fault", "0", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: no edge between 0 and 2\n")
+
     def test_classes_k6(self, capsys):
         assert main(["classes", "--network", "K6", "--measurement", "0", "1", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -449,6 +497,30 @@ class TestValueCommands:
         assert col1["shorted"] == "5/12"
         zero = next(r for r in rows if r["column"] == "IX")
         assert zero["shorted"] == "0" and zero["removed"] == "0"
+
+    def test_delta_complete_text(self, capsys):
+        assert main(["delta", "--complete", "6"]) == 0
+        assert capsys.readouterr().out == (
+            "resistance-change table for complete(6)\n"
+            "  a=r, b=s: shorted 1/3 (~0.333333), removed -1/6 (~-0.166667)\n"
+            "  a=r, b!=s: shorted 1/12 (~0.0833333), removed -1/24 (~-0.0416667)\n"
+            "  a!=r, b=s: shorted 1/12 (~0.0833333), removed -1/24 (~-0.0416667)\n"
+            "  a,b not in {r,s}: shorted 0 (~0), removed 0 (~0)\n"
+        )
+
+    def test_delta_kpartite_text(self, capsys):
+        assert main(["delta", "--k-partite", "2,3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "resistance-change table for k_partite(2, 3)"
+        assert lines[1] == (
+            "     I [|p_a|=2, |p_ground|=3]: shorted 2/3 (~0.666667), removed -4/3 (~-1.33333)"
+        )
+        assert lines[17] == "    IX [-]: shorted 0 (~0), removed 0 (~0)"
+        assert len(lines) == 22
+
+    def test_delta_complete_needs_three_vertices(self, capsys):
+        assert main(["delta", "--complete", "2"]) == 2
+        assert capsys.readouterr() == ("", "out of scope: complete-graph table needs n >= 3\n")
 
     def test_unsupported_family_for_closed_forms_falls_back(self, tmp_path, capsys):
         net_file = tmp_path / "net.json"

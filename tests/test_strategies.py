@@ -227,3 +227,16 @@ class TestPlanIdentity:
         assert len(plans) == 585
         docs = [plan_to_dict(p) for p in plans]
         assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == self.DIGEST
+
+    # The same digest over a wider sweep, taken before the tripartite block
+    # and the equal-size tripartite plan shared one closing step.
+    SWEEP_DIGEST = "cc5d0f527aa9f2c02df0b723440d7045fc36c16a6863a9de92c7b6725240d8b4"
+
+    def test_plan_sweep_is_unchanged(self):
+        plans = [complete_strategy(n) for n in range(6, 80)]
+        for k in range(2, 8):
+            for parts in combinations_with_replacement(range(2, 10), k):
+                plans.append(kpartite_strategy(KPartiteShape(parts)))
+        assert len(plans) == 6500
+        docs = [plan_to_dict(p) for p in plans]
+        assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == self.SWEEP_DIGEST
