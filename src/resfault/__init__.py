@@ -6,6 +6,8 @@ measurement strategies with proven sizes, bound formulas, and an exact
 minimum-measurement solver.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundReport,
     best_bound,
@@ -35,7 +37,6 @@ from .network import (
     direct_effective_resistance_oracle,
     effective_resistance,
     perturbed_effective_resistance,
-    reading_keys,
 )
 from .signatures import (
     EquivalenceClasses,
@@ -60,5 +61,7 @@ from .strategies import (
     tripartite_strategy,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [  # the imported names, not the submodules the imports also bind
+    name for name in dir() if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))
+]
 __version__ = "0.1.0"

@@ -107,8 +107,9 @@ def kpartite_delta(shape: KPartiteShape, case: KPartiteCase, mode: FaultMode) ->
 
     Shorted cells are x^2 / E and removed cells are -x^2 / (1 - E), where
     E is the grounded inverse diagonal entry at `a` and x the column's
-    difference of inverse entries.  1 - E vanishes only for bridge edges,
-    which complete k-partite graphs with k >= 2 and n >= 3 never have.
+    difference of inverse entries.  1 - E vanishes only for bridge edges;
+    among complete k-partite graphs only the stars K(1, m) have them (every
+    edge is one), and removing one raises ValueError.
     """
     column = case.column
     if column in ZERO_COLUMNS:

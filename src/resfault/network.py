@@ -7,9 +7,10 @@ Laplacian, scaled to integers, gives an integer adjugate and determinant,
 from which every base resistance and every single-fault reading follows
 by the rank-one (Sherman-Morrison) update in integer arithmetic.  Within
 one probe, the readings differ only by the update's correction term, so
-faults can be compared through reduced integer keys (`reading_keys`)
-without forming a Fraction.  A direct oracle that rebuilds the altered
-graph from scratch is kept alongside as an independent cross-check.
+the kernel numbers the faults that read alike (one class-id row per
+probe, see `signatures.reading_classes`) from that term's reduced
+integers, without forming a Fraction.  A direct oracle that rebuilds the
+altered graph from scratch is kept alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -192,10 +193,6 @@ def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return components
 
 
-NO_CHANGE = (0, 1)
-"""Reading key of a fault the probe does not see: the reading is the base value."""
-
-
 class _ReadingKernel:
     """One grounding of a network, shared by every probe and every fault.
 
@@ -246,37 +243,40 @@ class _ReadingKernel:
         p = self.p
         return p[r][r] + p[s][s] - 2 * p[r][s]
 
-    def keys(self, r: int, s: int, mode: FaultMode) -> list:
-        """Per edge, the reduced integer pair of the probe's correction term.
+    def classes(self, r: int, s: int, mode: FaultMode, no_fault: bool) -> list[int]:
+        """The probe's class-id row: equal ids exactly when the readings are equal.
 
-        The base value, c and D are common to the row, so two faults read
-        the same exactly when their keys are equal: (X^2, Z) when shorted,
-        (p X^2, q D - p c Z) when removed, reduced to lowest terms;
-        NO_CHANGE when X = 0 and INFINITE for a bridge that separates the
-        probe pair.
+        The columns are the edges in order, then, with `no_fault`, the
+        healthy network.  The base value, c and D are common to the row, so
+        each fault is keyed by its correction term reduced to lowest terms:
+        (X^2, Z) when shorted, (p X^2, q D - p c Z) when removed; (0, 1)
+        when X = 0, which is the healthy network's key, and INFINITE for a
+        bridge that separates the probe pair.  Ids are numbered from 0 in
+        column order.
         """
         d = [x - y for x, y in zip(self.p[r], self.p[s])]
-        out = []
-        if mode is FaultMode.SHORTED:
-            for a, b, _, z, _ in self.terms:
-                x = d[a] - d[b]
-                if x:
-                    x *= x
-                    g = gcd(x, z)
-                    out.append((x // g, z // g))
-                else:
-                    out.append(NO_CHANGE)
-        else:
-            for a, b, w, _, den in self.terms:
-                x = d[a] - d[b]
-                if not x:
-                    out.append(NO_CHANGE)
-                elif not den:
-                    out.append(INFINITE)
-                else:
-                    x *= w * x
-                    g = gcd(x, den)
-                    out.append((x // g, den // g))
+        shorted = mode is FaultMode.SHORTED
+        no_change = (0, 1)
+        ids: dict = {}
+        out: list[int] = []
+        append = out.append
+        for a, b, w, z, den in self.terms:
+            x = d[a] - d[b]
+            if not x:
+                key = no_change
+            elif shorted:
+                x *= x
+                g = gcd(x, z)
+                key = (x // g, z // g)
+            elif not den:
+                key = INFINITE
+            else:
+                x *= w * x
+                g = gcd(x, den)
+                key = (x // g, den // g)
+            append(ids.setdefault(key, len(ids)))
+        if no_fault:
+            append(ids.setdefault(no_change, len(ids)))
         return out
 
     def reading(self, r: int, s: int, j: int, mode: FaultMode) -> Resistance:
@@ -324,18 +324,6 @@ def perturbed_effective_resistance(
     j = _fault_index(net, fault)
     _check_measurement(net, m)
     return net._reading_kernel.reading(m.r, m.s, j, mode)
-
-
-def reading_keys(net: Network, m: Measurement, mode: FaultMode) -> list:
-    """One hashable key per edge of `net.edges`: the probe's faulted readings.
-
-    Within one probe, two faults have equal keys exactly when their
-    readings are equal, and a key equals NO_CHANGE exactly when the
-    reading is the unaltered resistance.  Keys are small integer tuples
-    (or INFINITE); no Fraction is built.
-    """
-    _check_measurement(net, m)
-    return net._reading_kernel.keys(m.r, m.s, mode)
 
 
 def _deleted_edge_view(net: Network, fault: Edge):

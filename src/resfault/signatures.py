@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .network import NO_CHANGE, Edge, FaultMode, Measurement, Network, reading_keys
+from .network import Edge, FaultMode, Measurement, Network, _check_measurement
 
 
 @dataclass(frozen=True)
@@ -37,18 +37,15 @@ def reading_classes(
     """Per probe, each column's class id: equal ids exactly when the readings are equal.
 
     The columns are the edges in edge order, then, with `no_fault`, the
-    healthy network: its key is NO_CHANGE, which a fault's key equals
-    exactly when the fault leaves the reading unaltered.  Ids are
-    numbered from 0 in column order within each row, so every id of a
-    row is below the column count.  No probes give no rows.
+    healthy network, which reads alike with exactly the faults that leave
+    the reading unaltered.  Ids are numbered from 0 in column order within
+    each row, so every id of a row is below the column count.  No probes
+    give no rows.
     """
-    healthy = [NO_CHANGE] if no_fault else []
     table = []
     for m in measurements:
-        ids: dict = {}
-        table.append(
-            [ids.setdefault(key, len(ids)) for key in reading_keys(net, m, mode) + healthy]
-        )
+        _check_measurement(net, m)
+        table.append(net._reading_kernel.classes(m.r, m.s, mode, no_fault))
     return table
 
 

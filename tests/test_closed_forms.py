@@ -195,7 +195,9 @@ class TestKPartiteDelta:
             kpartite_delta(shape, case, FaultMode.REMOVED)
 
     @pytest.mark.parametrize(
-        "parts", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 4), (2, 2, 3, 3)]
+        "parts",
+        [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 4), (2, 2, 3, 3)]
+        + [(1, 2, 3), (1, 1, 3), (1, 2, 2, 3)],  # a size-1 partition
     )
     def test_tables_match_update_formula_exhaustively(self, parts):
         shape = KPartiteShape(parts)

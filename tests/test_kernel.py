@@ -15,14 +15,12 @@ import resfault.network
 from resfault.families import complete_network
 from resfault.network import (
     INFINITE,
-    NO_CHANGE,
     FaultMode,
     Measurement,
     Network,
     direct_effective_resistance_oracle,
     effective_resistance,
     perturbed_effective_resistance,
-    reading_keys,
 )
 from resfault.signatures import reading_classes
 from resfault.solver import Infeasible, solve_exact, solve_greedy
@@ -51,15 +49,16 @@ def test_keys_and_readings_match_the_oracle(seed, mode):
     bridge_cases = {"same side": 0, "separated": 0}
     core = net.n - 3
     for m in net.measurements():
-        keys = reading_keys(net, m, mode)
+        [ids] = reading_classes(net, [m], mode, no_fault=True)
+        healthy = ids[len(net.edges)]
         readings = [perturbed_effective_resistance(net, m, e, mode) for e in net.edges]
         base = effective_resistance(net, m)
         for j, e in enumerate(net.edges):
             oracle = direct_effective_resistance_oracle(net, m, e, mode)
             assert readings[j] == oracle, (m, e.pair)
-            assert (keys[j] == NO_CHANGE) == (readings[j] == base), (m, e.pair)
+            assert (ids[j] == healthy) == (readings[j] == base), (m, e.pair)
             for i in range(j):
-                assert (keys[i] == keys[j]) == (readings[i] == readings[j]), (m, e.pair)
+                assert (ids[i] == ids[j]) == (readings[i] == readings[j]), (m, e.pair)
             if mode is FaultMode.REMOVED and e.v >= core:  # a pendant edge: a bridge
                 bridge_cases["separated" if readings[j] == INFINITE else "same side"] += 1
                 assert readings[j] in (INFINITE, base)
@@ -70,11 +69,14 @@ def test_keys_and_readings_match_the_oracle(seed, mode):
 def test_reading_classes_number_each_row_in_edge_order():
     net = pendant_network(7, 8)
     ms = net.measurements()
-    table = reading_classes(net, ms, FaultMode.REMOVED)
     sig = build_signature(net, ms, FaultMode.REMOVED)
-    for ids, row in zip(table, sig.entries):
-        first_seen = {}
-        assert ids == [first_seen.setdefault(value, len(first_seen)) for value in row]
+    for no_fault in (False, True):
+        table = reading_classes(net, ms, FaultMode.REMOVED, no_fault)
+        assert len(table) == len(ms)
+        for ids, row, m in zip(table, sig.entries, ms):
+            row = list(row) + ([effective_resistance(net, m)] if no_fault else [])
+            first_seen = {}
+            assert ids == [first_seen.setdefault(value, len(first_seen)) for value in row]
 
 
 def test_one_inversion_per_network(monkeypatch):

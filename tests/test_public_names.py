@@ -9,6 +9,7 @@ oracle is the one exception: it exists to cross-check the library.
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import resfault
 
@@ -46,3 +47,8 @@ def test_every_public_name_is_used_in_src():
 
 def test_the_exemption_is_still_public():
     assert EXEMPT <= set(resfault.__all__)
+
+
+def test_no_public_name_is_a_module():
+    modules = [name for name in resfault.__all__ if isinstance(getattr(resfault, name), ModuleType)]
+    assert modules == []
