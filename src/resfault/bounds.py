@@ -9,6 +9,7 @@ pair for a family descriptor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import ceil
 
 from .families import KPartiteShape
@@ -41,6 +42,23 @@ def val(sizes) -> int:
     if sizes != sorted(sizes):
         raise ValueError("sizes must be nondecreasing")
     return sum(2 * p - 2 for i, p in enumerate(sizes, start=1) if i % 3 == 0)
+
+
+def _leftover_count(sizes, aside: tuple[int, ...]) -> int:
+    """Vertices the leftover step covers: a whole partition, or a pair less one designated node."""
+    return sum(sizes[i] for i in aside) - len(aside) + 1
+
+
+def _aside_costs(sizes, aside: tuple[int, ...]) -> tuple[int, int]:
+    """What setting `aside` apart costs, with the other partitions grouped into triples.
+
+    With m the leftover count, returns ceil(2(m-1)/3) + val(rest), which
+    chooses the plan's set-aside partitions (`strategies._composition`),
+    and ceil(2m/3) + val(rest), the stated upper bound (`kpartite_bound`).
+    """
+    m = _leftover_count(sizes, aside)
+    rest = val(sizes[x] for x in range(len(sizes)) if x not in aside)
+    return ceil(2 * (m - 1) / 3) + rest, ceil(2 * m / 3) + rest
 
 
 def complete_bound(n: int) -> BoundReport:
@@ -144,19 +162,12 @@ def kpartite_bound(shape: KPartiteShape) -> BoundReport:
     elif k % 3 == 0:
         upper = val(sizes)
         uf = "val(L)  [k = 0 mod 3]"
-    elif k % 3 == 1:
-        upper = min(
-            ceil(2 * sizes[i] / 3) + val(sizes[:i] + sizes[i + 1 :]) for i in range(k)
-        )
-        uf = "min_i ceil(2|p_i|/3) + val(L \\ {i})  [k = 1 mod 3]"
     else:
-        upper = min(
-            ceil(2 * (sizes[i] + sizes[j] - 1) / 3)
-            + val([sizes[x] for x in range(k) if x not in (i, j)])
-            for i in range(k)
-            for j in range(i + 1, k)
-        )
-        uf = "min_{i<j} ceil(2(|p_i|+|p_j|-1)/3) + val(L \\ {i,j})  [k = 2 mod 3]"
+        upper = min(_aside_costs(sizes, aside)[1] for aside in combinations(range(k), k % 3))
+        if k % 3 == 1:
+            uf = "min_i ceil(2|p_i|/3) + val(L \\ {i})  [k = 1 mod 3]"
+        else:
+            uf = "min_{i<j} ceil(2(|p_i|+|p_j|-1)/3) + val(L \\ {i,j})  [k = 2 mod 3]"
     return BoundReport(f"k_partite{shape.parts}", lower, upper, "ceil((n-k)/2)", uf)
 
 

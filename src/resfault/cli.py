@@ -123,11 +123,10 @@ def cmd_verify(args) -> int:
     plan = load_plan(args.plan)
     validate_plan_for(plan, spec.network)
     mode = plan.mode if args.mode is None else FaultMode(args.mode)
-    distinguishing = signatures.is_distinguishing(spec.network, plan.measurements, mode)
+    pairs = signatures.undistinguished_pairs(spec.network, plan.measurements, mode)
     print(f"network: {spec.label}  mode: {mode.value}  measurements: {len(plan)}")
-    print(f"distinguishing: {'yes' if distinguishing else 'no'}")
-    if not distinguishing:
-        pairs = signatures.undistinguished_pairs(spec.network, plan.measurements, mode)
+    print(f"distinguishing: {'no' if pairs else 'yes'}")
+    if pairs:
         print(f"undistinguished edge pairs ({len(pairs)}):")
         for e1, e2 in pairs:
             print(f"  {e1.pair} ~ {e2.pair}")

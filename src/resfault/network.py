@@ -201,17 +201,24 @@ class _ReadingKernel:
     its fraction-free inversion gives integers P, D with L^-1 = c P / D;
     P is padded with a zero row and column at the ground, so it indexes
     vertices directly.  For a probe x = e_r - e_s the base resistance is
-    R = c (x^T P x) / D.  A fault on edge (a, b) of conductance p/q
-    changes the Laplacian along v = e_a - e_b.  With the integers X = v^T P x and Z = v^T P v the
-    Sherman-Morrison formula gives
+    R = c base / D, with base = x^T P x.  A fault on edge (a, b) of conductance p/q
+    drives that conductance to infinity (shorted) or to 0 (removed): a
+    rank-one change to the Laplacian along v = e_a - e_b.  With the
+    integers X = v^T P x and Z = v^T P v, the Sherman-Morrison formula
+    gives, in both modes,
 
-        shorted:  R' = R - c X^2 / (D Z)
-        removed:  R' = R + p c^2 X^2 / (D (q D - p c Z))
+        R' = c (base den - k X^2) / (D den)
 
-    q D = p c Z exactly when the edge is a bridge (its effective
-    resistance equals its own resistance).  Removing a bridge leaves R
-    when X = 0 (no probe current crosses it: both probe ends lie on one
-    side) and separates the pair otherwise.
+    with per-edge integers (k, den) fixed by the mode when the kernel is
+    built (`terms`):
+
+        shorted:  k = 1,      den = Z
+        removed:  k = -p c,   den = q D - p c Z
+
+    den is 0 only for a removed bridge (its effective resistance equals
+    its own resistance).  Removing a bridge leaves R when X = 0 (no probe
+    current crosses it: both probe ends lie on one side) and separates
+    the pair otherwise.
     """
 
     __slots__ = ("p", "det", "scale", "terms")
@@ -230,13 +237,15 @@ class _ReadingKernel:
         adj, det = fraction_free_invert(lap)
         p = [[0] * net.n] + [[0] + row for row in adj]
         self.p, self.det, self.scale = p, det, scale
-        # Per edge: (a, b, conductance numerator, Z, q D - p c Z).
-        terms = []
+        shorted, removed = [], []
         for e in net.edges:
             a, b, w = e.u, e.v, e.conductance
             z = p[a][a] + p[b][b] - 2 * p[a][b]
-            terms.append((a, b, w.numerator, z, w.denominator * det - w.numerator * scale * z))
-        self.terms = tuple(terms)
+            pc = w.numerator * scale
+            shorted.append((a, b, 1, z))
+            removed.append((a, b, -pc, w.denominator * det - pc * z))
+        # Per mode, per edge: (a, b, k, den).
+        self.terms = {FaultMode.SHORTED: tuple(shorted), FaultMode.REMOVED: tuple(removed)}
 
     def base(self, r: int, s: int) -> int:
         """x^T P x for the probe (r, s): R = c * base / D."""
@@ -248,30 +257,24 @@ class _ReadingKernel:
 
         The columns are the edges in order, then, with `no_fault`, the
         healthy network.  The base value, c and D are common to the row, so
-        each fault is keyed by its correction term reduced to lowest terms:
-        (X^2, Z) when shorted, (p X^2, q D - p c Z) when removed; (0, 1)
-        when X = 0, which is the healthy network's key, and INFINITE for a
-        bridge that separates the probe pair.  Ids are numbered from 0 in
-        column order.
+        each fault is keyed by its correction term (k X^2, den) reduced to
+        lowest terms (den >= 0); (0, 1) when X = 0, which is the healthy
+        network's key, and INFINITE when den = 0 and X != 0 (a bridge that
+        separates the probe pair).  Ids are numbered from 0 in column order.
         """
         d = [x - y for x, y in zip(self.p[r], self.p[s])]
-        shorted = mode is FaultMode.SHORTED
         no_change = (0, 1)
         ids: dict = {}
         out: list[int] = []
         append = out.append
-        for a, b, w, z, den in self.terms:
+        for a, b, k, den in self.terms[mode]:
             x = d[a] - d[b]
             if not x:
                 key = no_change
-            elif shorted:
-                x *= x
-                g = gcd(x, z)
-                key = (x // g, z // g)
             elif not den:
                 key = INFINITE
             else:
-                x *= w * x
+                x *= k * x
                 g = gcd(x, den)
                 key = (x // g, den // g)
             append(ids.setdefault(key, len(ids)))
@@ -282,14 +285,12 @@ class _ReadingKernel:
     def reading(self, r: int, s: int, j: int, mode: FaultMode) -> Resistance:
         """Faulted resistance of the probe (r, s) when edge j is faulted."""
         p, c, det = self.p, self.scale, self.det
-        a, b, w, z, den = self.terms[j]
+        a, b, k, den = self.terms[mode][j]
         x = p[r][a] - p[r][b] - p[s][a] + p[s][b]
         base = self.base(r, s)
-        if mode is FaultMode.SHORTED:
-            return Fraction(c * (base * z - x * x), det * z)
         if not den:
             return INFINITE if x else Fraction(c * base, det)
-        return Fraction(c * (base * den + w * c * x * x), det * den)
+        return Fraction(c * (base * den - k * x * x), det * den)
 
 
 def _check_measurement(net: Network, m: Measurement):

@@ -324,8 +324,9 @@ def _greedy_order(table: Sequence[Sequence[int]], column_count: int) -> list[int
 
     Each step picks the row that raises the number of fault classes the
     most (ties to the earliest).  Classes are integer ids refined by each
-    chosen row (partition refinement); only edges in classes of two or
-    more can still split, so only those are counted.
+    chosen row (partition refinement), so a chosen row never splits one
+    again; only edges in classes of two or more can still split, so only
+    those are counted.
     """
     ne = column_count
     labels = [0] * ne
@@ -338,11 +339,8 @@ def _greedy_order(table: Sequence[Sequence[int]], column_count: int) -> list[int
         pick = itemgetter(*active)
         live = pick(labels)
         singles = ne - len(active)
-        taken = set(chosen)
         best_j, best_classes = None, classes
         for j, row in enumerate(table):
-            if j in taken:
-                continue
             count = singles + len(set(zip(live, pick(row))))
             if count > best_classes:
                 best_j, best_classes = j, count

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil
 
-from .bounds import val
+from .bounds import _aside_costs
 from .families import KPartiteShape
 from .network import FaultMode, Measurement
 
@@ -275,30 +274,20 @@ def _triple_block(builder: _Builder, shape: KPartiteShape, indices: tuple[int, i
     builder.close(pc, part_c[0], part_c, "partition-butterfly")
 
 
-def _leftover_count(sizes, aside: tuple[int, ...]) -> int:
-    """Vertices the leftover step covers: a whole partition, or a pair less one designated node."""
-    return sum(sizes[i] for i in aside) - len(aside) + 1
-
-
 def _composition(shape: KPartiteShape) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
     """Partition-index triples of the k-partite composition, and the indices set aside.
 
     One partition is set aside when k = 1 mod 3 and a pair when k = 2 mod 3;
-    the rest are grouped into consecutive triples.  With m the leftover
-    count, the choice minimizes the strategy-selection formula
-    ceil(2(m-1)/3) + val(rest); ties are resolved toward the stated
-    upper-bound formula ceil(2m/3) + val(rest), then the lowest indices, so
-    the generated plan never exceeds the stated bound.
+    the rest are grouped into consecutive triples.  The choice minimizes
+    the plan-choice cost of `bounds._aside_costs`; ties are resolved toward
+    its stated-bound cost, then the lowest indices, so the generated plan
+    never exceeds the stated bound.
     """
-    sizes = shape.parts
-
-    def key(aside: tuple[int, ...]):
-        m = _leftover_count(sizes, aside)
-        rest = val(sizes[x] for x in range(shape.k) if x not in aside)
-        return (ceil(2 * (m - 1) / 3) + rest, ceil(2 * m / 3) + rest, aside)
-
-    aside = min(combinations(range(shape.k), shape.k % 3), key=key) if shape.k % 3 else ()
-    rest = [i for i in range(shape.k) if i not in aside]
+    k = shape.k
+    aside = ()
+    if k % 3:
+        aside = min(combinations(range(k), k % 3), key=lambda t: _aside_costs(shape.parts, t))
+    rest = [i for i in range(k) if i not in aside]
     return [tuple(rest[t : t + 3]) for t in range(0, len(rest), 3)], aside
 
 

@@ -5,9 +5,9 @@ matrix product to check inverses, the leading principal minors that
 fraction-free elimination produces as its pivots, the summation form
 of the k-partite block-inverse coefficient, the block inverse itself,
 the classifiers that map a (probe, fault edge) pair to its closed-form
-table column, the paper's counting rules for plan sizes, and the
-probe-by-edge table of Fraction readings that the integer class ids
-must agree with.
+table column, the paper's counting rules for plan sizes and its
+k-partite upper bound, and the probe-by-edge table of Fraction
+readings that the integer class ids must agree with.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import ceil
 from typing import NamedTuple, Sequence
 
-from resfault.bounds import bipartite_bound, tripartite_bound
+from resfault.bounds import _leftover_count, bipartite_bound, tripartite_bound
 from resfault.closed_forms import CompleteCase, KPartiteCase, KPartiteColumn, c_coefficient
 from resfault.families import KPartiteShape
 from resfault.network import (
@@ -28,7 +28,7 @@ from resfault.network import (
     Resistance,
     perturbed_effective_resistance,
 )
-from resfault.strategies import _composition, _leftover_count
+from resfault.strategies import _composition
 
 
 def multiply(a, b):
@@ -189,6 +189,34 @@ def table4_triple_count(a: int, b: int, c: int) -> int:
     total = 2 * (a + b + c) - offset
     assert total % 3 == 0
     return total // 3
+
+
+def kpartite_upper_by_formula(parts: Sequence[int]) -> int:
+    """The paper's composed-triple upper bound, written out case by case.
+
+    With val(L) the sum of 2|p| - 2 over every third size of the sorted
+    list L: val(L) for k = 0 mod 3; min_i ceil(2|p_i|/3) + val(L \\ {i})
+    for k = 1 mod 3; min_{i<j} ceil(2(|p_i|+|p_j|-1)/3) + val(L \\ {i,j})
+    for k = 2 mod 3.  K(2, g) takes the proven count max(g, 3).
+    """
+    parts = sorted(parts)
+    k = len(parts)
+
+    def val_without(*drop):
+        rest = [p for i, p in enumerate(parts) if i not in drop]
+        return sum(2 * rest[i] - 2 for i in range(2, len(rest), 3))
+
+    if k == 2 and parts[0] == 2:
+        return max(parts[1], 3)
+    if k % 3 == 0:
+        return val_without()
+    if k % 3 == 1:
+        return min(ceil(2 * parts[i] / 3) + val_without(i) for i in range(k))
+    return min(
+        ceil(2 * (parts[i] + parts[j] - 1) / 3) + val_without(i, j)
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
 
 
 def plan_size_by_rule(family: str, shape_or_n) -> int:

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from resfault.bounds import (
@@ -11,7 +13,7 @@ from resfault.bounds import (
 )
 from resfault.families import KPartiteShape
 
-from reference import table4_triple_count
+from reference import kpartite_upper_by_formula, table4_triple_count
 
 
 class TestVal:
@@ -114,6 +116,17 @@ class TestKPartiteBound:
             assert kpartite_bound(shape).upper == max(g, 3)
             assert best_bound("k_partite", shape).exact == max(g, 3)
 
+    def test_upper_matches_the_written_out_formulas(self):
+        # Every shape with k = 2..7: parts 2..8 for k <= 5, 2..5 beyond.
+        shapes = [
+            parts
+            for k in range(2, 8)
+            for parts in combinations_with_replacement(range(2, 9 if k <= 5 else 6), k)
+        ]
+        assert len(shapes) == 988
+        for parts in shapes:
+            assert kpartite_bound(KPartiteShape(parts)).upper == kpartite_upper_by_formula(parts)
+
     def test_lower_never_beats_the_tripartite_lower(self):
         for parts in [(2, 3, 4), (2, 2, 2), (3, 4, 4), (2, 5, 5)]:
             assert (
@@ -144,8 +157,6 @@ class TestTable4TripleCount:
         assert table4_triple_count(*sizes) == want
 
     def test_never_exceeds_twice_largest_minus_two(self):
-        from itertools import combinations_with_replacement
-
         for sizes in combinations_with_replacement(range(2, 8), 3):
             assert table4_triple_count(*sizes) <= 2 * sizes[2] - 2
 

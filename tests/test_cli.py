@@ -391,9 +391,9 @@ class TestSolveCommand:
         assert "timed out" in captured.err
 
     def test_budget_bounds_wall_time(self, capsys):
-        # The deadline is checked after the readings and greedy and then inside
-        # the search; only the cover-mask build (300 candidate probes, 44,850
-        # fault pairs on K25) runs between the two unchecked.
+        # The deadline is checked per row of the cover-mask build (300
+        # candidate probes, 44,850 fault pairs on K25) and inside the search;
+        # only the class-id table and the greedy order run before it unchecked.
         start = time.monotonic()
         assert main(["solve", "--network", "K25", "--budget", "1"]) == 3
         assert time.monotonic() - start < 10
