@@ -3,7 +3,7 @@
 Each function evaluates the published bound formulas for one family and
 returns a BoundReport carrying the numbers plus the formula each one came
 from.  `best_bound` merges every applicable formula into the tightest
-pair for a family descriptor.
+pair for a complete graph's n or a k-partite shape.
 """
 
 from __future__ import annotations
@@ -171,23 +171,20 @@ def kpartite_bound(shape: KPartiteShape) -> BoundReport:
     return BoundReport(f"k_partite{shape.parts}", lower, upper, "ceil((n-k)/2)", uf)
 
 
-def best_bound(family: str, shape_or_n) -> BoundReport:
-    """Tightest applicable bounds for a family descriptor.
+def best_bound(family: int | KPartiteShape) -> BoundReport:
+    """Tightest applicable bounds for a complete graph (its n) or a k-partite shape.
 
     Complete graphs and bipartite/tripartite shapes get their exact
     family formulas; every k-partite shape also gets the general bound,
     and the report keeps the tighter number on each side.
     """
-    if family == "complete":
-        return complete_bound(shape_or_n)
-    if family != "k_partite":
-        raise ValueError(f"unknown family {family!r}")
-    shape: KPartiteShape = shape_or_n
-    reports = [kpartite_bound(shape)]
-    if shape.k == 2:
-        reports.append(bipartite_bound(*shape.parts))
-    elif shape.k == 3:
-        reports.append(tripartite_bound(*shape.parts))
+    if isinstance(family, int):
+        return complete_bound(family)
+    reports = [kpartite_bound(family)]
+    if family.k == 2:
+        reports.append(bipartite_bound(*family.parts))
+    elif family.k == 3:
+        reports.append(tripartite_bound(*family.parts))
     lower = max(reports, key=lambda r: r.lower)
     upper = min(reports, key=lambda r: r.upper)
     return BoundReport(

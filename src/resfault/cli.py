@@ -13,11 +13,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
+from itertools import permutations
 
 from . import bounds as bounds_mod
 from . import closed_forms, signatures, solver, strategies
 from .families import KPartiteShape, complete_network
 from .fileio import (
+    MAX_VERTICES,
     FileFormatError,
     check_vertex_count,
     load_network,
@@ -46,17 +49,33 @@ def _family_args(parser: argparse.ArgumentParser):
     )
 
 
-def _parse_family(args) -> tuple[str, object]:
+def _family(args) -> int | KPartiteShape:
+    """The family named by --complete (its n) or --k-partite (its shape)."""
     if args.complete is not None:
-        return "complete", args.complete
-    parts = tuple(sorted(int(x) for x in args.k_partite.split(",")))
-    return "k_partite", KPartiteShape(parts)
+        return args.complete
+    return KPartiteShape(tuple(sorted(int(x) for x in args.k_partite.split(","))))
+
+
+class _OutOfScope(Exception):
+    """A family too large for a formula command; `main` exits 2 naming the limit."""
+
+
+def _formula_family(args) -> int | KPartiteShape:
+    """The family of `bounds` or `delta`, whose cost grows with the partition count.
+
+    A shape of more than MAX_VERTICES partitions is refused: it has more
+    vertices than any network command accepts.
+    """
+    family = _family(args)
+    if isinstance(family, KPartiteShape) and family.k > MAX_VERTICES:
+        raise _OutOfScope(f"{family.k} partitions; the limit is MAX_VERTICES = {MAX_VERTICES}")
+    return family
 
 
 def cmd_bounds(args) -> int:
-    family, param = _parse_family(args)
+    family = _formula_family(args)
     try:
-        report = bounds_mod.best_bound(family, param)
+        report = bounds_mod.best_bound(family)
     except ValueError as exc:
         print(f"out of scope: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -82,17 +101,17 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_strategy(args) -> int:
-    family, param = _parse_family(args)
+    family = _family(args)
     try:
-        check_vertex_count(param if family == "complete" else param.n)
-        if family == "complete":
-            plan = strategies.complete_strategy(param)
+        if isinstance(family, int):
+            check_vertex_count(family)
+            plan, net = strategies.complete_strategy(family), complete_network(family)
         else:
-            plan = strategies.kpartite_strategy(param)
+            check_vertex_count(family.n)
+            plan, net = strategies.kpartite_strategy(family), family.network()
     except ValueError as exc:
         print(f"out of scope: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    net = param.network() if family == "k_partite" else complete_network(param)
     mode = FaultMode(args.mode)
     ok = signatures.is_distinguishing(net, plan.measurements, mode)
     doc = plan_to_dict(plan)
@@ -200,69 +219,46 @@ def cmd_classes(args) -> int:
     spec = load_network(args.network)
     m = Measurement(args.measurement[0], args.measurement[1])
     mode = FaultMode(args.mode)
-    classes = signatures.equivalence_classes(spec.network, m, mode)
+    classes = signatures.equivalence_classes(spec.network, m, mode).classes
+    readings = [perturbed_effective_resistance(spec.network, m, g[0], mode) for g in classes]
     if args.json:
         doc = [
-            {
-                "reading": resistance_text(
-                    perturbed_effective_resistance(spec.network, m, group[0], mode)
-                ),
-                "edges": [list(e.pair) for e in group],
-            }
-            for group in classes.classes
+            {"reading": resistance_text(reading), "edges": [list(e.pair) for e in group]}
+            for reading, group in zip(readings, classes)
         ]
         print(json.dumps({"measurement": list(m.pair), "classes": doc}))
     else:
-        print(
-            f"measurement {m.pair} on {spec.label}, mode={mode.value}: "
-            f"{classes.class_count} classes"
-        )
-        for group in classes.classes:
-            reading = perturbed_effective_resistance(spec.network, m, group[0], mode)
+        print(f"measurement {m.pair} on {spec.label}, mode={mode.value}: {len(classes)} classes")
+        for reading, group in zip(readings, classes):
             members = " ".join(str(e.pair) for e in group)
             print(f"  reading {resistance_with_decimal(reading)}: {members}")
     return EXIT_OK
 
 
 def cmd_delta(args) -> int:
-    family, param = _parse_family(args)
-    rows = []
-    if family == "complete":
-        n = param
-        if n < 3:
-            print("out of scope: complete-graph table needs n >= 3", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        for case in closed_forms.CompleteCase:
-            rows.append(
-                {
-                    "case": case.value,
-                    "shorted": str(closed_forms.complete_delta(n, case, FaultMode.SHORTED)),
-                    "removed": str(closed_forms.complete_delta(n, case, FaultMode.REMOVED)),
-                }
-            )
-        title = f"resistance-change table for complete({n})"
+    family = _formula_family(args)
+    if isinstance(family, int):
+        if family < 3:
+            raise _OutOfScope("complete-graph table needs n >= 3")
+        delta = partial(closed_forms.complete_delta, family)
+        cases = [({"case": case.value}, case) for case in closed_forms.CompleteCase]
+        title = f"resistance-change table for complete({family})"
     else:
-        shape: KPartiteShape = param
-        combos = {}  # first (q, g) for each pair of partition sizes
-        for q in range(shape.k):
-            for g in range(shape.k):
-                if q != g:
-                    combos.setdefault((shape.parts[q], shape.parts[g]), (q, g))
-        for column in closed_forms.KPartiteColumn:
-            if column in closed_forms.ZERO_COLUMNS:
-                rows.append({"column": column.value, "roles": "-", "shorted": "0", "removed": "0"})
-                continue
-            for q, g in combos.values():
-                case = closed_forms.KPartiteCase(column, q, g)
-                rows.append(
-                    {
-                        "column": column.value,
-                        "roles": f"|p_a|={shape.parts[q]}, |p_ground|={shape.parts[g]}",
-                        "shorted": str(closed_forms.kpartite_delta(shape, case, FaultMode.SHORTED)),
-                        "removed": str(closed_forms.kpartite_delta(shape, case, FaultMode.REMOVED)),
-                    }
-                )
-        title = f"resistance-change table for k_partite{shape.parts}"
+        delta = partial(closed_forms.kpartite_delta, family)
+        roles = {}  # the first (q, g) for each pair of partition sizes
+        for q, g in permutations(range(family.k), 2):
+            roles.setdefault(f"|p_a|={family.parts[q]}, |p_ground|={family.parts[g]}", (q, g))
+        cases = (  # a generator: a large shape has hundreds of thousands of rows
+            ({"column": column.value, "roles": role}, closed_forms.KPartiteCase(column, q, g))
+            for column in closed_forms.KPartiteColumn
+            # A zero column reads 0 in every role, so it takes one row.
+            for role, (q, g) in (
+                {"-": (0, 1)} if column in closed_forms.ZERO_COLUMNS else roles
+            ).items()
+        )
+        title = f"resistance-change table for k_partite{family.parts}"
+    modes = (FaultMode.SHORTED, FaultMode.REMOVED)
+    rows = [{**head, **{m.value: str(delta(case, m)) for m in modes}} for head, case in cases]
     if args.json:
         print(json.dumps(rows))
     else:
@@ -354,6 +350,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except _OutOfScope as exc:
+        print(f"out of scope: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ValueError, KeyError) as exc:
         # str() of a KeyError quotes its message.

@@ -26,10 +26,6 @@ class EquivalenceClasses:
     measurement: Measurement
     classes: tuple[tuple[Edge, ...], ...]
 
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
 
 def reading_classes(
     net: Network, measurements: Sequence[Measurement], mode: FaultMode, no_fault: bool = False
@@ -87,8 +83,7 @@ def is_distinguishing(
     net: Network, measurements: Sequence[Measurement], mode: FaultMode
 ) -> bool:
     """True iff all fault columns of the signature matrix are pairwise distinct."""
-    table = reading_classes(net, measurements, mode)
-    return len(_column_groups(table, len(net.edges))) == len(net.edges)
+    return not undistinguished_pairs(net, measurements, mode)
 
 
 def undistinguished_pairs(

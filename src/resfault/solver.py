@@ -411,26 +411,24 @@ def solve_exact(
     handshake = ceil((net.n - len(classes)) / 2)
     # max_single is 0 only when there is no pair to split (else greedy stalled).
     root_lower = max(1, ceil(pair_count / max(max_single, 1)), handshake)
-    if root_lower >= len(greedy):  # no smaller set exists: the greedy plan is optimal
-        return ExactSolution(_plan(cands, greedy, "exact", mode))
-    if time.monotonic() > deadline:
-        return TimedOut(incumbent=greedy_plan, lower_bound=root_lower)
-
-    root_indices = None
-    if first_probe_orbits is not None:
-        index_of = {m: i for i, m in enumerate(cands)}
-        root_indices = [index_of[m] for m in first_probe_orbits if m in index_of]
-
-    target = root_lower
-    try:
-        inst = _CoverInstance(table, ne, _TwinOrbits.of(classes, cands, net.n), deadline)
-        for target in range(root_lower, len(greedy)):
-            found = inst.search(target, [], 0, 0, deadline, 0, root_indices)
-            if found is not None:
-                return ExactSolution(_plan(cands, found, "exact", mode))
-    except _Deadline:
-        return TimedOut(incumbent=greedy_plan, lower_bound=target)
-    # No smaller set exists: the greedy plan is optimal.
+    if root_lower < len(greedy):  # else no smaller set exists
+        if time.monotonic() > deadline:
+            return TimedOut(incumbent=greedy_plan, lower_bound=root_lower)
+        root_indices = None
+        if first_probe_orbits is not None:
+            index_of = {m: i for i, m in enumerate(cands)}
+            root_indices = [index_of[m] for m in first_probe_orbits if m in index_of]
+        target = root_lower
+        try:
+            inst = _CoverInstance(table, ne, _TwinOrbits.of(classes, cands, net.n), deadline)
+            for target in range(root_lower, len(greedy)):
+                found = inst.search(target, [], 0, 0, deadline, 0, root_indices)
+                if found is not None:
+                    return ExactSolution(_plan(cands, found, "exact", mode))
+        except _Deadline:
+            return TimedOut(incumbent=greedy_plan, lower_bound=target)
+    # No smaller plan exists (the root bound meets greedy, or each smaller target
+    # was refuted), so the greedy plan is optimal.
     return ExactSolution(_plan(cands, greedy, "exact", mode))
 
 

@@ -117,12 +117,16 @@ class _Builder:
         w = min(x for x in partition if x in self.used and x != v)
         self.add(v, w, "leftover-link")
 
-    def close(self, pool: list[int], designated: int, partition, tag: str):
-        """Cover a partition's one or two leftover vertices after its butterflies."""
+    def close(self, pool: list[int], partition, tag: str):
+        """Cover a partition's one or two leftover vertices after its butterflies.
+
+        One vertex is linked to the partition's lowest used vertex; two are
+        wound onto its first vertex, the designated node.
+        """
         if len(pool) == 1:
             self.leftover_link(pool[0], partition)
         elif len(pool) == 2:
-            self.wing(pool[0], pool[1], designated, tag)
+            self.wing(pool[0], pool[1], partition[0], tag)
 
     def plan(self) -> MeasurementPlan:
         return MeasurementPlan(tuple(self.measurements), tuple(self.tags))
@@ -177,7 +181,7 @@ def bipartite_strategy(b_size: int, g_size: int) -> MeasurementPlan:
         for u in beta_pool:
             builder.add(u, gamma_pool.pop(0), "cross-matching")
         builder.butterflies(gamma_pool, "butterfly")
-        builder.close(gamma_pool, des_g, gamma, "leftover-butterfly")
+        builder.close(gamma_pool, gamma, "leftover-butterfly")
         return builder.plan()
 
     # Equal sizes: zig-zag schemes, then hairpin closings.
@@ -208,7 +212,6 @@ def tripartite_strategy(a: int, b: int, c: int) -> MeasurementPlan:
     shape = KPartiteShape((a, b, c))
     builder = _Builder()
     parts = [list(shape.vertices(i)) for i in range(3)]
-    designated = [p[0] for p in parts]
     pools = [p[1:] for p in parts]
 
     if a == b == c:
@@ -233,7 +236,7 @@ def tripartite_strategy(a: int, b: int, c: int) -> MeasurementPlan:
             builder.add(pools[1].pop(0), pools[2].pop(0), "matching")
         side = 1 if pools[1] else 2
         builder.butterflies(pools[side], "partition-butterfly")
-        builder.close(pools[side], designated[side], parts[side], "partition-butterfly")
+        builder.close(pools[side], parts[side], "partition-butterfly")
         return builder.plan()
 
     # a < b == c: matching into the middle partition, pooled leftovers.
@@ -250,7 +253,7 @@ def tripartite_strategy(a: int, b: int, c: int) -> MeasurementPlan:
         builder.leftover_link(left2[0], parts[2])
     else:
         for side in (1, 2):
-            builder.close(pools[side], designated[side], parts[side], "partition-butterfly")
+            builder.close(pools[side], parts[side], "partition-butterfly")
     return builder.plan()
 
 
@@ -271,7 +274,7 @@ def _triple_block(builder: _Builder, shape: KPartiteShape, indices: tuple[int, i
     builder.zigzags(pb, pc)
     builder.hairpins(pb, pc, part_c[0])
     builder.butterflies(pc, "partition-butterfly")
-    builder.close(pc, part_c[0], part_c, "partition-butterfly")
+    builder.close(pc, part_c, "partition-butterfly")
 
 
 def _composition(shape: KPartiteShape) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:

@@ -114,7 +114,7 @@ class TestKPartiteBound:
         for g in range(2, 11):
             shape = KPartiteShape((2, g))
             assert kpartite_bound(shape).upper == max(g, 3)
-            assert best_bound("k_partite", shape).exact == max(g, 3)
+            assert best_bound(shape).exact == max(g, 3)
 
     def test_upper_matches_the_written_out_formulas(self):
         # Every shape with k = 2..7: parts 2..8 for k <= 5, 2..5 beyond.
@@ -163,18 +163,18 @@ class TestTable4TripleCount:
 
 class TestBestBound:
     def test_merges_family_and_general_formulas(self):
-        report = best_bound("k_partite", KPartiteShape((5, 5)))
+        report = best_bound(KPartiteShape((5, 5)))
         assert report.exact == 6  # the bipartite formula beats the general one
-        report = best_bound("k_partite", KPartiteShape((2, 3, 4)))
+        report = best_bound(KPartiteShape((2, 3, 4)))
         assert report.exact == 3  # tripartite table beats val = 6
 
     def test_k4_reports_sandwich(self):
-        report = best_bound("k_partite", KPartiteShape((2, 2, 2, 3)))
+        report = best_bound(KPartiteShape((2, 2, 2, 3)))
         assert (report.lower, report.upper) == (3, 4)
         assert report.exact is None
 
     def test_complete_passthrough(self):
-        assert best_bound("complete", 6).exact == 4
+        assert best_bound(6).exact == 4
 
     def test_report_validates_ordering(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from resfault import fileio, strategies
+from resfault import fileio, solver, strategies
 from resfault.cli import main
 from resfault.families import KPartiteShape
 from resfault.fileio import (
@@ -150,6 +151,18 @@ class TestStrategyCommand:
         target = tmp_path / "missing" / "plan.json"
         assert main(["strategy", "--complete", "6", "--out", str(target)]) == 2
         assert f"cannot write {target}" in capsys.readouterr().err
+
+    def test_failing_plan_is_printed_and_exits_1(self, monkeypatch, capsys):
+        one_probe = strategies.MeasurementPlan((Measurement(0, 1),), ("butterfly",))
+        monkeypatch.setattr(strategies, "complete_strategy", lambda n: one_probe)
+        assert main(["strategy", "--complete", "6", "--mode", "shorted"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "mode": "shorted", "measurements": [[0, 1]], "provenance": ["butterfly"]}
+        assert captured.err == (
+            "verification FAILED: plan of size 1 does not distinguish all faults "
+            "under mode=shorted\n"
+        )
 
     @pytest.mark.parametrize("parts", ["1,3", "1,2,3"])
     def test_partition_of_one_is_out_of_scope(self, parts, capsys):
@@ -326,6 +339,18 @@ class TestInputSizeGuard:
     def test_formula_commands_stay_unlimited(self, capsys, command):
         assert main([command, "--complete", str(self.OVER), "--json"]) == 0
 
+    @pytest.mark.parametrize("command", ["bounds", "delta"])
+    def test_formula_commands_bound_the_partition_count(self, capsys, command):
+        # Their cost grows with the partition count, and a shape of more
+        # partitions than MAX_VERTICES is larger than any network accepted.
+        started = time.monotonic()
+        assert main([command, "--k-partite", ",".join(["2"] * self.OVER)]) == 2
+        assert time.monotonic() - started < 1.0
+        assert capsys.readouterr() == (
+            "", f"out of scope: {self.OVER} partitions; the limit is MAX_VERTICES = {MAX_VERTICES}\n"
+        )
+        assert main([command, "--k-partite", ",".join(["2"] * MAX_VERTICES), "--json"]) == 0
+
 
 class TestSolveCommand:
     def test_exact_k6(self, capsys):
@@ -369,6 +394,19 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["measurements"] == []
         assert captured.err.startswith("0 measurements: ")
+
+    @pytest.mark.parametrize("how", ["--exact", "--greedy"])
+    def test_infeasible_pool_names_the_merged_pairs(self, how, monkeypatch, capsys):
+        edges = load_network("K4").network.edges
+        infeasible = solver.Infeasible(((edges[0], edges[1]), (edges[2], edges[5])))
+        for name in ("solve_exact", "solve_greedy"):
+            monkeypatch.setattr(solver, name, lambda *args, **kwargs: infeasible)
+        assert main(["solve", "--network", "K4", how]) == 4
+        assert capsys.readouterr() == ("", (
+            "infeasible: no candidate measurement separates:\n"
+            "  (0, 1) ~ (0, 2)\n"
+            "  (0, 3) ~ (2, 3)\n"
+        ))
 
     def test_greedy_k8(self, capsys):
         assert main(["solve", "--network", "K8", "--greedy"]) == 0
@@ -589,3 +627,90 @@ class TestHostileInput:
                                     "edges": [[v, v + 1, "1e-308"] for v in range(3)]})
         assert main(["resistance", "--network", net, "--pair", "0", "3"]) == 0
         assert capsys.readouterr().out == f"R(0, 3) = {3 * 10**308} (~3e+308)\n"
+
+
+class TestTranscriptIdentity:
+    """Every command's bytes over a fixed set of runs, pinned by one digest.
+
+    Each run records its argv, exit code, stdout, stderr and `--out` file;
+    the digest is the sha256 of their JSON list, with the temporary
+    directory written as "<tmp>".  Help text, argparse usage errors,
+    messages that Python words itself and `--budget` runs are left out:
+    they depend on the terminal width, the Python version or the clock.
+    """
+
+    DIGEST = "6d922ddf26d79b8a992e4e2d3cd1a172fef20e0a88be409f2b46bda0d5d16289"
+
+    EXPLICIT = {
+        "path": {"family": "explicit", "n": 4,
+                 "edges": [[0, 1, "1"], [1, 2, "2"], [2, 3, "1/3"]]},
+        "weighted": {"family": "explicit", "n": 4,
+                     "edges": [[0, 1, "1"], [0, 2, "2"], [0, 3, "3"], [1, 2, "1/2"],
+                               [1, 3, "5"], [2, 3, "1"]]},
+        "pendant": {"family": "explicit", "n": 5,
+                    "edges": [[0, 1, "1"], [1, 2, "1"], [0, 2, "1"], [2, 3, "3/2"], [3, 4, "2"]]},
+    }
+    SHORTHANDS = ["K3", "K4", "K5", "K6", "K7", "K2,2", "K2,3", "K1,3", "K2,2,2", "K1,1,2"]
+    OUT_OF_SCOPE = ["K1", f"K{MAX_VERTICES + 1}", "K0,2"]
+    PLANS = {
+        "empty": {"measurements": []},
+        "one": {"measurements": [[0, 1]]},
+        "two-shorted": {"mode": "shorted", "measurements": [[0, 1], [1, 2]]},
+        "off-network": {"measurements": [[0, 9]]},
+    }
+    FAMILIES = [["--complete", str(n)] for n in (2, 3, 5, 6, 7, 8, 9, 12)] + [
+        ["--k-partite", parts]
+        for parts in ("1,2", "2,2", "2,3", "3,2", "3,3", "2,5", "2,2,2", "2,3,4", "2,3,6",
+                      "3,3,5", "2,2,2,2", "2,3,4,5", "2,2,3,3,4", "2,2,2,2,2,2,2")
+    ]
+
+    def runs(self, tmp):
+        networks = list(self.SHORTHANDS)
+        for name, doc in self.EXPLICIT.items():
+            (tmp / f"{name}.json").write_text(json.dumps(doc))
+            networks.append(str(tmp / f"{name}.json"))
+        for name, doc in self.PLANS.items():
+            (tmp / f"{name}.plan.json").write_text(json.dumps(doc))
+        modes = ("removed", "shorted")
+        for net in self.OUT_OF_SCOPE:
+            yield ["solve", "--network", net]
+        for net in networks:
+            for mode in modes:
+                for how in ([], ["--greedy"], ["--allow-no-fault"], ["--greedy", "--allow-no-fault"]):
+                    yield ["solve", "--network", net, "--mode", mode, *how]
+            for plan in self.PLANS:
+                yield ["verify", "--network", net, "--plan", str(tmp / f"{plan}.plan.json")]
+            yield ["verify", "--network", net, "--plan", str(tmp / "one.plan.json"),
+                   "--mode", "shorted"]
+            for fmt in ([], ["--json"]):
+                yield ["resistance", "--network", net, "--pair", "0", "2", *fmt]
+                for mode, pair in zip(modes, ("0 1", "1 2")):
+                    yield ["classes", "--network", net, "--measurement", *pair.split(),
+                           "--mode", mode, *fmt]
+                    yield ["resistance", "--network", net, "--pair", "0", "2",
+                           "--fault", "0", "1", "--mode", mode, *fmt]
+        yield ["classes", "--network", "K4", "--measurement", "1", "1"]
+        yield ["resistance", "--network", "K4", "--pair", "0", "7"]
+        for family in self.FAMILIES:
+            for mode in modes:
+                out = str(tmp / "strategy.json")
+                yield ["strategy", *family, "--mode", mode, "--out", out]
+                yield ["verify", "--network", "K" + family[1], "--plan", out]
+            for command in ("bounds", "delta"):
+                for fmt in ([], ["--json"]):
+                    yield [command, *family, *fmt]
+
+    def test_transcript_is_unchanged(self, tmp_path, capsys):
+        transcript = []
+        out_file = tmp_path / "strategy.json"
+        for argv in self.runs(tmp_path):
+            writes = "--out" in argv
+            if writes:
+                out_file.unlink(missing_ok=True)
+            code = main(argv)
+            captured = capsys.readouterr()
+            written = out_file.read_text() if writes and out_file.exists() else None
+            transcript.append([argv, code, captured.out, captured.err, written])
+        text = json.dumps(transcript).replace(str(tmp_path), "<tmp>")
+        assert len(transcript) == 480
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
