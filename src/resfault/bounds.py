@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil
-
 from .families import KPartiteShape
 
 
@@ -58,14 +56,14 @@ def _aside_costs(sizes, aside: tuple[int, ...]) -> tuple[int, int]:
     """
     m = _leftover_count(sizes, aside)
     rest = val(sizes[x] for x in range(len(sizes)) if x not in aside)
-    return ceil(2 * (m - 1) / 3) + rest, ceil(2 * m / 3) + rest
+    return -(-2 * (m - 1) // 3) + rest, -(-2 * m // 3) + rest
 
 
 def complete_bound(n: int) -> BoundReport:
     """Exact count for complete graphs: ceil(2n/3), stated for n >= 6."""
     if n < 6:
         raise ValueError(f"complete-graph bound is stated for n >= 6, got {n}")
-    value = ceil(2 * n / 3)
+    value = -(-2 * n // 3)
     return BoundReport(f"complete({n})", value, value, "ceil(2n/3)", "ceil(2n/3)")
 
 
@@ -115,17 +113,17 @@ def tripartite_bound(a: int, b: int, c: int) -> BoundReport:
     n = a + b + c
     fam = f"k_partite({a}, {b}, {c})"
     if a < b < c:
-        value = ceil((n - 3) / 2)
+        value = (n - 2) // 2
         f = "ceil((n-3)/2)"
         surplus = c - a - b + 1
-        upper = a + b - 2 + ceil(2 * surplus / 3)
+        upper = -(-2 * surplus // 3) + a + b - 2
         if surplus >= 1 and upper > value:
             uf = "a+b-2 + ceil(2s/3)  [s = c-a-b+1 = 2 or >= 4]"
             return BoundReport(fam, value, upper, f, uf)
         return BoundReport(fam, value, value, f, f)
     if a == b < c:
-        e1 = ceil((2 * n - 2 * a - 4) / 3)
-        e2 = ceil((2 * n - c - 5) / 3)
+        e1 = -(-(2 * n - 2 * a - 4) // 3)
+        e2 = -(-(2 * n - c - 5) // 3)
         return BoundReport(
             fam,
             min(e1, e2),
@@ -134,10 +132,10 @@ def tripartite_bound(a: int, b: int, c: int) -> BoundReport:
             "max{ceil(2n/3 - 2a/3 - 4/3), ceil(2n/3 - c/3 - 5/3)}",
         )
     if a < b == c:
-        value = ceil((2 * n - a - 5) / 3)
+        value = -(-(2 * n - a - 5) // 3)
         f = "ceil(2n/3 - a/3 - 5/3)"
         return BoundReport(fam, value, value, f, f)
-    value = ceil((2 * n - 6) / 3)
+    value = -(-(2 * n - 6) // 3)
     f = "ceil(2n/3 - 2)"
     return BoundReport(fam, value, value, f, f)
 
@@ -155,7 +153,7 @@ def kpartite_bound(shape: KPartiteShape) -> BoundReport:
         raise ValueError("k-partite bound is stated for partition sizes >= 2")
     sizes = list(shape.parts)
     k, n = shape.k, shape.n
-    lower = ceil((n - k) / 2)
+    lower = (n - k + 1) // 2
     if k == 2 and sizes[0] == 2:
         upper = bipartite_bound(*sizes).upper
         uf = "max(g, 3)  [k = 2, b = 2]"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import partial
 from itertools import permutations
 
@@ -22,6 +21,7 @@ from .families import KPartiteShape, complete_network
 from .fileio import (
     MAX_VERTICES,
     FileFormatError,
+    _all_digits,
     check_vertex_count,
     load_network,
     load_plan,
@@ -79,24 +79,15 @@ def cmd_bounds(args) -> int:
     except ValueError as exc:
         print(f"out of scope: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "family": report.family,
-                    "lower": report.lower,
-                    "upper": report.upper,
-                    "exact": report.exact,
-                    "lower_formula": report.lower_formula,
-                    "upper_formula": report.upper_formula,
-                }
-            )
-        )
-    else:
-        print(f"family:  {report.family}")
-        print(f"lower:   {report.lower}   [{report.lower_formula}]")
-        print(f"upper:   {report.upper}   [{report.upper_formula}]")
-        print(f"exact:   {report.exact if report.exact is not None else '-'}")
+    with _all_digits():  # a bound has about as many digits as the family's n
+        if args.json:
+            keys = ("family", "lower", "upper", "exact", "lower_formula", "upper_formula")
+            print(json.dumps({key: getattr(report, key) for key in keys}))
+        else:
+            print(f"family:  {report.family}")
+            print(f"lower:   {report.lower}   [{report.lower_formula}]")
+            print(f"upper:   {report.upper}   [{report.upper_formula}]")
+            print(f"exact:   {report.exact if report.exact is not None else '-'}")
     return EXIT_OK
 
 
@@ -258,18 +249,15 @@ def cmd_delta(args) -> int:
         )
         title = f"resistance-change table for k_partite{family.parts}"
     modes = (FaultMode.SHORTED, FaultMode.REMOVED)
-    rows = [{**head, **{m.value: str(delta(case, m)) for m in modes}} for head, case in cases]
+    cell = resistance_text if args.json else resistance_with_decimal
+    rows = [{**head, **{m.value: cell(delta(case, m)) for m in modes}} for head, case in cases]
     if args.json:
         print(json.dumps(rows))
     else:
         print(title)
         for row in rows:
             head = row.get("case") or f"{row['column']:>4} [{row['roles']}]"
-            cells = ", ".join(
-                f"{mode} {row[mode]} (~{float(Fraction(row[mode])):.6g})"
-                for mode in ("shorted", "removed")
-            )
-            print(f"  {head}: {cells}")
+            print(f"  {head}: shorted {row['shorted']}, removed {row['removed']}")
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
@@ -231,19 +232,26 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def resistance_text(value: Resistance) -> str:
-    """Exact rendering: "p/q" (or plain integer) for finite, "inf" for open circuit.
+@contextmanager
+def _all_digits():
+    """Lift Python's int-to-str digit limit inside the block, so an answer prints in full.
 
-    Lifts Python's int-to-str digit limit, so an accepted answer prints in full.
+    Only around printing: elsewhere the limit bounds the integers `_load_json` reads.
     """
-    if value == INFINITE:
-        return "inf"
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def resistance_text(value: Resistance) -> str:
+    """Exact rendering: "p/q" (or plain integer) for finite, "inf" for open circuit."""
+    if value == INFINITE:
+        return "inf"
+    with _all_digits():
+        return str(value)
 
 
 def resistance_with_decimal(value: Resistance) -> str:

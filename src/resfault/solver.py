@@ -53,7 +53,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from math import ceil
 from operator import itemgetter
 from typing import Sequence
 
@@ -289,7 +288,7 @@ class _CoverInstance:
                 gains[j] = hit.bit_count()
         if reachable != missing:
             return None
-        if ceil(missing.bit_count() / max(gains.values())) > target - len(chosen):
+        if -(-missing.bit_count() // max(gains.values())) > target - len(chosen):
             return None
         if first is not None:
             children = sorted(first)
@@ -408,9 +407,9 @@ def solve_exact(
         default=0,
     )
     classes = _twin_classes(net)
-    handshake = ceil((net.n - len(classes)) / 2)
+    handshake = (net.n - len(classes) + 1) // 2
     # max_single is 0 only when there is no pair to split (else greedy stalled).
-    root_lower = max(1, ceil(pair_count / max(max_single, 1)), handshake)
+    root_lower = max(1, -(-pair_count // max(max_single, 1)), handshake)
     if root_lower < len(greedy):  # else no smaller set exists
         if time.monotonic() > deadline:
             return TimedOut(incumbent=greedy_plan, lower_bound=root_lower)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import NamedTuple, Sequence
 
 from resfault.bounds import _leftover_count, bipartite_bound, tripartite_bound
@@ -211,9 +210,9 @@ def kpartite_upper_by_formula(parts: Sequence[int]) -> int:
     if k % 3 == 0:
         return val_without()
     if k % 3 == 1:
-        return min(ceil(2 * parts[i] / 3) + val_without(i) for i in range(k))
+        return min(-(-2 * parts[i] // 3) + val_without(i) for i in range(k))
     return min(
-        ceil(2 * (parts[i] + parts[j] - 1) / 3) + val_without(i, j)
+        -(-2 * (parts[i] + parts[j] - 1) // 3) + val_without(i, j)
         for i in range(k)
         for j in range(i + 1, k)
     )
@@ -231,7 +230,7 @@ def plan_size_by_rule(family: str, shape_or_n) -> int:
     bound and often below it: 7 against 8 for K(2,2,3,5).
     """
     if family == "complete":
-        return ceil(2 * shape_or_n / 3)
+        return -(-2 * shape_or_n // 3)
     if family != "k_partite":
         raise ValueError(f"unknown family {family!r}")
     shape: KPartiteShape = shape_or_n
@@ -241,7 +240,7 @@ def plan_size_by_rule(family: str, shape_or_n) -> int:
         return tripartite_bound(*shape.parts).upper
     triples, aside = _composition(shape)
     total = sum(table4_triple_count(*(shape.parts[i] for i in t)) for t in triples)
-    return total + (ceil(2 * _leftover_count(shape.parts, aside) / 3) if aside else 0)
+    return total + (-(-2 * _leftover_count(shape.parts, aside) // 3) if aside else 0)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-from itertools import combinations_with_replacement
+import random
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from math import ceil, floor
 
 import pytest
 
@@ -29,7 +32,18 @@ class TestVal:
 
 
 class TestCompleteBound:
-    @pytest.mark.parametrize("n,want", [(6, 4), (9, 6), (10, 7), (30, 20)])
+    @pytest.mark.parametrize(
+        "n,want",
+        [
+            (6, 4),
+            (9, 6),
+            (10, 7),
+            (30, 20),
+            # Beyond a float's 53-bit mantissa, where 2n/3 as a float rounds.
+            (3 * 10**17 + 2, 200000000000000002),
+            (2**60 + 5, 768614336404564654),
+        ],
+    )
     def test_values(self, n, want):
         report = complete_bound(n)
         assert report.exact == want
@@ -179,3 +193,102 @@ class TestBestBound:
     def test_report_validates_ordering(self):
         with pytest.raises(ValueError):
             BoundReport("x", 5, 4, "a", "b")
+
+
+class TestExactAtAnySize:
+    """Every bound against its published formula evaluated in exact rationals.
+
+    The formulas are written as the report labels state them (ceil(2n/3),
+    ceil(2n/3 - a/3 - 5/3), ...) and evaluated on Fractions, so a rounding
+    in the integer arithmetic of `resfault.bounds` shows up as a mismatch.
+    Sizes reach 10^30, far past where a float holds every integer.
+    """
+
+    @staticmethod
+    def sizes(rng, k):
+        """k sorted sizes of 2 .. 10^30, often repeating one, so every table row is hit."""
+        parts = []
+        for _ in range(k):
+            if parts and rng.random() < 0.3:
+                parts.append(rng.choice(parts) + rng.choice((0, 0, 1, 2, 3)))
+            else:
+                parts.append(rng.randrange(2, 10 ** rng.randint(1, 30)))
+        return sorted(parts)
+
+    def bipartite(self, b, g):
+        if b == 2:
+            return max(g, 3)
+        if b < g:
+            return floor(Fraction(2 * g, 3) + Fraction(b, 3)) - ((g - b) % 3 == 0)
+        return floor(Fraction(2 * (b + g), 3)) - (b % 3 != 2)
+
+    def tripartite(self, a, b, c):
+        n = a + b + c
+        if a < b < c:
+            value = ceil(Fraction(n - 3, 2))
+            upper = a + b - 2 + ceil(Fraction(2 * (c - a - b + 1), 3))
+            return value, max(value, upper) if c - a - b + 1 >= 1 else value
+        if a == b < c:
+            e1 = ceil(Fraction(2 * n, 3) - Fraction(2 * a, 3) - Fraction(4, 3))
+            e2 = ceil(Fraction(2 * n, 3) - Fraction(c, 3) - Fraction(5, 3))
+            return min(e1, e2), max(e1, e2)
+        if a < b == c:
+            value = ceil(Fraction(2 * n, 3) - Fraction(a, 3) - Fraction(5, 3))
+        else:
+            value = ceil(Fraction(2 * n, 3) - 2)
+        return value, value
+
+    def kpartite(self, parts):
+        k = len(parts)
+
+        def val_without(*drop):
+            rest = [p for i, p in enumerate(parts) if i not in drop]
+            return sum(2 * p - 2 for p in rest[2::3])
+
+        lower = ceil(Fraction(sum(parts) - k, 2))
+        if k == 2 and parts[0] == 2:
+            return lower, max(parts[1], 3)
+        if k % 3 == 0:
+            return lower, val_without()
+        if k % 3 == 1:
+            return lower, min(ceil(Fraction(2 * parts[i], 3)) + val_without(i) for i in range(k))
+        return lower, min(
+            ceil(Fraction(2 * (parts[i] + parts[j] - 1), 3)) + val_without(i, j)
+            for i, j in combinations(range(k), 2)
+        )
+
+    def test_complete(self):
+        rng = random.Random(20251)
+        for _ in range(500):
+            n = rng.randrange(6, 10 ** rng.randint(1, 30))
+            assert complete_bound(n).exact == best_bound(n).exact == ceil(Fraction(2 * n, 3))
+
+    def test_bipartite(self):
+        rng = random.Random(20252)
+        for _ in range(500):
+            b, g = self.sizes(rng, 2)
+            assert bipartite_bound(b, g).exact == self.bipartite(b, g)
+
+    def test_tripartite(self):
+        rng = random.Random(20253)
+        for _ in range(1000):
+            a, b, c = self.sizes(rng, 3)
+            report = tripartite_bound(a, b, c)
+            assert (report.lower, report.upper) == self.tripartite(a, b, c), (a, b, c)
+
+    def test_kpartite_and_best(self):
+        rng = random.Random(20254)
+        for _ in range(1000):
+            parts = self.sizes(rng, rng.randint(2, 5))
+            shape = KPartiteShape(tuple(parts))
+            report = kpartite_bound(shape)
+            lower, upper = self.kpartite(parts)
+            assert (report.lower, report.upper) == (lower, upper), parts
+            if len(parts) == 2:
+                lower = max(lower, self.bipartite(*parts))
+                upper = min(upper, self.bipartite(*parts))
+            elif len(parts) == 3:
+                lower = max(lower, self.tripartite(*parts)[0])
+                upper = min(upper, self.tripartite(*parts)[1])
+            best = best_bound(shape)
+            assert (best.lower, best.upper) == (lower, upper), parts

@@ -104,6 +104,20 @@ class TestBoundsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["lower"], doc["upper"], doc["exact"]) == (4, 5, None)
 
+    def test_counts_are_exact_beyond_float_precision(self, capsys):
+        assert main(["bounds", "--complete", "300000000000000002"]) == 0
+        out = capsys.readouterr().out
+        for line in ("lower:   200000000000000002", "upper:   200000000000000002",
+                     "exact:   200000000000000002"):
+            assert line in out
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_counts_print_in_full_for_the_largest_parts(self, capsys, fmt):
+        # Three 4300-digit parts, the most `int` parses; the counts have 4300 digits.
+        parts = ",".join(str(10**4299 + i) for i in (1, 2, 3))
+        assert main(["bounds", "--k-partite", parts, *fmt]) == 0
+        assert "15" + "0" * 4297 + "2" in capsys.readouterr().out
+
     def test_out_of_scope_family(self, capsys):
         assert main(["bounds", "--complete", "4"]) == 2
         assert "out of scope" in capsys.readouterr().err
@@ -555,6 +569,15 @@ class TestValueCommands:
         )
         assert lines[17] == "    IX [-]: shorted 0 (~0), removed 0 (~0)"
         assert len(lines) == 22
+
+    def test_delta_prints_every_cell_in_full(self, capsys):
+        parts = ",".join(str(10**1499 + i) for i in (1, 2, 3))
+        assert main(["delta", "--k-partite", parts, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert max(len(row["removed"]) for row in rows) > 4300  # past the int-to-str limit
+        assert main(["delta", "--k-partite", parts]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(rows) + 1
 
     def test_delta_complete_needs_three_vertices(self, capsys):
         assert main(["delta", "--complete", "2"]) == 2

@@ -3,6 +3,8 @@
 Each run must end in one of the command's documented exit codes, with no
 exception escaping `main`: bad input is a parse error (exit 2), never a
 traceback.  Networks have at most 8 vertices, so every run is quick.
+`bounds` and `delta` read no file; they get random family sizes instead,
+up to 1000 digits and five partitions, and must print in full or exit 2.
 """
 
 import contextlib
@@ -16,7 +18,15 @@ from hypothesis import given, settings, strategies as st
 from resfault.cli import main
 
 # Exit codes each command documents (solve --greedy: 4 = infeasible pool).
-EXIT_CODES = {"verify": {0, 1, 2}, "resistance": {0, 2}, "classes": {0, 2}, "solve": {0, 2, 4}}
+EXIT_CODES = {
+    "verify": {0, 1, 2},
+    "resistance": {0, 2},
+    "classes": {0, 2},
+    "solve": {0, 2, 4},
+    "bounds": {0, 2},
+    "delta": {0, 2},
+}
+FORMULA_COMMANDS = ("bounds", "delta")  # a family's sizes, no network file
 
 ODD_VALUES = st.sampled_from(
     [None, True, 1.5, -1, 10**30, float("inf"), float("nan"), "x", "", [], [1, 2], {}]
@@ -87,7 +97,7 @@ MODES = st.sampled_from([[], ["--mode", "removed"], ["--mode", "shorted"]])
 @st.composite
 def command_lines(draw):
     """argv for one command, with NETWORK and PLAN standing for the two files."""
-    command = draw(st.sampled_from(sorted(EXIT_CODES)))
+    command = draw(st.sampled_from(sorted(EXIT_CODES.keys() - FORMULA_COMMANDS)))
     argv = [command, "--network", "NETWORK"] + draw(MODES)
     if command == "verify":
         argv += ["--plan", "PLAN"]
@@ -104,22 +114,51 @@ def command_lines(draw):
     return argv
 
 
+def run_main(argv):
+    """Exit code and stdout of one `main` call; asserts the code is documented."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing an argument
+            code = exc.code
+    assert code in EXIT_CODES[argv[0]], (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().strip(), "exit 2 without a message"
+    return code, out.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
 @given(file_texts(NETWORKS), file_texts(PLANS), command_lines())
 def test_main_exits_with_a_documented_code(network_text, plan_text, argv):
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"NETWORK": os.path.join(tmp, "net.json"), "PLAN": os.path.join(tmp, "plan.json")}
         for key, text in (("NETWORK", network_text), ("PLAN", plan_text)):
             with open(paths[key], "w", encoding="utf-8") as fh:
                 fh.write(text)
-        argv = [paths.get(arg, arg) for arg in argv]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refusing an argument
-                code = exc.code
-    assert code in EXIT_CODES[argv[0]], (code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert err.getvalue().strip(), "exit 2 without a message"
+        run_main([paths.get(arg, arg) for arg in argv])
+
+
+SIZES = st.one_of(st.integers(-2, 12), st.integers(-2, 10**1000)).map(str)
+
+
+@st.composite
+def formula_command_lines(draw):
+    """argv for `bounds` or `delta` on a complete graph or a shape of k <= 5 partitions."""
+    argv = [draw(st.sampled_from(FORMULA_COMMANDS))]
+    if draw(st.booleans()):
+        argv.append(f"--complete={draw(SIZES)}")
+    else:
+        argv.append(f"--k-partite={','.join(draw(st.lists(SIZES, min_size=1, max_size=5)))}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(formula_command_lines())
+def test_formula_commands_print_in_full_or_exit_2(argv):
+    code, out = run_main(argv)
+    if code == 0 and "--json" in argv:
+        json.loads(out)  # every cell and count printed whole
