@@ -38,12 +38,7 @@ from .network import (
     effective_resistance,
     perturbed_effective_resistance,
 )
-from .signatures import (
-    EquivalenceClasses,
-    equivalence_classes,
-    is_distinguishing,
-    undistinguished_pairs,
-)
+from .signatures import equivalence_classes, is_distinguishing, undistinguished_pairs
 from .solver import (
     ExactSolution,
     Infeasible,

@@ -210,7 +210,7 @@ def cmd_classes(args) -> int:
     spec = load_network(args.network)
     m = Measurement(args.measurement[0], args.measurement[1])
     mode = FaultMode(args.mode)
-    classes = signatures.equivalence_classes(spec.network, m, mode).classes
+    classes = signatures.equivalence_classes(spec.network, m, mode)
     readings = [perturbed_effective_resistance(spec.network, m, g[0], mode) for g in classes]
     if args.json:
         doc = [

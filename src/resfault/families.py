@@ -25,7 +25,9 @@ class KPartiteShape:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(self.parts))
+        if not all(isinstance(p, int) and not isinstance(p, bool) for p in self.parts):
+            raise ValueError("partition sizes must be integers")
         if len(self.parts) < 2:
             raise ValueError("a k-partite shape needs at least two partitions")
         if any(p < 1 for p in self.parts):

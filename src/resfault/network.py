@@ -135,8 +135,6 @@ class Network:
         """Build a network, merging parallel edges by summing conductances."""
         merged: dict[tuple[int, int], Fraction] = {}
         for u, v, w in edges:
-            if u == v:
-                raise ValueError(f"self loop at vertex {u}")
             key = (min(u, v), max(u, v))
             merged[key] = merged.get(key, Fraction(0)) + Fraction(w)
         return cls(n, tuple(Edge(u, v, w) for (u, v), w in merged.items()))

@@ -13,18 +13,9 @@ the columns of that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .network import Edge, FaultMode, Measurement, Network, _check_measurement
-
-
-@dataclass(frozen=True)
-class EquivalenceClasses:
-    """Partition of the edge set by exact equality of one probe's readings."""
-
-    measurement: Measurement
-    classes: tuple[tuple[Edge, ...], ...]
 
 
 def reading_classes(
@@ -73,10 +64,12 @@ def merged_pairs(
     return [(columns[i], columns[j]) for i, j in pairs]
 
 
-def equivalence_classes(net: Network, m: Measurement, mode: FaultMode) -> EquivalenceClasses:
+def equivalence_classes(
+    net: Network, m: Measurement, mode: FaultMode
+) -> tuple[tuple[Edge, ...], ...]:
     """Group edges that one probe cannot tell apart (identical exact readings)."""
     groups = _column_groups(reading_classes(net, [m], mode), len(net.edges))
-    return EquivalenceClasses(m, tuple(tuple(net.edges[j] for j in g) for g in groups))
+    return tuple(tuple(net.edges[j] for j in g) for g in groups)
 
 
 def is_distinguishing(

@@ -137,24 +137,18 @@ class _TwinOrbits:
         self.ends = [(m.r, m.s) for m in cands]
         self.touch = [1 << r | 1 << s for r, s in self.ends]
         self.at = [0] * len(class_bits)  # at[v]: candidates with an end at v
-        self.inner: dict[int, int] = {}  # class vertex mask -> candidates inside it
         for j, (r, s) in enumerate(self.ends):
             self.at[r] |= 1 << j
             self.at[s] |= 1 << j
-            if class_bits[r] == class_bits[s]:
-                self.inner[class_bits[r]] = self.inner.get(class_bits[r], 0) | 1 << j
 
     @classmethod
     def of(cls, classes: list[list[int]], cands: Sequence[Measurement], n: int):
-        """The orbits, or None when no class has two vertices or the pool is
-        not closed under the group.
+        """The orbits, or None when the pool is not closed under the group.
 
-        The group is transitive on the pairs of each type (two given
-        classes, or two vertices of one class), so the pool is closed
-        exactly when it holds all pairs of each type it meets.
+        The group is transitive on the pairs of each type (two given classes, or two
+        vertices of one class), so the pool is closed exactly when it holds all pairs
+        of each type it meets.  Without twins every orbit is a single probe.
         """
-        if all(len(c) == 1 for c in classes):
-            return None
         class_bits = [0] * n
         for c in classes:
             bits = sum(1 << v for v in c)
@@ -180,8 +174,8 @@ class _TwinOrbits:
         a, b = self.ends[j]
         ends_a = 1 << a if touched >> a & 1 else self.class_bits[a] & ~touched
         ends_b = 1 << b if touched >> b & 1 else self.class_bits[b] & ~touched
-        if ends_a == ends_b:  # a and b fresh in one class
-            return self.inner[self.class_bits[a]] & ~self._reach(self.class_bits[a] & touched)
+        if ends_a == ends_b:  # a and b fresh in one class: both ends among them
+            return self._reach(ends_a) & ~self._reach((1 << len(self.class_bits)) - 1 ^ ends_a)
         return self._reach(ends_a) & self._reach(ends_b)
 
 
@@ -241,7 +235,6 @@ class _CoverInstance:
         self.buckets = [self.full] if self.full else []
         for plane in reversed(planes):
             self.buckets = [part for b in self.buckets for part in (b & ~plane, b & plane) if part]
-        self.coverers_of: dict[int, list[int]] = {}  # filled per pivot on first use
 
     def pivot(self, missing: int) -> int:
         """The missing pair with the fewest coverers, ties to the lowest bit."""
@@ -293,14 +286,10 @@ class _CoverInstance:
         if first is not None:
             children = sorted(first)
         else:
-            # Pivot on static coverer counts; probes already chosen cannot
-            # cover the pivot, and `gains` drops the banned ones.
+            # Pivot on static coverer counts; `gains` holds the unbanned probes that add a pair.
             pivot = self.pivot(missing)
-            coverers = self.coverers_of.get(pivot)
-            if coverers is None:
-                coverers = [j for j, m in enumerate(masks) if m >> pivot & 1]
-                self.coverers_of[pivot] = coverers
-            children = sorted((j for j in coverers if j in gains), key=lambda j: (-gains[j], j))
+            children = [j for j in gains if masks[j] >> pivot & 1]
+            children.sort(key=lambda j: (-gains[j], j))
         for j in children:
             if banned >> j & 1:
                 continue

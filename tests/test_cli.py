@@ -285,9 +285,14 @@ class TestVerifyCommand:
             ({"family": "complete", "n": 6}, {"measurements": [[0, 1]], "provenance": 5}),
             ({"family": "complete", "n": 6}, "directory"),
             ("directory", {"measurements": [[0, 1]]}),
+            ({"family": "explicit", "n": 6}, {"measurements": [[0, 1]]}),
+            ({"family": "complete", "n": 6}, {"mode": "removed"}),
+            ({"family": "complete", "n": 6}, {"measurements": [[0, 1]], "provenance": []}),
+            ({"family": "complete", "n": 6}, {"measurements": [[0, 1], [1, 0]]}),
         ],
         ids=["network-list", "parts-nested", "parts-float", "plan-list", "provenance-int",
-             "plan-dir", "network-dir"],
+             "plan-dir", "network-dir", "edges-missing", "measurements-missing",
+             "provenance-short", "plan-duplicate"],
     )
     def test_malformed_files_are_parse_errors(self, tmp_path, capsys, network, plan):
         paths = []
@@ -300,6 +305,21 @@ class TestVerifyCommand:
             paths.append(str(path))
         assert main(["verify", "--network", paths[0], "--plan", paths[1]]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw,reason",
+        [
+            (b"\xff\xfe{}", "can't decode"),
+            (b'{"family": "complete", "n": 1' + b"0" * 5000 + b"}", "Exceeds the limit"),
+        ],
+        ids=["undecodable", "long-integer"],
+    )
+    def test_unreadable_network_bytes_are_parse_errors(self, tmp_path, capsys, raw, reason):
+        path = tmp_path / "net.json"
+        path.write_bytes(raw)
+        assert main(["verify", "--network", str(path), "--plan", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {path}: ") and reason in err
 
 
 class TestInputSizeGuard:
@@ -527,6 +547,15 @@ class TestValueCommands:
         argv = ["resistance", "--network", path3, "--pair", "0", "2", "--fault", "0", "2"]
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: no edge between 0 and 2\n")
+
+    def test_number_conductances_are_read_as_written(self, tmp_path, capsys):
+        # As floats both conductances were 1/10, and the reading was 20.
+        path = tmp_path / "net.json"
+        path.write_text('{"family": "explicit", "n": 3, "edges": '
+                        '[[0, 1, 0.1], [1, 2, 0.10000000000000000001], [0, 2, "1"]]}')
+        assert main(["classes", "--network", str(path), "--measurement", "0", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "reading 200000000000000000010/10000000000000000001 (~20): (0, 2)" in out
 
     def test_classes_k6(self, capsys):
         assert main(["classes", "--network", "K6", "--measurement", "0", "1", "--json"]) == 0

@@ -57,7 +57,7 @@ class TestEquivalenceClasses:
         # keep the baseline.  Hence 3 classes of sizes 1, 2(n-2), rest.
         net = complete_network(n)
         classes = equivalence_classes(net, Measurement(0, 1), FaultMode.REMOVED)
-        sizes = sorted(len(c) for c in classes.classes)
+        sizes = sorted(len(c) for c in classes)
         assert sizes == sorted([1, 2 * (n - 2), (n - 2) * (n - 3) // 2])
 
     def test_k4_matches_direct_oracle_grouping(self):
@@ -69,7 +69,7 @@ class TestEquivalenceClasses:
                 direct_effective_resistance_oracle(net, m, e, FaultMode.REMOVED), []
             ).append(e)
         expected = sorted(tuple(g) for g in groups.values())
-        got = sorted(equivalence_classes(net, m, FaultMode.REMOVED).classes)
+        got = sorted(equivalence_classes(net, m, FaultMode.REMOVED))
         assert got == expected
 
     def test_same_partition_probe_matches_table_grouping(self):
@@ -83,7 +83,7 @@ class TestEquivalenceClasses:
                 delta = kpartite_delta(shape, classify_kpartite(shape, m, e).case, mode)
                 by_delta.setdefault(delta, []).append(e)
             expected = sorted(tuple(g) for g in by_delta.values())
-            got = sorted(equivalence_classes(net, m, mode).classes)
+            got = sorted(equivalence_classes(net, m, mode))
             assert got == expected
             # off-partition probes split by the far partition size, plus one zero class
             assert len(got) == 3
@@ -99,7 +99,7 @@ class TestDistinguishing:
             per_probe = [equivalence_classes(net, m, FaultMode.REMOVED) for m in probes]
             labels = {e: tuple() for e in net.edges}
             for classes in per_probe:
-                for idx, group in enumerate(classes.classes):
+                for idx, group in enumerate(classes):
                     for e in group:
                         labels[e] = labels[e] + (idx,)
             discrete = len(set(labels.values())) == len(net.edges)

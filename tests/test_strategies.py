@@ -95,6 +95,10 @@ class TestTripartiteStrategy:
         assert structural_ok(plan, shape.network())
         assert is_distinguishing(shape.network(), plan.measurements, FaultMode.REMOVED)
 
+    def test_sizes_out_of_order_rejected(self):
+        with pytest.raises(ValueError, match="2 <= a <= b <= c"):
+            tripartite_strategy(3, 2, 4)
+
     def test_sizes_match_the_table_when_attainable(self):
         # Where the table value is unattainable (a dominated largest
         # partition with surplus 2 mod 3) the upper bound counts this plan.
@@ -134,6 +138,17 @@ class TestKPartiteStrategy:
     def test_partition_sizes_below_two_rejected(self):
         with pytest.raises(ValueError):
             kpartite_strategy(KPartiteShape((1, 2, 3)))
+
+    def test_shape_must_be_nondecreasing(self):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            KPartiteShape((3, 2))
+
+    # int() once turned each of these into a shape, (2.9, 3) into (2, 3).
+    @pytest.mark.parametrize("parts", [(2.9, 3), (2.0, 3), ("2", "3"), (True, 3)],
+                             ids=["float", "whole-float", "str", "bool"])
+    def test_partition_sizes_must_be_integers(self, parts):
+        with pytest.raises(ValueError, match="partition sizes must be integers"):
+            KPartiteShape(parts)
 
 
 class TestShortedModeEmpirically:
