@@ -8,9 +8,12 @@ from which every base resistance and every single-fault reading follows
 by the rank-one (Sherman-Morrison) update in integer arithmetic.  Within
 one probe, the readings differ only by the update's correction term, so
 the kernel numbers the faults that read alike (one class-id row per
-probe, see `signatures.reading_classes`) from that term's reduced
-integers, without forming a Fraction.  A direct oracle that rebuilds the
-altered graph from scratch is kept alongside as an independent cross-check.
+probe, see `signatures.reading_classes`) without forming a Fraction or
+reducing a product: each fault is keyed exactly by its edge's reduced
+ratio and |X|, keys are merged through a residue modulo 2^61 - 1
+(Rabin's fingerprint: different residues prove different readings), and
+each merge is confirmed by exact cross-multiplication.  A direct oracle that rebuilds
+the altered graph from scratch is kept alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .linalg import fraction_free_invert
+
+_MODULUS = (1 << 61) - 1  # a Mersenne prime: class-id residues are taken modulo it
 
 
 class InfiniteResistance:
@@ -205,21 +210,32 @@ class _ReadingKernel:
     integers X = v^T P x and Z = v^T P v, the Sherman-Morrison formula
     gives, in both modes,
 
-        R' = c (base den - k X^2) / (D den)
+        R' = c (base beta - alpha X^2) / (D beta)
 
-    with per-edge integers (k, den) fixed by the mode when the kernel is
-    built (`terms`):
+    where alpha / beta, with beta >= 0, is the per-edge ratio k / den in
+    lowest terms, fixed by the mode:
 
         shorted:  k = 1,      den = Z
         removed:  k = -p c,   den = q D - p c Z
 
-    den is 0 only for a removed bridge (its effective resistance equals
+    beta is 0 only for a removed bridge (its effective resistance equals
     its own resistance).  Removing a bridge leaves R when X = 0 (no probe
     current crosses it: both probe ends lie on one side) and separates
-    the pair otherwise.
+    the pair otherwise.  Each mode's per-edge table (`ratios`) is built
+    on first use, so a network that only gives base values (the oracle's
+    rebuilt graphs) never builds one.
+
+    Class-id rows (`classes`) compare the correction alpha X^2 / beta
+    without reducing it.  A cell is keyed exactly by (t, |X|), t numbering
+    the distinct ratios: same ratio and same |X| give the same reading.  A
+    new key goes to a bucket chosen by the value's residue modulo the
+    prime M = 2^61 - 1: different residues prove different readings
+    (Rabin, "Fingerprinting by random polynomials", 1981), and within a
+    bucket a class is joined only when X^2 alpha beta' = X'^2 alpha' beta
+    holds exactly.  So the ids are exact for any prime M.
     """
 
-    __slots__ = ("p", "det", "scale", "terms")
+    __slots__ = ("p", "det", "scale", "edges", "_ratios", "_p_mod")
 
     def __init__(self, net: Network):
         scale = lcm(*(e.conductance.denominator for e in net.edges))
@@ -233,17 +249,37 @@ class _ReadingKernel:
                 lap[a][b] -= w
                 lap[b][a] -= w
         adj, det = fraction_free_invert(lap)
-        p = [[0] * net.n] + [[0] + row for row in adj]
-        self.p, self.det, self.scale = p, det, scale
-        shorted, removed = [], []
-        for e in net.edges:
-            a, b, w = e.u, e.v, e.conductance
-            z = p[a][a] + p[b][b] - 2 * p[a][b]
-            pc = w.numerator * scale
-            shorted.append((a, b, 1, z))
-            removed.append((a, b, -pc, w.denominator * det - pc * z))
-        # Per mode, per edge: (a, b, k, den).
-        self.terms = {FaultMode.SHORTED: tuple(shorted), FaultMode.REMOVED: tuple(removed)}
+        self.p = [[0] * net.n] + [[0] + row for row in adj]
+        self.det, self.scale, self.edges = det, scale, net.edges
+        self._ratios: dict[FaultMode, tuple] = {}
+        self._p_mod: list[list[int]] | None = None
+
+    def ratios(self, mode: FaultMode) -> tuple:
+        """Per edge, in edge order: (a, b, t, alpha, beta, tau) for the mode.
+
+        alpha / beta is k / den in lowest terms with beta >= 0, t numbers
+        the distinct ratios from 0, and tau = alpha / beta modulo M, or
+        None when M divides beta.  Built once per mode, on first use.
+        """
+        table = self._ratios.get(mode)
+        if table is None:
+            p, c, det = self.p, self.scale, self.det
+            ids: dict[tuple[int, int], int] = {}
+            rows = []
+            for e in self.edges:
+                a, b, w = e.u, e.v, e.conductance
+                z = p[a][a] + p[b][b] - 2 * p[a][b]
+                if mode is FaultMode.SHORTED:
+                    k, den = 1, z
+                else:
+                    pc = w.numerator * c
+                    k, den = -pc, w.denominator * det - pc * z
+                g = gcd(k, den) if den >= 0 else -gcd(k, den)
+                alpha, beta = k // g, den // g
+                tau = alpha * pow(beta, -1, _MODULUS) % _MODULUS if beta % _MODULUS else None
+                rows.append((a, b, ids.setdefault((alpha, beta), len(ids)), alpha, beta, tau))
+            table = self._ratios[mode] = tuple(rows)
+        return table
 
     def base(self, r: int, s: int) -> int:
         """x^T P x for the probe (r, s): R = c * base / D."""
@@ -255,40 +291,63 @@ class _ReadingKernel:
 
         The columns are the edges in order, then, with `no_fault`, the
         healthy network.  The base value, c and D are common to the row, so
-        each fault is keyed by its correction term (k X^2, den) reduced to
-        lowest terms (den >= 0); (0, 1) when X = 0, which is the healthy
-        network's key, and INFINITE when den = 0 and X != 0 (a bridge that
-        separates the probe pair).  Ids are numbered from 0 in column order.
+        faults are compared by their corrections alpha X^2 / beta: those
+        with X = 0 read like the healthy network, a bridge with X != 0
+        reads INFINITE, and the rest are keyed by (t, |X|) and merged
+        across keys by residue and exact check (see the class docstring).
+        Ids are numbered from 0 in column order.
         """
+        m = _MODULUS
+        if self._p_mod is None:
+            self._p_mod = [[x % m for x in row] for row in self.p]
         d = [x - y for x, y in zip(self.p[r], self.p[s])]
-        no_change = (0, 1)
-        ids: dict = {}
+        dm = [x - y for x, y in zip(self._p_mod[r], self._p_mod[s])]  # d modulo M
+        ids: dict = {}  # exact key -> id: (t, |X|), INFINITE, or None for no change
+        buckets: dict[int, list] = {}  # residue -> [(id, X, alpha, beta)], one per class
+        count = 0
         out: list[int] = []
         append = out.append
-        for a, b, k, den in self.terms[mode]:
+        for a, b, t, alpha, beta, tau in self.ratios(mode):
             x = d[a] - d[b]
-            if not x:
-                key = no_change
-            elif not den:
-                key = INFINITE
+            if x and beta:
+                key = (t, x if x > 0 else -x)
+                cid = ids.setdefault(key, count)
+                if cid == count:  # a new key: find its class by residue, then exactly
+                    if tau is not None:
+                        xm = dm[a] - dm[b]
+                        residue = xm * xm * tau % m
+                    else:  # M divides beta: the residue of the value in lowest terms
+                        num = x * x * alpha
+                        g = gcd(num, beta)
+                        num, den = num // g, beta // g
+                        residue = num * pow(den, -1, m) % m if den % m else -1
+                    members = buckets.setdefault(residue, [])
+                    for cid, x2, alpha2, beta2 in members:
+                        if x * x * alpha * beta2 == x2 * x2 * alpha2 * beta:
+                            ids[key] = cid
+                            break
+                    else:
+                        cid = count
+                        count += 1
+                        members.append((cid, x, alpha, beta))
             else:
-                x *= k * x
-                g = gcd(x, den)
-                key = (x // g, den // g)
-            append(ids.setdefault(key, len(ids)))
+                cid = ids.setdefault(INFINITE if x else None, count)
+                if cid == count:
+                    count += 1
+            append(cid)
         if no_fault:
-            append(ids.setdefault(no_change, len(ids)))
+            append(ids.get(None, count))
         return out
 
     def reading(self, r: int, s: int, j: int, mode: FaultMode) -> Resistance:
         """Faulted resistance of the probe (r, s) when edge j is faulted."""
         p, c, det = self.p, self.scale, self.det
-        a, b, k, den = self.terms[mode][j]
+        a, b, _, alpha, beta, _ = self.ratios(mode)[j]
         x = p[r][a] - p[r][b] - p[s][a] + p[s][b]
         base = self.base(r, s)
-        if not den:
+        if not beta:
             return INFINITE if x else Fraction(c * base, det)
-        return Fraction(c * (base * den - k * x * x), det * den)
+        return Fraction(c * (base * beta - alpha * x * x), det * beta)
 
 
 def _check_measurement(net: Network, m: Measurement):

@@ -378,9 +378,12 @@ def solve_exact(
     when even the whole candidate pool leaves some column pair merged,
     and TimedOut (carrying the greedy incumbent and the size proven
     insufficient so far) when the budget expires.  The cover masks and
-    the greedy incumbent share one class-id table; the budget covers the
-    set-up too, and a budget spent before or while the masks are built
-    returns the greedy incumbent with the seed lower bound.
+    the greedy incumbent share one class-id table.  The budget runs from
+    the call, but it is first checked once the incumbent exists: the
+    network's inversion, the class-id table and the greedy order always
+    run to the end, so the budget bounds the mask build and the search,
+    not that set-up.  A budget spent by then, or while the masks are
+    built, returns the greedy incumbent with the seed lower bound.
     `first_probe_orbits`, first probes to try at the root, is kept only
     for perfbench/workloads.py: the twin-orbit root makes it pure overhead.
     """

@@ -6,20 +6,23 @@ fraction-free elimination produces as its pivots, the summation form
 of the k-partite block-inverse coefficient, the block inverse itself,
 the classifiers that map a (probe, fault edge) pair to its closed-form
 table column, the paper's counting rules for plan sizes and its
-k-partite upper bound, and the probe-by-edge table of Fraction
-readings that the integer class ids must agree with.
+k-partite upper bound, the probe-by-edge table of Fraction
+readings that the integer class ids must agree with, and a class-id row
+keyed by each correction term in lowest terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from resfault.bounds import _leftover_count, bipartite_bound, tripartite_bound
 from resfault.closed_forms import CompleteCase, KPartiteCase, KPartiteColumn, c_coefficient
 from resfault.families import KPartiteShape
 from resfault.network import (
+    INFINITE,
     Edge,
     FaultMode,
     Measurement,
@@ -274,3 +277,39 @@ def build_signature(
         for m in ms
     )
     return SignatureMatrix(ms, net.edges, mode, rows)
+
+
+def gcd_keyed_classes(net: Network, m: Measurement, mode: FaultMode, no_fault: bool) -> list[int]:
+    """The probe's class-id row, each fault keyed by its reduced correction term.
+
+    From the kernel's integers P, D and c alone: the correction is k X^2 / den
+    with (k, den) = (1, Z) shorted and (-p c, q D - p c Z) removed; a fault
+    is keyed by (k X^2, den) in lowest terms, (0, 1) when X = 0 (the healthy
+    network's key) and INFINITE when den = 0 and X != 0.  Ids are numbered
+    from 0 in column order.
+    """
+    kernel = net._reading_kernel
+    p, c, det = kernel.p, kernel.scale, kernel.det
+    d = [x - y for x, y in zip(p[m.r], p[m.s])]
+    ids: dict = {}
+    out = []
+    for e in net.edges:
+        a, b, w = e.u, e.v, e.conductance
+        z = p[a][a] + p[b][b] - 2 * p[a][b]
+        if mode is FaultMode.SHORTED:
+            k, den = 1, z
+        else:
+            k, den = -w.numerator * c, w.denominator * det - w.numerator * c * z
+        x = d[a] - d[b]
+        if not x:
+            key = (0, 1)
+        elif not den:
+            key = INFINITE
+        else:
+            x *= k * x
+            g = gcd(x, den)
+            key = (x // g, den // g)
+        out.append(ids.setdefault(key, len(ids)))
+    if no_fault:
+        out.append(ids.setdefault((0, 1), len(ids)))
+    return out

@@ -3,7 +3,10 @@
 Networks here are seeded random weighted graphs with conductances p/q
 (1 <= p, q <= 9) and pendant leaves, so removal faults include bridges
 with the probe on the same side (the reading keeps its base value) and on
-opposite sides (INFINITE).
+opposite sides (INFINITE).  Class-id rows are also checked against the
+reduced-key reference with the residue modulus forced down to 3 and 7, so
+that residues collide and only the exact checks keep the ids right, and
+on ~200-bit conductances, whose residues take many limbs.
 """
 
 import random
@@ -12,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import resfault.network
-from resfault.families import complete_network
+from resfault.families import KPartiteShape, complete_network, kpartite_network
 from resfault.network import (
     INFINITE,
     FaultMode,
@@ -25,7 +28,7 @@ from resfault.network import (
 from resfault.signatures import reading_classes
 from resfault.solver import Infeasible, solve_exact, solve_greedy
 
-from reference import build_signature
+from reference import build_signature, gcd_keyed_classes
 
 
 def pendant_network(seed, n):
@@ -145,3 +148,101 @@ def test_restricted_pool_witness_pairs(net, pool):
         exact = solve_exact(net, candidates=pool, mode=mode)
         assert isinstance(greedy, Infeasible) and isinstance(exact, Infeasible)
         assert greedy.witness_pairs == exact.witness_pairs == want
+
+
+def test_the_oracle_builds_no_ratio_table(monkeypatch):
+    # The oracle's rebuilt graphs give base values only, so none of them
+    # (nor the network itself) needs a mode's per-edge ratio table.
+    calls = []
+    real = resfault.network._ReadingKernel.ratios
+
+    def recording(kernel, mode):
+        calls.append(mode)
+        return real(kernel, mode)
+
+    monkeypatch.setattr(resfault.network._ReadingKernel, "ratios", recording)
+    for net in (pendant_network(2, 9), kpartite_network(KPartiteShape((2, 3, 4)))):
+        for mode in FaultMode:
+            for e in net.edges:
+                for m in net.measurements():
+                    direct_effective_resistance_oracle(net, m, e, mode)
+    assert calls == []
+    reading_classes(net, [Measurement(0, 1)], FaultMode.SHORTED)
+    assert calls == [FaultMode.SHORTED]
+
+
+def bridged_network():
+    """Two weighted K4s joined through a middle vertex by two bridges, plus a pendant leaf."""
+    edges = [(u, v, Fraction(u + v + 1, v - u + 1)) for u in range(4) for v in range(u + 1, 4)]
+    edges += [(u + 5, v + 5, Fraction(u + 2, v + 1)) for u in range(4) for v in range(u + 1, 4)]
+    edges += [(3, 4, 3), (4, 5, Fraction(1, 2)), (8, 9, Fraction(7, 3))]
+    return Network.from_edge_list(10, edges)
+
+
+def assert_rows_match_the_reference(net, probes):
+    for mode in FaultMode:
+        for m in probes:
+            for no_fault in (False, True):
+                [ids] = reading_classes(net, [m], mode, no_fault)
+                assert ids == gcd_keyed_classes(net, m, mode, no_fault), (mode, m, no_fault)
+
+
+@pytest.mark.parametrize("modulus", [3, 7])
+def test_tiny_modulus_ids_match_the_reference(monkeypatch, modulus):
+    # Residues this small collide all the time, so the exact checks decide
+    # every merge.  On a triangle core (n = 6) two faults of different
+    # ratios often read alike, and among 20 seeds some ratio denominator is
+    # a multiple of 3 or 7 where the reading's reduced one is not, so the
+    # bucket must come from the value in lowest terms.
+    monkeypatch.setattr(resfault.network, "_MODULUS", modulus)
+    nets = [pendant_network(seed, 6) for seed in range(20)]
+    nets += [pendant_network(seed, 9) for seed in range(4)]
+    nets += [kpartite_network(KPartiteShape((2, 3, 4, 5))), bridged_network()]
+    for net in nets:
+        assert_rows_match_the_reference(net, net.measurements())
+
+
+def mirrored_big_network(seed):
+    """A ~200-bit weighted graph on 0..4, its mirror image on 5..9, rungs v--v+5
+    and a mirrored pair of pendant leaves: faults mirrored across read alike
+    on every probe (v, v + 5)."""
+    rng = random.Random(seed)
+    dens = [rng.getrandbits(200) | 1 for _ in range(2)]
+    weight = lambda: Fraction(rng.getrandbits(200) | 1, rng.choice(dens))
+    half = {(v, rng.randrange(v)): weight() for v in range(1, 5)}
+    while len(half) < 7:
+        v, u = sorted(rng.sample(range(5), 2), reverse=True)
+        half.setdefault((v, u), weight())
+    edges = [(u, v, w) for (v, u), w in half.items()]
+    edges += [(u + 5, v + 5, w) for u, v, w in edges]
+    edges += [(v, v + 5, weight()) for v in range(5)]
+    leaf = weight()
+    edges += [(0, 10, leaf), (5, 11, leaf)]
+    return Network.from_edge_list(12, edges)
+
+
+def test_big_conductances_ids_equal_iff_readings_equal(monkeypatch):
+    net = mirrored_big_network(11)
+    probes = net.measurements()
+    tables = {}
+    equal_pairs = 0
+    for mode in FaultMode:
+        table = tables[mode] = reading_classes(net, probes, mode, no_fault=True)
+        sig = build_signature(net, probes, mode)
+        for ids, row, m in zip(table, sig.entries, probes):
+            row = row + (effective_resistance(net, m),)
+            for j in range(len(row)):
+                for i in range(j):
+                    assert (ids[i] == ids[j]) == (row[i] == row[j]), (mode, m, i, j)
+                    equal_pairs += row[i] == row[j]
+    assert equal_pairs > 100
+    # With modulus 7 the same many-limb values collide, and exact checks decide.
+    monkeypatch.setattr(resfault.network, "_MODULUS", 7)
+    twin = mirrored_big_network(11)
+    for mode in FaultMode:
+        assert reading_classes(twin, probes[::8], mode, no_fault=True) == tables[mode][::8]
+
+
+def test_forty_vertex_rows_match_the_reference():
+    net = pendant_network(40, 40)
+    assert_rows_match_the_reference(net, net.measurements()[::7])
