@@ -57,7 +57,7 @@ def _family(args) -> int | KPartiteShape:
 
 
 class _OutOfScope(Exception):
-    """A family too large for a formula command; `main` exits 2 naming the limit."""
+    """A family outside a command's scope; `main` prints the reason and exits 2."""
 
 
 def _formula_family(args) -> int | KPartiteShape:
@@ -77,8 +77,7 @@ def cmd_bounds(args) -> int:
     try:
         report = bounds_mod.best_bound(family)
     except ValueError as exc:
-        print(f"out of scope: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise _OutOfScope(exc) from exc
     with _all_digits():  # a bound has about as many digits as the family's n
         if args.json:
             keys = ("family", "lower", "upper", "exact", "lower_formula", "upper_formula")
@@ -101,8 +100,7 @@ def cmd_strategy(args) -> int:
             check_vertex_count(family.n)
             plan, net = strategies.kpartite_strategy(family), family.network()
     except ValueError as exc:
-        print(f"out of scope: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise _OutOfScope(exc) from exc
     mode = FaultMode(args.mode)
     ok = signatures.is_distinguishing(net, plan.measurements, mode)
     doc = plan_to_dict(plan)
@@ -304,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     how = p.add_mutually_exclusive_group()
     how.add_argument("--exact", action="store_true", default=True)
     how.add_argument("--greedy", action="store_true")
-    p.add_argument("--budget", type=_budget, default=300.0, help="seconds, exact solve")
+    p.add_argument("--budget", type=_budget, default=300.0, help="seconds for the exact "
+                   "search and its cover masks; network set-up and --greedy are not budgeted")
     p.add_argument("--allow-no-fault", action="store_true",
                    help="also separate the nothing-is-broken outcome")
     p.set_defaults(func=cmd_solve)

@@ -43,14 +43,6 @@ class KPartiteShape:
     def n(self) -> int:
         return sum(self.parts)
 
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for p in self.parts:
-            out.append(acc)
-            acc += p
-        return tuple(out)
-
     def partition_of(self, v: int) -> int:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range")
@@ -62,7 +54,7 @@ class KPartiteShape:
         raise AssertionError("unreachable")
 
     def vertices(self, i: int) -> range:
-        off = self.offsets[i]
+        off = sum(self.parts[:i])
         return range(off, off + self.parts[i])
 
     def network(self) -> Network:

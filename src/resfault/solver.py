@@ -262,12 +262,12 @@ class _CoverInstance:
         subtree already tried every cover that includes it (or its image)
         at this target.  `touched` holds the vertices that the chosen
         probes touch.  `first`, at the root, replaces the pivot's coverers
-        with caller-given first probes, tried in index order.
+        with caller-given first probes, tried in the order given.  There is
+        no depth test: with no probe left to choose and a pair missing, the
+        counting cut already fails.
         """
         if covered == self.full:
             return chosen
-        if len(chosen) >= target:
-            return None
         if time.monotonic() > deadline:
             raise _Deadline
         masks = self.masks
@@ -284,7 +284,7 @@ class _CoverInstance:
         if -(-missing.bit_count() // max(gains.values())) > target - len(chosen):
             return None
         if first is not None:
-            children = sorted(first)
+            children = first
         else:
             # Pivot on static coverer counts; `gains` holds the unbanned probes that add a pair.
             pivot = self.pivot(missing)
@@ -407,8 +407,8 @@ def solve_exact(
             return TimedOut(incumbent=greedy_plan, lower_bound=root_lower)
         root_indices = None
         if first_probe_orbits is not None:
-            index_of = {m: i for i, m in enumerate(cands)}
-            root_indices = [index_of[m] for m in first_probe_orbits if m in index_of]
+            first = set(first_probe_orbits)
+            root_indices = [i for i, m in enumerate(cands) if m in first]
         target = root_lower
         try:
             inst = _CoverInstance(table, ne, _TwinOrbits.of(classes, cands, net.n), deadline)

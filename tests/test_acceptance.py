@@ -30,12 +30,7 @@ import pytest
 
 from resfault.bounds import bipartite_bound, complete_bound, kpartite_bound, tripartite_bound
 from resfault.closed_forms import complete_delta, kpartite_delta
-from resfault.families import (
-    KPartiteShape,
-    complete_network,
-    complete_orbit_representatives,
-    measurement_orbit_representatives,
-)
+from resfault.families import KPartiteShape, complete_network
 from resfault.network import (
     INFINITE,
     FaultMode,
@@ -115,12 +110,7 @@ def test_criterion_1_update_oracle_table_triple_agreement():
 
 def test_criterion_2_complete_graph_exactness():
     for n, want in [(6, 4), (7, 5), (8, 6)]:
-        result = solve_exact(
-            complete_network(n),
-            mode=FaultMode.REMOVED,
-            budget_seconds=300.0,
-            first_probe_orbits=complete_orbit_representatives(n),
-        )
+        result = solve_exact(complete_network(n), mode=FaultMode.REMOVED, budget_seconds=300.0)
         assert isinstance(result, ExactSolution), f"K{n} solve did not finish"
         assert len(result.plan) == want, f"K{n}: optimum {len(result.plan)} != {want}"
     for n in range(6, 31):
@@ -138,12 +128,8 @@ def test_criterion_2_complete_graph_exactness():
 def test_criterion_3_bipartite_exactness():
     failures = []
     for b, g in [(2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (5, 5)]:
-        shape = KPartiteShape((b, g))
         result = solve_exact(
-            shape.network(),
-            mode=FaultMode.REMOVED,
-            budget_seconds=300.0,
-            first_probe_orbits=measurement_orbit_representatives(shape),
+            KPartiteShape((b, g)).network(), mode=FaultMode.REMOVED, budget_seconds=300.0
         )
         stated = bipartite_bound(b, g).exact
         if not isinstance(result, ExactSolution):
@@ -191,12 +177,8 @@ def test_criterion_4_tripartite_table():
                 f"distinguishing={ok_dist}"
             )
     for sizes, want in [((2, 3, 4), 3), ((2, 2, 2), 2)]:
-        shape = KPartiteShape(sizes)
         result = solve_exact(
-            shape.network(),
-            mode=FaultMode.REMOVED,
-            budget_seconds=300.0,
-            first_probe_orbits=measurement_orbit_representatives(shape),
+            KPartiteShape(sizes).network(), mode=FaultMode.REMOVED, budget_seconds=300.0
         )
         if not isinstance(result, ExactSolution) or len(result.plan) != want:
             failures.append(f"K{sizes}: exact solve did not give {want}")
@@ -235,23 +217,12 @@ def test_criterion_5_kpartite_sandwich():
 
 
 def test_criterion_6_no_fault_extension():
-    for descriptor, net, shape in [
-        ("complete(6)", complete_network(6), None),
-        ("k_partite(3, 3)", KPartiteShape((3, 3)).network(), KPartiteShape((3, 3))),
+    for descriptor, net in [
+        ("complete(6)", complete_network(6)),
+        ("k_partite(3, 3)", KPartiteShape((3, 3)).network()),
     ]:
-        orbits = (
-            complete_orbit_representatives(6)
-            if shape is None
-            else measurement_orbit_representatives(shape)
-        )
         result, with_healthy = (
-            solve_exact(
-                net,
-                mode=FaultMode.REMOVED,
-                budget_seconds=300.0,
-                first_probe_orbits=orbits,
-                no_fault=no_fault,
-            )
+            solve_exact(net, mode=FaultMode.REMOVED, budget_seconds=300.0, no_fault=no_fault)
             for no_fault in (False, True)
         )
         assert isinstance(result, ExactSolution)

@@ -276,25 +276,38 @@ class TestVerifyCommand:
         assert main(["verify", "--network", "K6", "--plan", "/nonexistent.json"]) == 2
 
     @pytest.mark.parametrize(
-        "network,plan",
+        "network,plan,reason",
         [
-            ([{"family": "complete", "n": 6}], {"measurements": [[0, 1]]}),
-            ({"family": "k_partite", "parts": [[1], 3]}, {"measurements": [[0, 1]]}),
-            ({"family": "k_partite", "parts": [2.9, 3]}, {"measurements": [[0, 1]]}),
-            ({"family": "complete", "n": 6}, [[0, 1]]),
-            ({"family": "complete", "n": 6}, {"measurements": [[0, 1]], "provenance": 5}),
-            ({"family": "complete", "n": 6}, "directory"),
-            ("directory", {"measurements": [[0, 1]]}),
-            ({"family": "explicit", "n": 6}, {"measurements": [[0, 1]]}),
-            ({"family": "complete", "n": 6}, {"mode": "removed"}),
-            ({"family": "complete", "n": 6}, {"measurements": [[0, 1]], "provenance": []}),
-            ({"family": "complete", "n": 6}, {"measurements": [[0, 1], [1, 0]]}),
+            ([{"family": "complete", "n": 6}], {"measurements": [[0, 1]]},
+             "net.json: top level must be a JSON object"),
+            ({"family": "k_partite", "parts": [[1], 3]}, {"measurements": [[0, 1]]},
+             '"parts" must hold integers'),
+            ({"family": "k_partite", "parts": [2.9, 3]}, {"measurements": [[0, 1]]},
+             '"parts" must hold integers'),
+            ({"family": "complete", "n": 6}, [[0, 1]],
+             "plan.json: top level must be a JSON object"),
+            ({"family": "complete", "n": 6}, {"measurements": [[0, 1]], "provenance": 5},
+             '"provenance" must be a list'),
+            ({"family": "complete", "n": 6}, "directory", "plan.json: "),
+            ("directory", {"measurements": [[0, 1]]}, "net.json: "),
+            ({"family": "explicit", "n": 6}, {"measurements": [[0, 1]]},
+             'explicit network needs an "edges" list'),
+            ({"family": "complete", "n": 6}, {"mode": "removed"},
+             'plan needs a "measurements" list'),
+            ({"family": "complete", "n": 6}, {"measurements": [[0, 1]], "provenance": []},
+             "provenance must tag every measurement"),
+            ({"family": "complete", "n": 6}, {"measurements": [[0, 1], [1, 0]]},
+             "duplicate measurement in plan"),
+            ({"family": "k_partite", "parts": []}, {"measurements": [[0, 1]]},
+             'k_partite network needs a nonempty "parts" list'),
+            ({"family": "explicit", "n": 3, "edges": [[0, 5, "1"]]}, {"measurements": [[0, 1]]},
+             "edge (0, 5) out of range for n=3"),
         ],
         ids=["network-list", "parts-nested", "parts-float", "plan-list", "provenance-int",
              "plan-dir", "network-dir", "edges-missing", "measurements-missing",
-             "provenance-short", "plan-duplicate"],
+             "provenance-short", "plan-duplicate", "parts-empty", "edge-out-of-range"],
     )
-    def test_malformed_files_are_parse_errors(self, tmp_path, capsys, network, plan):
+    def test_malformed_files_are_parse_errors(self, tmp_path, capsys, network, plan, reason):
         paths = []
         for name, doc in (("net.json", network), ("plan.json", plan)):
             path = tmp_path / name
@@ -304,7 +317,8 @@ class TestVerifyCommand:
                 path.write_text(json.dumps(doc))
             paths.append(str(path))
         assert main(["verify", "--network", paths[0], "--plan", paths[1]]) == 2
-        assert "parse error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and reason in err
 
     @pytest.mark.parametrize(
         "raw,reason",

@@ -77,6 +77,11 @@ def test_pivots_are_leading_minors_and_positive_for_spd():
     assert minors[-1] == det
 
 
+def test_non_square_matrix_raises():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        fraction_free_invert([[1, 2]])
+
+
 def test_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
         fraction_free_invert([[1, 1], [1, 1]])

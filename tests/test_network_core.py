@@ -103,6 +103,9 @@ class TestConstruction:
         assert Fraction(1) != INFINITE
         assert hash(INFINITE) == hash(InfiniteResistance())
 
+    def test_infinite_sentinel_repr(self):
+        assert repr(INFINITE) == "INFINITE"
+
 
 class TestReducedLaplacian:
     def test_k4_ground_3(self):

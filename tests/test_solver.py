@@ -8,12 +8,7 @@ import pytest
 
 import resfault.solver
 
-from resfault.families import (
-    KPartiteShape,
-    complete_network,
-    complete_orbit_representatives,
-    measurement_orbit_representatives,
-)
+from resfault.families import KPartiteShape, complete_network, measurement_orbit_representatives
 from resfault.network import (
     FaultMode,
     Measurement,
@@ -58,7 +53,7 @@ class TestExactSolver:
     @pytest.mark.parametrize("n,want", [(6, 4), (7, 5)])
     def test_complete_graphs(self, n, want):
         net = complete_network(n)
-        result = solve_exact(net, first_probe_orbits=complete_orbit_representatives(n))
+        result = solve_exact(net)
         assert isinstance(result, ExactSolution)
         assert len(result.plan) == want
         assert is_distinguishing(net, result.plan.measurements, FaultMode.REMOVED)
@@ -168,12 +163,11 @@ class TestExactSolver:
     def test_solve_leaves_no_reference_cycles(self):
         import gc
 
-        shape = KPartiteShape((2, 3, 6))
-        net = shape.network()
+        net = KPartiteShape((2, 3, 6)).network()
         gc.collect()
         gc.disable()
         try:
-            result = solve_exact(net, first_probe_orbits=measurement_orbit_representatives(shape))
+            result = solve_exact(net)
             assert gc.collect() == 0
         finally:
             gc.enable()

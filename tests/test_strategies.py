@@ -143,6 +143,12 @@ class TestKPartiteStrategy:
         with pytest.raises(ValueError, match="nondecreasing"):
             KPartiteShape((3, 2))
 
+    def test_partition_of_rejects_a_vertex_past_the_last_part(self):
+        shape = KPartiteShape((2, 3))
+        assert [shape.partition_of(v) for v in range(5)] == [0, 0, 1, 1, 1]
+        with pytest.raises(ValueError, match="vertex 5 out of range"):
+            shape.partition_of(5)
+
     # int() once turned each of these into a shape, (2.9, 3) into (2, 3).
     @pytest.mark.parametrize("parts", [(2.9, 3), (2.0, 3), ("2", "3"), (True, 3)],
                              ids=["float", "whole-float", "str", "bool"])
