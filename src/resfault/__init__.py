@@ -21,7 +21,6 @@ from .closed_forms import (
     CompleteCase,
     KPartiteCase,
     KPartiteColumn,
-    c_coefficient,
     complete_delta,
     kpartite_delta,
 )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .families import KPartiteShape
 from .network import FaultMode
@@ -50,21 +49,6 @@ def complete_delta(n: int, case: CompleteCase, mode: FaultMode) -> Fraction:
     if case is CompleteCase.MATCHES_PROBE:
         return Fraction(-4, n * (n - 2))
     return Fraction(-1, n * (n - 2))
-
-
-def c_coefficient(shape: KPartiteShape, q: int, b: int) -> Fraction:
-    """Block-inverse coefficient C_{p_q} with the ground in partition b.
-
-    Evaluates ((n-1)^2 + (|p_b|-1) - |p_q|(n-1)) / ((n-|p_q|)(n-|p_b|)n),
-    the compact form; the summation form agrees with it whenever q != b
-    (checked in the tests).
-    """
-    k = shape.k
-    if not (0 <= q < k and 0 <= b < k):
-        raise ValueError("partition index out of range")
-    n = shape.n
-    pq, pb = shape.parts[q], shape.parts[b]
-    return Fraction((n - 1) ** 2 + (pb - 1) - pq * (n - 1), (n - pq) * (n - pb) * n)
 
 
 class KPartiteColumn(enum.Enum):
@@ -100,10 +84,6 @@ class KPartiteCase:
     b_partition: int
 
 
-# Cached because a caller that reads the table once per (probe, fault) pair asks
-# for the same few cells again and again: acceptance criterion 1's 680,316
-# lookups take about 1 s with the cache and 7-9 s without (2 cores, Python 3.11).
-@lru_cache(maxsize=8192)
 def kpartite_delta(shape: KPartiteShape, case: KPartiteCase, mode: FaultMode) -> Fraction:
     """Evaluate the table cell for the classified case: R' = R - delta.
 
@@ -116,33 +96,36 @@ def kpartite_delta(shape: KPartiteShape, case: KPartiteCase, mode: FaultMode) ->
     column = case.column
     if column in ZERO_COLUMNS:
         return Fraction(0)
-    n = shape.n
     q, g = case.a_partition, case.b_partition
+    if not (0 <= q < shape.k and 0 <= g < shape.k):
+        raise ValueError("partition index out of range")
+    n = shape.n
     pq, pg = shape.parts[q], shape.parts[g]
-    c = c_coefficient(shape, q, g)
-    e = c + Fraction(1, n - pq)
+    # Over the common denominator d every inverse entry is an integer:
+    # c = C_{p_q} * d (the block-inverse coefficient) and e = E * d.
+    d = (n - pq) * (n - pg) * n
+    c = (n - 1) ** 2 + (pg - 1) - pq * (n - 1)
+    e = c + (n - pg) * n
     if column is KPartiteColumn.I:
         x = e
     elif column is KPartiteColumn.II:
-        x = e - Fraction(1, n - pg)
+        x = e - (n - pq) * n
     elif column is KPartiteColumn.III:
         x = c
     elif column is KPartiteColumn.IV:
-        x = c - Fraction(1, n - pg)
+        x = c - (n - pq) * n
     elif column is KPartiteColumn.V:
-        x = e - Fraction(n - 1, (n - pg) * n)
+        x = e - (n - 1) * (n - pq)
     elif column is KPartiteColumn.VI:
-        x = c - Fraction(n - 1, (n - pg) * n)
+        x = c - (n - 1) * (n - pq)
     elif column is KPartiteColumn.VII:
-        x = Fraction(n - 1, n * (n - pg))
+        x = (n - 1) * (n - pq)
     elif column is KPartiteColumn.VIII:
-        x = Fraction(-1, n * (n - pg))
-    elif column is KPartiteColumn.X:
-        x = Fraction(1, n - pq)
-    else:  # pragma: no cover - exhaustive enum
-        raise AssertionError(column)
+        x = pq - n
+    else:  # column X
+        x = (n - pg) * n
     if mode is FaultMode.SHORTED:
-        return x * x / e
-    if e == 1:
+        return Fraction(x * x, d * e)
+    if e == d:
         raise ValueError("degenerate removal: the fault edge is a bridge in this family")
-    return -(x * x) / (1 - e)
+    return Fraction(-x * x, d * (d - e))

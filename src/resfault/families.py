@@ -46,12 +46,11 @@ class KPartiteShape:
     def partition_of(self, v: int) -> int:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range")
-        acc = 0
-        for i, p in enumerate(self.parts):
-            acc += p
-            if v < acc:
-                return i
-        raise AssertionError("unreachable")
+        i = 0
+        while v >= self.parts[i]:  # ends within range: v < n was checked above
+            v -= self.parts[i]
+            i += 1
+        return i
 
     def vertices(self, i: int) -> range:
         off = sum(self.parts[:i])

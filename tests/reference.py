@@ -2,11 +2,11 @@
 
 Each one restates something the library computes another way: a plain
 matrix product to check inverses, the leading principal minors that
-fraction-free elimination produces as its pivots, the summation form
-of the k-partite block-inverse coefficient, the block inverse itself,
-the classifiers that map a (probe, fault edge) pair to its closed-form
-table column, the paper's counting rules for plan sizes and its
-k-partite upper bound, the probe-by-edge table of Fraction
+fraction-free elimination produces as its pivots, the compact and
+summation forms of the k-partite block-inverse coefficient, the block
+inverse itself, the classifiers that map a (probe, fault edge) pair to
+its closed-form table column, the paper's counting rules for plan sizes
+and its k-partite upper bound, the probe-by-edge table of Fraction
 readings that the integer class ids must agree with, and a class-id row
 keyed by each correction term in lowest terms.
 """
@@ -19,7 +19,7 @@ from math import gcd
 from typing import NamedTuple, Sequence
 
 from resfault.bounds import _leftover_count, bipartite_bound, tripartite_bound
-from resfault.closed_forms import CompleteCase, KPartiteCase, KPartiteColumn, c_coefficient
+from resfault.closed_forms import CompleteCase, KPartiteCase, KPartiteColumn
 from resfault.families import KPartiteShape
 from resfault.network import (
     INFINITE,
@@ -68,8 +68,20 @@ def leading_principal_minors(mat):
     return minors
 
 
+def c_coefficient(shape: KPartiteShape, q: int, b: int) -> Fraction:
+    """Block-inverse coefficient C_{p_q} with the ground in partition b.
+
+    Evaluates ((n-1)^2 + (|p_b|-1) - |p_q|(n-1)) / ((n-|p_q|)(n-|p_b|)n),
+    the compact form; the summation form agrees with it whenever q != b
+    (checked in the tests).
+    """
+    n = shape.n
+    pq, pb = shape.parts[q], shape.parts[b]
+    return Fraction((n - 1) ** 2 + (pb - 1) - pq * (n - 1), (n - pq) * (n - pb) * n)
+
+
 def c_coefficient_sum_form(shape, q, b):
-    """Summation form of `closed_forms.c_coefficient`, for the identity test."""
+    """Summation form of `c_coefficient`, for the identity test."""
     n = shape.n
     pq, pb = shape.parts[q], shape.parts[b]
     num = (pb - 1) * n + sum(

@@ -6,7 +6,6 @@ from resfault.closed_forms import (
     CompleteCase,
     KPartiteCase,
     KPartiteColumn,
-    c_coefficient,
     complete_delta,
     kpartite_delta,
 )
@@ -20,6 +19,7 @@ from resfault.network import (
 
 from grounding import build_reduced_laplacian, grounded_inverse
 from reference import (
+    c_coefficient,
     c_coefficient_sum_form,
     classify_complete,
     classify_kpartite,
@@ -84,10 +84,6 @@ class TestCCoefficient:
                         assert c_coefficient(shape, q, b) == c_coefficient_sum_form(
                             shape, q, b
                         ), (parts, q, b)
-
-    def test_index_range_checked(self):
-        with pytest.raises(ValueError):
-            c_coefficient(KPartiteShape((2, 3)), 2, 0)
 
 
 class TestBlockInverse:
@@ -182,6 +178,14 @@ class TestKPartiteDelta:
             case = KPartiteCase(column, 0, 1)
             for mode in FaultMode:
                 assert kpartite_delta(shape, case, mode) == 0
+
+    def test_index_range_checked(self):
+        # Index -1 would otherwise read the last partition and return a number.
+        shape = KPartiteShape((2, 3))
+        for q, g in [(2, 0), (0, 2), (-1, 0), (0, -1)]:
+            for mode in FaultMode:
+                with pytest.raises(ValueError, match="partition index out of range"):
+                    kpartite_delta(shape, KPartiteCase(KPartiteColumn.I, q, g), mode)
 
     def test_spec_anchor_value(self):
         shape = KPartiteShape((2, 2, 2))

@@ -22,6 +22,7 @@ from resfault.signatures import is_distinguishing
 from resfault.strategies import complete_strategy, kpartite_strategy
 
 from grounding import grounded_resistance
+from reference import classify_kpartite
 
 
 @st.composite
@@ -42,9 +43,9 @@ def connected_networks(draw):
 
 
 @st.composite
-def shapes(draw):
+def shapes(draw, max_part=5):
     k = draw(st.integers(min_value=2, max_value=4))
-    parts = sorted(draw(st.integers(min_value=1, max_value=5)) for _ in range(k))
+    parts = sorted(draw(st.integers(min_value=1, max_value=max_part)) for _ in range(k))
     if sum(parts) < 3:
         parts[-1] += 1
     return KPartiteShape(tuple(parts))
@@ -132,3 +133,18 @@ def test_family_updates_agree_with_direct_reconstruction(shape, mode):
         assert perturbed_effective_resistance(
             net, m, e, mode
         ) == direct_effective_resistance_oracle(net, m, e, mode)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes(max_part=10), st.integers(min_value=0))  # n <= 40
+def test_kpartite_table_matches_the_kernel_up_to_n_40(shape, pick):
+    net = kpartite_network(shape)
+    e = net.edges[pick % len(net.edges)]
+    star = shape.k == 2 and shape.parts[0] == 1  # every edge a bridge: no removal cells
+    modes = [FaultMode.SHORTED] if star else list(FaultMode)
+    for m in net.measurements():
+        base = effective_resistance(net, m)
+        case = classify_kpartite(shape, m, e).case
+        for mode in modes:
+            delta = kpartite_delta(shape, case, mode)
+            assert perturbed_effective_resistance(net, m, e, mode) == base - delta
