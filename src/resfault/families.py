@@ -6,7 +6,7 @@ sizes.  Vertices are numbered partition by partition: partition 0 holds
 strategies and bounds in the rest of the package assume this labeling.
 
 The network builders make a new network on every call and keep no copy:
-a network, with the reading kernel and oracle graphs it memoizes, lives
+a network, with the reading kernel and oracle groundings it memoizes, lives
 only as long as its caller holds it.
 """
 

@@ -12,8 +12,9 @@ probe, see `signatures.reading_classes`) without forming a Fraction or
 reducing a product: each fault is keyed exactly by its edge's reduced
 ratio and |X|, keys are merged through a residue modulo 2^61 - 1
 (Rabin's fingerprint: different residues prove different readings), and
-each merge is confirmed by exact cross-multiplication.  A direct oracle that rebuilds
-the altered graph from scratch is kept alongside as an independent cross-check.
+each merge is confirmed by exact cross-multiplication.  A direct oracle that
+grounds and inverts each altered graph's own Laplacian is kept alongside as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ class Network:
 
     Vertices are 0..n-1.  Construction validates simplicity, ranges and
     connectivity; use `from_edge_list` to merge parallel edges first.  The
-    reading kernel, the edge index and the oracle's rebuilt graphs are
-    built on first use and kept on the instance.
+    reading kernel, the edge index and the oracle's groundings of altered
+    graphs are built on first use and kept on the instance.
     """
 
     n: int
@@ -156,7 +157,7 @@ class Network:
 
     @cached_property
     def _oracle_views(self) -> dict:
-        """(fault mode, fault pair) -> the rebuilt graph the oracle reads."""
+        """(fault mode, fault pair) -> the altered graph's `_ground` result."""
         return {}
 
     def edge_between(self, u: int, v: int) -> Edge:
@@ -196,19 +197,57 @@ def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return components
 
 
+def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, int, list[int]]:
+    """Ground the graph on 0..n-1 with these (u, v, conductance) edges.
+
+    The lowest vertex of each connected part is a ground; parallel edges
+    add up.  With c the lcm of the conductance denominators, c L is an
+    integer matrix (L the Laplacian less the grounds' rows and columns),
+    positive definite, so one fraction-free inversion gives integers P, D
+    with L^-1 = c P / D.  Returns (P, D, c, part of each vertex), P padded
+    with zero rows and columns at the grounds so it indexes vertices.
+    """
+    scale = lcm(*(w.denominator for _, _, w in edges))
+    parts = _components(n, [(u, v) for u, v, _ in edges])
+    grounds = [comp[0] for comp in parts]  # ascending: parts come by lowest vertex
+    part = [0] * n
+    for i, comp in enumerate(parts):
+        for v in comp:
+            part[v] = i
+    kept = [v for v in range(n) if v not in grounds]
+    index = [-1] * n  # reduced index per vertex; -1 at a ground
+    for i, v in enumerate(kept):
+        index[v] = i
+    lap = [[0] * len(kept) for _ in kept]
+    for u, v, w in edges:
+        w = w.numerator * (scale // w.denominator)
+        i, j = index[u], index[v]
+        if i >= 0:
+            lap[i][i] += w
+        if j >= 0:
+            lap[j][j] += w
+            if i >= 0:
+                lap[i][j] -= w
+                lap[j][i] -= w
+    adj, det = fraction_free_invert(lap)
+    for row in adj:
+        for g in grounds:
+            row.insert(g, 0)
+    for g in grounds:
+        adj.insert(g, [0] * n)
+    return adj, det, scale, part
+
+
 class _ReadingKernel:
     """One grounding of a network, shared by every probe and every fault.
 
-    Vertex 0 is the ground.  With c the lcm of the conductance
-    denominators, c L is an integer matrix (L the reduced Laplacian), and
-    its fraction-free inversion gives integers P, D with L^-1 = c P / D;
-    P is padded with a zero row and column at the ground, so it indexes
-    vertices directly.  For a probe x = e_r - e_s the base resistance is
-    R = c base / D, with base = x^T P x.  A fault on edge (a, b) of conductance p/q
-    drives that conductance to infinity (shorted) or to 0 (removed): a
-    rank-one change to the Laplacian along v = e_a - e_b.  With the
-    integers X = v^T P x and Z = v^T P v, the Sherman-Morrison formula
-    gives, in both modes,
+    `_ground` grounds the connected network at vertex 0, giving the
+    integers P, D and the scale c.  For a probe x = e_r - e_s the base
+    resistance is R = c base / D, with base = x^T P x.  A fault on edge
+    (a, b) of conductance p/q drives that conductance to infinity
+    (shorted) or to 0 (removed): a rank-one change to the Laplacian along
+    v = e_a - e_b.  With the integers X = v^T P x and Z = v^T P v, the
+    Sherman-Morrison formula gives, in both modes,
 
         R' = c (base beta - alpha X^2) / (D beta)
 
@@ -222,8 +261,8 @@ class _ReadingKernel:
     its own resistance).  Removing a bridge leaves R when X = 0 (no probe
     current crosses it: both probe ends lie on one side) and separates
     the pair otherwise.  Each mode's per-edge table (`ratios`) is built
-    on first use, so a network that only gives base values (the oracle's
-    rebuilt graphs) never builds one.
+    on first use, so a network that only gives base values never builds
+    one.
 
     Class-id rows (`classes`) compare the correction alpha X^2 / beta
     without reducing it.  A cell is keyed exactly by (t, |X|), t numbering
@@ -238,19 +277,9 @@ class _ReadingKernel:
     __slots__ = ("p", "det", "scale", "edges", "_ratios", "_p_mod")
 
     def __init__(self, net: Network):
-        scale = lcm(*(e.conductance.denominator for e in net.edges))
-        lap = [[0] * (net.n - 1) for _ in range(net.n - 1)]
-        for e in net.edges:
-            w = e.conductance.numerator * (scale // e.conductance.denominator)
-            a, b = e.u - 1, e.v - 1  # reduced indices; a = -1 is the ground
-            lap[b][b] += w
-            if a >= 0:
-                lap[a][a] += w
-                lap[a][b] -= w
-                lap[b][a] -= w
-        adj, det = fraction_free_invert(lap)
-        self.p = [[0] * net.n] + [[0] + row for row in adj]
-        self.det, self.scale, self.edges = det, scale, net.edges
+        edges = [(e.u, e.v, e.conductance) for e in net.edges]
+        self.p, self.det, self.scale, _ = _ground(net.n, edges)
+        self.edges = net.edges
         self._ratios: dict[FaultMode, tuple] = {}
         self._p_mod: list[list[int]] | None = None
 
@@ -384,67 +413,33 @@ def perturbed_effective_resistance(
     return net._reading_kernel.reading(m.r, m.s, j, mode)
 
 
-def _deleted_edge_view(net: Network, fault: Edge):
-    """Edge-deleted graph, split into relabeled connected components.
-
-    Returns (component id per vertex, local index per vertex, component
-    subnetworks).
-    """
-    kept = [e for e in net.edges if e != fault]
-    components = _components(net.n, [e.pair for e in kept])
-    comp_id = [0] * net.n
-    locals_ = [0] * net.n
-    for cid, comp in enumerate(components):
-        for local, v in enumerate(comp):
-            comp_id[v], locals_[v] = cid, local
-    edges: list[list] = [[] for _ in components]
-    for e in kept:
-        edges[comp_id[e.u]].append((locals_[e.u], locals_[e.v], e.conductance))
-    networks = (Network.from_edge_list(len(c), es) for c, es in zip(components, edges))
-    return (tuple(comp_id), tuple(locals_), tuple(networks))
-
-
-def _contracted_view(net: Network, fault: Edge):
-    """Graph with the fault edge contracted and parallels merged; plus the relabeling."""
-    a, b = fault.u, fault.v
-
-    def remap(x: int) -> int:
-        if x == b:
-            x = a
-        return x if x < b else x - 1
-
-    merged = Network.from_edge_list(
-        net.n - 1,
-        [(remap(e.u), remap(e.v), e.conductance) for e in net.edges if e != fault],
-    )
-    return (merged, tuple(remap(x) for x in range(net.n)))
-
-
 def direct_effective_resistance_oracle(
     net: Network, m: Measurement, fault: Edge, mode: FaultMode
 ) -> Resistance:
-    """Recompute the faulted resistance by building the altered graph.
+    """Recompute the faulted resistance from the altered graph's own grounding.
 
-    Removal deletes the edge (answer INFINITE if the pair is separated);
-    shorting contracts it, merging parallel edges that appear.  This path
-    shares no update formula with `perturbed_effective_resistance` and is
-    the verification oracle for it.  The altered graph is built once per
-    (mode, fault) and kept on the network.
+    Removal deletes the fault edge (a, b); shorting also relabels b as a,
+    so the edges at b move to a (parallel edges add up in the Laplacian)
+    and b is left a lone vertex.  `_ground` inverts the altered graph's
+    Laplacian, grounded in each connected part, and the relabeled probe
+    reads c (P_rr + P_ss - 2 P_rs) / D: INFINITE when its ends lie in
+    different parts, 0 when shorting joined them.  This path shares no
+    update formula with `perturbed_effective_resistance` and is the
+    verification oracle for it.  The grounding is built once per (mode,
+    fault) and kept on the network.
     """
     _fault_index(net, fault)
-    views = net._oracle_views
+    _check_measurement(net, m)
+    a, b = fault.pair
+    b_to = a if mode is FaultMode.SHORTED else b  # vertex b's label in the altered graph
+    relabel = lambda x: b_to if x == b else x
     key = (mode, fault.pair)
+    views = net._oracle_views
     if key not in views:
-        build = _deleted_edge_view if mode is FaultMode.REMOVED else _contracted_view
-        views[key] = build(net, fault)
-    if mode is FaultMode.REMOVED:
-        comp_id, locals_, networks = views[key]
-        if comp_id[m.r] != comp_id[m.s]:
-            return INFINITE
-        sub = networks[comp_id[m.r]]
-        return effective_resistance(sub, Measurement(locals_[m.r], locals_[m.s]))
-    merged, remap = views[key]
-    rr, ss = remap[m.r], remap[m.s]
-    if rr == ss:
-        return Fraction(0)
-    return effective_resistance(merged, Measurement(rr, ss))
+        edges = [(relabel(e.u), relabel(e.v), e.conductance) for e in net.edges if e != fault]
+        views[key] = _ground(net.n, edges)
+    p, det, c, part = views[key]
+    r, s = relabel(m.r), relabel(m.s)
+    if part[r] != part[s]:
+        return INFINITE
+    return Fraction(c * (p[r][r] + p[s][s] - 2 * p[r][s]), det)

@@ -1,7 +1,7 @@
 """Reduced Laplacians and their inverses at any ground, built in the tests.
 
 The library grounds each network once, at vertex 0, and builds the
-scaled integer Laplacian inside its reading kernel.  These helpers build
+scaled integer Laplacian in `network._ground`.  These helpers build
 the rational reduced Laplacian at a chosen vertex, scale it to integers
 by the lcm of its entries' denominators and invert it with
 `fraction_free_invert`, so tests can check the library's resistances

@@ -45,12 +45,26 @@ def pendant_network(seed, n):
     return Network.from_edge_list(n, [(u, v, w) for (u, v), w in edges.items()])
 
 
-@pytest.mark.parametrize("seed", range(4))
+def bridged_network():
+    """Two weighted K4s joined through a middle vertex by two bridges, plus a pendant leaf."""
+    edges = [(u, v, Fraction(u + v + 1, v - u + 1)) for u in range(4) for v in range(u + 1, 4)]
+    edges += [(u + 5, v + 5, Fraction(u + 2, v + 1)) for u in range(4) for v in range(u + 1, 4)]
+    edges += [(3, 4, 3), (4, 5, Fraction(1, 2)), (8, 9, Fraction(7, 3))]
+    return Network.from_edge_list(10, edges)
+
+
+@pytest.mark.parametrize("seed", [*range(4), "bridged"])
 @pytest.mark.parametrize("mode", list(FaultMode))
 def test_keys_and_readings_match_the_oracle(seed, mode):
-    net = pendant_network(seed, 9)
+    # A pendant network's bridges cut off single leaves; removing the bridge
+    # (3, 4) or (4, 5) of bridged_network cuts off a far part (the one
+    # without vertex 0) of six or five vertices.
+    if seed == "bridged":
+        net, bridges = bridged_network(), {(3, 4), (4, 5), (8, 9)}
+    else:
+        net = pendant_network(seed, 9)
+        bridges = {e.pair for e in net.edges if e.v >= net.n - 3}  # the pendant edges
     bridge_cases = {"same side": 0, "separated": 0}
-    core = net.n - 3
     for m in net.measurements():
         [ids] = reading_classes(net, [m], mode, no_fault=True)
         healthy = ids[len(net.edges)]
@@ -62,7 +76,7 @@ def test_keys_and_readings_match_the_oracle(seed, mode):
             assert (ids[j] == healthy) == (readings[j] == base), (m, e.pair)
             for i in range(j):
                 assert (ids[i] == ids[j]) == (readings[i] == readings[j]), (m, e.pair)
-            if mode is FaultMode.REMOVED and e.v >= core:  # a pendant edge: a bridge
+            if mode is FaultMode.REMOVED and e.pair in bridges:
                 bridge_cases["separated" if readings[j] == INFINITE else "same side"] += 1
                 assert readings[j] in (INFINITE, base)
     if mode is FaultMode.REMOVED:
@@ -151,32 +165,36 @@ def test_restricted_pool_witness_pairs(net, pool):
 
 
 def test_the_oracle_builds_no_ratio_table(monkeypatch):
-    # The oracle's rebuilt graphs give base values only, so none of them
-    # (nor the network itself) needs a mode's per-edge ratio table.
-    calls = []
-    real = resfault.network._ReadingKernel.ratios
+    # The oracle grounds each altered graph itself, so an oracle sweep builds
+    # no Network and no reading kernel, and no mode's per-edge ratio table.
+    nets = (pendant_network(2, 9), kpartite_network(KPartiteShape((2, 3, 4))))
+    calls, built = [], []
+    kernel = resfault.network._ReadingKernel
+    real, real_init, real_check = kernel.ratios, kernel.__init__, Network.__post_init__
 
     def recording(kernel, mode):
         calls.append(mode)
         return real(kernel, mode)
 
-    monkeypatch.setattr(resfault.network._ReadingKernel, "ratios", recording)
-    for net in (pendant_network(2, 9), kpartite_network(KPartiteShape((2, 3, 4)))):
+    def building(kernel, net):
+        built.append("kernel")
+        real_init(kernel, net)
+
+    def checking(net):
+        built.append("network")
+        real_check(net)
+
+    monkeypatch.setattr(kernel, "ratios", recording)
+    monkeypatch.setattr(kernel, "__init__", building)
+    monkeypatch.setattr(Network, "__post_init__", checking)
+    for net in nets:
         for mode in FaultMode:
             for e in net.edges:
                 for m in net.measurements():
                     direct_effective_resistance_oracle(net, m, e, mode)
-    assert calls == []
+    assert calls == [] and built == []
     reading_classes(net, [Measurement(0, 1)], FaultMode.SHORTED)
-    assert calls == [FaultMode.SHORTED]
-
-
-def bridged_network():
-    """Two weighted K4s joined through a middle vertex by two bridges, plus a pendant leaf."""
-    edges = [(u, v, Fraction(u + v + 1, v - u + 1)) for u in range(4) for v in range(u + 1, 4)]
-    edges += [(u + 5, v + 5, Fraction(u + 2, v + 1)) for u in range(4) for v in range(u + 1, 4)]
-    edges += [(3, 4, 3), (4, 5, Fraction(1, 2)), (8, 9, Fraction(7, 3))]
-    return Network.from_edge_list(10, edges)
+    assert calls == [FaultMode.SHORTED] and built == ["kernel"]
 
 
 def assert_rows_match_the_reference(net, probes):

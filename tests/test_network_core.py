@@ -84,7 +84,7 @@ class TestConstruction:
 
     def test_family_networks_are_freed_with_their_caller(self):
         # The builders keep no copy, so a network and everything it memoizes
-        # (here the reading kernel and one rebuilt oracle graph) go with it.
+        # (here the reading kernel and one oracle grounding) go with it.
         refs = []
         for net in (complete_network(12), KPartiteShape((2, 3, 4)).network()):
             probe, fault = Measurement(0, 5), net.edges[0]
@@ -232,6 +232,15 @@ class TestPerturbedResistance:
             perturbed_effective_resistance(
                 net, Measurement(0, 1), Edge(0, 2, 1), FaultMode.REMOVED
             )
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_oracle_rejects_out_of_range_probes_like_the_update(self, mode):
+        net = complete_network(5)
+        fault = net.edge_between(0, 1)
+        for probe in (Measurement(-1, 2), Measurement(2, 7)):
+            for reading in (perturbed_effective_resistance, direct_effective_resistance_oracle):
+                with pytest.raises(ValueError, match=r"out of range for n=5"):
+                    reading(net, probe, fault, mode)
 
     @pytest.mark.parametrize("mode", list(FaultMode))
     def test_update_agrees_with_oracle_on_k6(self, mode):
