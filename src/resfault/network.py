@@ -350,15 +350,19 @@ class _ReadingKernel:
                         g = gcd(num, beta)
                         num, den = num // g, beta // g
                         residue = num * pow(den, -1, m) % m if den % m else -1
-                    members = buckets.setdefault(residue, [])
-                    for cid, x2, alpha2, beta2 in members:
-                        if x * x * alpha * beta2 == x2 * x2 * alpha2 * beta:
-                            ids[key] = cid
-                            break
-                    else:
-                        cid = count
+                    members = buckets.get(residue)
+                    if members is None:  # a residue not seen yet: a new class
                         count += 1
-                        members.append((cid, x, alpha, beta))
+                        buckets[residue] = [(cid, x, alpha, beta)]
+                    else:
+                        for cid, x2, alpha2, beta2 in members:
+                            if x * x * alpha * beta2 == x2 * x2 * alpha2 * beta:
+                                ids[key] = cid
+                                break
+                        else:
+                            cid = count
+                            count += 1
+                            members.append((cid, x, alpha, beta))
             else:
                 cid = ids.setdefault(INFINITE if x else None, count)
                 if cid == count:

@@ -13,16 +13,19 @@ sets: targets grow from a lower bound until a plan of the target size
 exists, so the first plan found is provably minimum.  Branching picks an
 uncovered pair with the fewest covering probes (read off masks bucketed
 by coverer count) and tries each of them; subtrees are cut when some
-uncovered pair has no usable coverer, or when even the best single-probe
-coverage cannot finish within the target.
+uncovered pair has no usable coverer, when even the best single-probe
+coverage cannot finish within the target, or when too many twin vertices
+are still untouched (the handshake cut below).
 
 Symmetry comes from twin vertices: u ~ v iff c(u, w) = c(v, w) for every
 w other than u and v.  This is an equivalence, the transposition (u v)
 is an automorphism exactly when u ~ v, and each class's vertices may be
 permuted freely (K_n has one class, a complete k-partite graph one per
 partition).  Every automorphism maps faults to faults and fixes the
-healthy network, so all of this holds with the healthy column too.  It
-is used in two ways.
+healthy network, so all of this holds with the healthy column too.  The
+classes are found once per solve and held, with each candidate's ends
+and the pool's orbits, in one `_TwinGroup`.  The search uses it in the
+two ways below; the greedy's orbit skip is described at `_greedy_order`.
 
 Orbit bans.  Once a child fails, its probe's whole orbit is banned from
 the subtrees of its later siblings, under the group that permutes each
@@ -37,15 +40,22 @@ bans are made by orbit at every node, the root with caller-given first
 probes included.  Banned siblings are skipped.  A candidate pool
 that is not closed under the group gets single-probe bans only.
 
-Handshake seed.  Two twins u, v (with some w, other than both, joined
-to each, which connectivity gives when n >= 3) leave the faults (u, w)
-and (v, w) reading the same on every probe that touches neither, and on
-the probe (u, v): (u v) maps one fault to the other and fixes the probe.
-So every distinguishing set touches all but at most one vertex per
-class, and needs at least ceil((n - c) / 2) probes for c classes.  The
-deepening starts at the larger of this and the counting bound; each
+Handshake seed and cut.  Two twins u, v (with some w, other than both,
+joined to each, which connectivity gives when n >= 3) leave the faults
+(u, w) and (v, w) reading the same on every probe that touches neither,
+and on the probe (u, v): (u v) maps one fault to the other and fixes the
+probe.  So every distinguishing set touches all but at most one vertex
+per class, and needs at least ceil((n - c) / 2) probes for c classes.
+The deepening starts at the larger of this and the counting bound; each
 target is searched on its own, so skipping targets that cannot succeed
-leaves the plan unchanged.
+leaves the plan unchanged.  The same count holds at every node, for any
+candidate pool: with r probes left and F_c the untouched vertices of
+class c, the r probes touch at most 2r of them, so a node with
+sum_c max(0, |F_c| - 1) > 2r holds no plan and is cut after the counting
+cut.  (On two vertices that sum is at most 1, and the counting cut
+already ends every node with no probe left.)  A cut removes only
+subtrees without a plan of the target size, so the plan found is the
+same as without it.
 """
 
 from __future__ import annotations
@@ -99,8 +109,9 @@ def _twin_classes(net: Network) -> list[list[int]]:
     u ~ v iff c(u, w) = c(v, w) for every w other than u and v (c = 0
     where there is no edge), so twins may be joined to each other or not.
     Twins have the same multiset of incident conductances, so each vertex
-    is compared only with the classes of that multiset; as ~ is an
-    equivalence, one member stands for its class.
+    is compared only with the classes of that multiset (sorted as
+    (numerator, denominator) pairs, which sort faster than Fractions); as
+    ~ is an equivalence, one member stands for its class.
     """
     adj: list[dict[int, object]] = [{} for _ in range(net.n)]
     for e in net.edges:
@@ -108,7 +119,8 @@ def _twin_classes(net: Network) -> list[list[int]]:
     classes: list[list[int]] = []
     by_conductances: dict[tuple, list[list[int]]] = {}
     for v in range(net.n):
-        same = by_conductances.setdefault(tuple(sorted(adj[v].values())), [])
+        key = tuple(sorted((c.numerator, c.denominator) for c in adj[v].values()))
+        same = by_conductances.setdefault(key, [])
         for cls in same:
             u = cls[0]
             if {w: c for w, c in adj[u].items() if w != v} == {
@@ -122,44 +134,50 @@ def _twin_classes(net: Network) -> list[list[int]]:
     return classes
 
 
-class _TwinOrbits:
-    """Probe orbits under the group that permutes each twin class's fresh vertices.
+class _TwinGroup:
+    """The twin group of a network, as one candidate pool sees it.
 
-    A vertex is fresh when the `touched` vertex mask leaves it out.  Probe
-    (a, b) moves a within the fresh vertices of a's class if a is fresh
-    and fixes it otherwise, and likewise b; so with A and B those vertex
-    sets, its orbit is the probes with one end in A and the other in B.
-    Only built for a pool closed under the group (see `of`).
+    Holds the vertex mask of each twin class of two or more (`masks`),
+    the vertex mask of each candidate's two ends (`touch`, kept for every
+    pool), and whether the pool is closed under the group (`closed`).
+
+    A vertex is fresh when the `touched` vertex mask leaves it out.  Under
+    the subgroup that permutes each class's fresh vertices, probe (a, b)
+    moves a within the fresh vertices of a's class if a is fresh and fixes
+    it otherwise, and likewise b; so with A and B those vertex sets, its
+    orbit is the probes with one end in A and the other in B.  The group
+    is transitive on the pairs of each type (two given classes, or two
+    vertices of one class), so the pool is closed exactly when it holds
+    all pairs of each type it meets.  A pool that is not closed gets
+    single-probe orbits.
     """
 
-    def __init__(self, class_bits: list[int], cands: Sequence[Measurement]):
-        self.class_bits = class_bits  # class_bits[v]: vertex mask of v's class
+    def __init__(self, classes: list[list[int]], cands: Sequence[Measurement], n: int):
+        self.class_bits = [0] * n  # class_bits[v]: vertex mask of v's class
+        self.masks: list[int] = []
+        for c in classes:
+            mask = sum(1 << v for v in c)
+            for v in c:
+                self.class_bits[v] = mask
+            if len(c) > 1:
+                self.masks.append(mask)
         self.ends = [(m.r, m.s) for m in cands]
         self.touch = [1 << r | 1 << s for r, s in self.ends]
-        self.at = [0] * len(class_bits)  # at[v]: candidates with an end at v
+        self.closed = True
+        self.at: list[int] | None = None  # at[v]: candidates with an end at v
+        if not self.masks:  # every orbit is a single probe
+            return
+        bits = self.class_bits
+        types = Counter(tuple(sorted((bits[r], bits[s]))) for r, s in set(self.ends))
+        for (x, y), count in types.items():
+            size = x.bit_count()
+            if count != (size * (size - 1) // 2 if x == y else size * y.bit_count()):
+                self.closed = False
+                return
+        self.at = [0] * n
         for j, (r, s) in enumerate(self.ends):
             self.at[r] |= 1 << j
             self.at[s] |= 1 << j
-
-    @classmethod
-    def of(cls, classes: list[list[int]], cands: Sequence[Measurement], n: int):
-        """The orbits, or None when the pool is not closed under the group.
-
-        The group is transitive on the pairs of each type (two given classes, or two
-        vertices of one class), so the pool is closed exactly when it holds all pairs
-        of each type it meets.  Without twins every orbit is a single probe.
-        """
-        class_bits = [0] * n
-        for c in classes:
-            bits = sum(1 << v for v in c)
-            for v in c:
-                class_bits[v] = bits
-        counts = Counter(tuple(sorted((class_bits[m.r], class_bits[m.s]))) for m in set(cands))
-        for (x, y), count in counts.items():
-            size = x.bit_count()
-            if count != (size * (size - 1) // 2 if x == y else size * y.bit_count()):
-                return None
-        return cls(class_bits, cands)
 
     def _reach(self, vertices: int) -> int:
         """Candidates with an end in the vertex mask."""
@@ -171,12 +189,36 @@ class _TwinOrbits:
         return out
 
     def orbit(self, j: int, touched: int) -> int:
+        """Candidate j's orbit as a candidate mask, given the touched vertices."""
+        if self.at is None:
+            return 1 << j
         a, b = self.ends[j]
         ends_a = 1 << a if touched >> a & 1 else self.class_bits[a] & ~touched
         ends_b = 1 << b if touched >> b & 1 else self.class_bits[b] & ~touched
         if ends_a == ends_b:  # a and b fresh in one class: both ends among them
             return self._reach(ends_a) & ~self._reach((1 << len(self.class_bits)) - 1 ^ ends_a)
         return self._reach(ends_a) & self._reach(ends_b)
+
+    def representatives(self, touched: int) -> Sequence[int]:
+        """The lowest candidate index of each orbit, ascending.
+
+        Every candidate when the orbits are single probes: the pool is not
+        closed, or no class has two members.
+        """
+        if self.at is None:
+            return range(len(self.ends))
+        out = []
+        rest = (1 << len(self.ends)) - 1
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            out.append(j)
+            rest &= ~self.orbit(j, touched)
+        return out
+
+    def slack(self, touched: int) -> int:
+        """Vertices a distinguishing set must still touch: all but one fresh per class."""
+        fresh = ~touched
+        return sum(max(0, (bits & fresh).bit_count() - 1) for bits in self.masks)
 
 
 class _CoverInstance:
@@ -194,20 +236,21 @@ class _CoverInstance:
     `buckets` partitions the pairs by how many candidates cover them, in
     ascending count order; the counts are summed bit-sliced (a carry-save
     adder over the masks, one bit plane per binary digit of the count).
-    `twins`, when given, supplies the orbits that refuted children ban and
-    `touch[j]`, the vertex mask of candidate j's two ends (0 without it).
-    The build raises _Deadline once a row starts after `deadline`.
+    `group`, the pool's twin group when given, supplies the orbits that
+    refuted children ban, the handshake cut and `touch[j]`, the vertex
+    mask of candidate j's two ends (0 without it).  The build raises
+    _Deadline once a row starts after `deadline`.
     """
 
     def __init__(
         self,
         table: Sequence[Sequence[int]],
         column_count: int,
-        twins: _TwinOrbits | None = None,
+        group: _TwinGroup | None = None,
         deadline: float = float("inf"),
     ):
-        self.twins = twins
-        self.touch = twins.touch if twins else [0] * len(table)
+        self.group = group
+        self.touch = group.touch if group else [0] * len(table)
         ne = column_count
         self.pair_count = ne * (ne - 1) // 2
         self.full = (1 << self.pair_count) - 1
@@ -243,7 +286,7 @@ class _CoverInstance:
 
     def orbit(self, j: int, touched: int) -> int:
         """Candidate j's orbit as a candidate mask, given the touched vertices."""
-        return self.twins.orbit(j, touched) if self.twins else 1 << j
+        return self.group.orbit(j, touched) if self.group else 1 << j
 
     def search(
         self,
@@ -261,10 +304,12 @@ class _CoverInstance:
         orbit of a refuted earlier sibling of a node on the path, whose
         subtree already tried every cover that includes it (or its image)
         at this target.  `touched` holds the vertices that the chosen
-        probes touch.  `first`, at the root, replaces the pivot's coverers
-        with caller-given first probes, tried in the order given.  There is
-        no depth test: with no probe left to choose and a pair missing, the
-        counting cut already fails.
+        probes touch; with a twin group, a node whose fresh vertices need
+        more than two per remaining probe is cut (the handshake bound, see
+        the module docstring).  `first`, at the root, replaces the pivot's
+        coverers with caller-given first probes, tried in the order given.
+        There is no depth test: with no probe left to choose and a pair
+        missing, the counting cut already fails.
         """
         if covered == self.full:
             return chosen
@@ -281,7 +326,10 @@ class _CoverInstance:
                 gains[j] = hit.bit_count()
         if reachable != missing:
             return None
-        if -(-missing.bit_count() // max(gains.values())) > target - len(chosen):
+        left = target - len(chosen)
+        if -(-missing.bit_count() // max(gains.values())) > left:
+            return None
+        if self.group and self.group.slack(touched) > 2 * left:
             return None
         if first is not None:
             children = first
@@ -307,7 +355,9 @@ class _CoverInstance:
         return None
 
 
-def _greedy_order(table: Sequence[Sequence[int]], column_count: int) -> list[int] | None:
+def _greedy_order(
+    table: Sequence[Sequence[int]], column_count: int, group: _TwinGroup
+) -> list[int] | None:
     """Candidate indices in greedy order; None if the pool stops splitting first.
 
     Each step picks the row that raises the number of fault classes the
@@ -315,11 +365,18 @@ def _greedy_order(table: Sequence[Sequence[int]], column_count: int) -> list[int
     chosen row (partition refinement), so a chosen row never splits one
     again; only edges in classes of two or more can still split, so only
     those are counted.
+
+    Only the lowest row of each orbit under the twin group that fixes every
+    touched vertex is scored.  Such a group element maps the network onto
+    itself and fixes every chosen probe, so it maps the current classes
+    onto themselves, and the rows of one orbit raise the count alike; the
+    orbit's lowest row is the one "earliest wins ties" would pick.
     """
     ne = column_count
     labels = [0] * ne
     active = list(range(ne))
     chosen: list[int] = []
+    touched = 0
     classes = 1 if ne else 0
     while classes < ne:
         # Some class has two members, so `active` has two or more entries and
@@ -328,8 +385,8 @@ def _greedy_order(table: Sequence[Sequence[int]], column_count: int) -> list[int
         live = pick(labels)
         singles = ne - len(active)
         best_j, best_classes = None, classes
-        for j, row in enumerate(table):
-            count = singles + len(set(zip(live, pick(row))))
+        for j in group.representatives(touched):
+            count = singles + len(set(zip(live, pick(table[j]))))
             if count > best_classes:
                 best_j, best_classes = j, count
         if best_j is None:
@@ -339,6 +396,7 @@ def _greedy_order(table: Sequence[Sequence[int]], column_count: int) -> list[int
         sizes = Counter(labels)
         active = [e for e in range(ne) if sizes[labels[e]] > 1]
         chosen.append(best_j)
+        touched |= group.touch[best_j]
         classes = best_classes
     return chosen
 
@@ -349,7 +407,8 @@ def _plan(cands, indices, tag: str, mode: FaultMode) -> MeasurementPlan:
 
 
 def _greedy_start(net: Network, candidates, mode: FaultMode, no_fault: bool):
-    """Both solvers' set-up: the pool, its class-id table, the column count, the greedy order.
+    """Both solvers' set-up: the pool, its class-id table, the column count, the
+    pool's twin group and the greedy order.
 
     The order is Infeasible, naming every merged column pair, when the
     greedy stalls, which it does exactly when some pair is never split.
@@ -357,10 +416,11 @@ def _greedy_start(net: Network, candidates, mode: FaultMode, no_fault: bool):
     cands = list(candidates) if candidates is not None else net.measurements()
     table = reading_classes(net, cands, mode, no_fault)
     columns = net.edges + (None,) * no_fault
-    greedy = _greedy_order(table, len(columns))
+    group = _TwinGroup(_twin_classes(net), cands, net.n)
+    greedy = _greedy_order(table, len(columns), group)
     if greedy is None:
         greedy = Infeasible(tuple(merged_pairs(columns, table)))
-    return cands, table, len(columns), greedy
+    return cands, table, len(columns), group, greedy
 
 
 def solve_exact(
@@ -388,7 +448,7 @@ def solve_exact(
     for perfbench/workloads.py: the twin-orbit root makes it pure overhead.
     """
     deadline = time.monotonic() + budget_seconds
-    cands, table, ne, greedy = _greedy_start(net, candidates, mode, no_fault)
+    cands, table, ne, group, greedy = _greedy_start(net, candidates, mode, no_fault)
     if isinstance(greedy, Infeasible):
         return greedy
     greedy_plan = _plan(cands, greedy, "greedy", mode)
@@ -398,8 +458,7 @@ def solve_exact(
         (pair_count - sum(k * (k - 1) // 2 for k in Counter(row).values()) for row in table),
         default=0,
     )
-    classes = _twin_classes(net)
-    handshake = (net.n - len(classes) + 1) // 2
+    handshake = -(-group.slack(0) // 2)
     # max_single is 0 only when there is no pair to split (else greedy stalled).
     root_lower = max(1, -(-pair_count // max(max_single, 1)), handshake)
     if root_lower < len(greedy):  # else no smaller set exists
@@ -411,7 +470,7 @@ def solve_exact(
             root_indices = [i for i, m in enumerate(cands) if m in first]
         target = root_lower
         try:
-            inst = _CoverInstance(table, ne, _TwinOrbits.of(classes, cands, net.n), deadline)
+            inst = _CoverInstance(table, ne, group, deadline)
             for target in range(root_lower, len(greedy)):
                 found = inst.search(target, [], 0, 0, deadline, 0, root_indices)
                 if found is not None:
@@ -437,7 +496,7 @@ def solve_greedy(
     The result is distinguishing whenever the full pool is, but not
     necessarily minimum; the exact solver uses it as its incumbent.
     """
-    cands, _, _, greedy = _greedy_start(net, candidates, mode, no_fault)
+    cands, _, _, _, greedy = _greedy_start(net, candidates, mode, no_fault)
     return greedy if isinstance(greedy, Infeasible) else _plan(cands, greedy, "greedy", mode)
 
 

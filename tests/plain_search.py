@@ -1,16 +1,16 @@
 """A plain test-cover search, kept as an oracle for `solve_exact`.
 
-This is the search without buckets or bans: masks built one pair at a
-time, a coverer list for every pair, and the pivot chosen by `min` over
-the bit positions of the missing pairs.  It returns the same plan as the
-library's search, only more slowly.
+This is the search without buckets, bans or cuts beyond the counting
+one: masks built one pair at a time, a coverer list for every pair, and
+the pivot chosen by `min` over the bit positions of the missing pairs.
+It returns the same plan as the library's search, only more slowly.  Its
+greedy incumbent scores every row at every step, with no orbits.
 """
 
 from math import ceil
 
 from resfault.network import FaultMode
 from resfault.signatures import reading_classes
-from resfault.solver import _greedy_order
 
 
 def bit_positions(mask):
@@ -22,6 +22,28 @@ def bit_positions(mask):
         mask >>= 1
         pos += 1
     return out
+
+
+def plain_greedy(table, column_count):
+    """Row indices in greedy order, every row scored at every step; None on a stall.
+
+    Each step takes the row giving the most distinct columns of readings
+    so far, the earliest on ties; `labels` numbers those columns.
+    """
+    labels = [0] * column_count
+    chosen = []
+    while len(set(labels)) < column_count:
+        best, best_count = None, len(set(labels))
+        for j, row in enumerate(table):
+            count = len(set(zip(labels, row)))
+            if count > best_count:
+                best, best_count = j, count
+        if best is None:
+            return None
+        chosen.append(best)
+        ids = {}
+        labels = [ids.setdefault(pair, len(ids)) for pair in zip(labels, table[best])]
+    return chosen
 
 
 def pair_masks(table, edge_count):
@@ -100,7 +122,7 @@ def plain_solve(net, candidates=None, mode=FaultMode.REMOVED, first_probe_orbits
         union |= m
     if union != full:
         return None
-    greedy = _greedy_order(table, len(net.edges))
+    greedy = plain_greedy(table, len(net.edges))
     root_lower = max(1, ceil(full.bit_length() / max(m.bit_count() for m in masks)))
     roots = None
     if first_probe_orbits is not None:

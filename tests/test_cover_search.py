@@ -1,16 +1,18 @@
 """The bucketed, banning cover search against the plain search it replaced.
 
 `plain_search.plain_solve` keeps the search without buckets or bans; the
-library's `solve_exact` must return the very same probe sequence.  The
-cover masks, the bucket pivot, the twin classes and the probe orbits are
-checked by brute force.
+library's `solve_exact` must return the very same probe sequence, and
+its greedy, which scores one row per orbit, the same order as
+`plain_search.plain_greedy`.  The cover masks, the bucket pivot, the twin
+classes, the probe orbits and the handshake cut's boundary are checked by
+brute force.
 """
 
 import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -21,17 +23,18 @@ from resfault.families import (
     measurement_orbit_representatives,
 )
 from resfault.network import FaultMode, Network
-from resfault.signatures import reading_classes
+from resfault.signatures import is_distinguishing, reading_classes
 from resfault.solver import (
     ExactSolution,
     Infeasible,
     _CoverInstance,
+    _greedy_start,
     _twin_classes,
-    _TwinOrbits,
+    _TwinGroup,
     solve_exact,
 )
 
-from plain_search import PlainCover, plain_solve
+from plain_search import PlainCover, plain_greedy, plain_solve
 from test_kernel import pendant_network
 
 FAMILIES = [(6,), (7,), (8,), (9,), (2, 3), (2, 4), (2, 3, 6), (3, 4, 5)]
@@ -259,8 +262,8 @@ def test_orbits_match_the_swap_closure():
     for net in symmetric_networks():
         classes = _twin_classes(net)
         cands = net.measurements()
-        twins = _TwinOrbits.of(classes, cands, net.n)
-        assert twins is not None
+        twins = _TwinGroup(classes, cands, net.n)
+        assert twins.closed
         for _ in range(6):
             touched = 0
             for _ in range(rng.randint(0, 3)):
@@ -287,7 +290,7 @@ def test_twin_network_plans_match_the_plain_search(seed, mode):
     classes = _twin_classes(net)
     outcomes = Counter()
     for pool in [net.measurements()] + [invariant_pool(rng, net, classes) for _ in range(3)]:
-        assert _TwinOrbits.of(classes, pool, net.n) is not None
+        assert _TwinGroup(classes, pool, net.n).closed
         want = plain_solve(net, pool, mode)
         result = solve_exact(net, pool, mode)
         if want is None:
@@ -337,10 +340,12 @@ def test_pools_not_closed_under_the_group_ban_single_probes():
     net = complete_network(6)
     classes = _twin_classes(net)
     pool = net.measurements()[1:]
-    assert _TwinOrbits.of(classes, pool, net.n) is None
-    inst = _CoverInstance(reading_classes(net, pool, FaultMode.REMOVED), len(net.edges))
+    group = _TwinGroup(classes, pool, net.n)
+    assert not group.closed
+    inst = _CoverInstance(reading_classes(net, pool, FaultMode.REMOVED), len(net.edges), group)
     assert all(inst.orbit(j, 0) == 1 << j for j in range(len(pool)))
-    assert inst.touch == [0] * len(pool)
+    # The handshake cut still reads which vertices each probe touches.
+    assert inst.touch == [1 << m.r | 1 << m.s for m in pool]
     result = solve_exact(net, pool)
     assert result.plan.measurements == plain_solve(net, pool)
 
@@ -353,7 +358,7 @@ def test_orbit_bans_prune_below_the_root():
     cands = net.measurements()
     table = reading_classes(net, cands, FaultMode.REMOVED)
     nodes = []
-    for twins in (_TwinOrbits.of(_twin_classes(net), cands, net.n), None):
+    for twins in (_TwinGroup(_twin_classes(net), cands, net.n), None):
         inst = _CoverInstance(table, len(net.edges), twins)
         search, calls = inst.search, []
 
@@ -367,3 +372,90 @@ def test_orbit_bans_prune_below_the_root():
         assert inst.search(5, [0], inst.masks[0], 0, math.inf, touched) is None
         nodes.append(len(calls))
     assert nodes[0] * 5 < nodes[1], nodes
+
+
+def greedy_cases():
+    """(network, pool) pairs: families and twin networks whole, then restricted pools.
+
+    The pools cover every kind of group: closed with twins (whole families,
+    invariant pools), not closed (random halves), and without twins.
+    """
+    rng = random.Random(13)
+    nets = [complete_network(n) for n in range(2, 25)]
+    nets += [
+        KPartiteShape(parts).network()
+        for k in (2, 3, 4)
+        for parts in combinations_with_replacement(range(1, 5), k)
+    ]
+    nets += [twin_network(seed) for seed in range(8)] + [pendant_network(0, 9)]
+    cases = [(net, None) for net in nets]
+    for net in nets[5:9] + nets[-9:]:
+        classes = _twin_classes(net)
+        everything = net.measurements()
+        cases.append((net, invariant_pool(rng, net, classes)))
+        cases.append((net, rng.sample(everything, len(everything) // 2)))
+    return cases
+
+
+@pytest.mark.parametrize("no_fault", [False, True], ids=["faults", "no_fault"])
+@pytest.mark.parametrize("mode", list(FaultMode))
+def test_greedy_by_orbit_matches_the_every_row_greedy(mode, no_fault):
+    # The solver scores one row per orbit of the group that fixes the touched
+    # vertices; the plain greedy scores every row.  Both must pick the same rows.
+    kinds = Counter()
+    for net, pool in greedy_cases():
+        _, table, ne, group, greedy = _greedy_start(net, pool, mode, no_fault)
+        want = plain_greedy(table, ne)
+        assert (None if isinstance(greedy, Infeasible) else greedy) == want, (net.n, pool)
+        kinds[group.closed, bool(group.masks)] += 1
+    assert kinds[True, True] and kinds[False, True] and kinds[True, False], kinds
+
+
+class ChildEntered(Exception):
+    pass
+
+
+def enters_a_child(inst, target):
+    """Whether the root search at `target` goes on to a child, or is cut first."""
+    search = inst.search
+
+    def child(*args):
+        raise ChildEntered
+
+    inst.search = child  # the recursion reads the instance attribute
+    try:
+        search(target, [], 0, 0, math.inf)
+    except ChildEntered:
+        return True
+    return False
+
+
+def test_handshake_cut_fires_only_above_twice_the_probes_left():
+    # With no probe chosen, K_n's one class leaves a slack of n - 1.  At
+    # target 4, K9's root (slack 8 = 2 * 4) must be searched and K10's root
+    # (slack 9 = 2 * 4 + 1) cut, though the counting cut lets both through.
+    for n, cut in ((9, False), (10, True)):
+        net = complete_network(n)
+        cands = net.measurements()
+        table = reading_classes(net, cands, FaultMode.REMOVED)
+        group = _TwinGroup(_twin_classes(net), cands, n)
+        assert group.slack(0) == n - 1
+        assert enters_a_child(_CoverInstance(table, len(net.edges)), 4)
+        assert enters_a_child(_CoverInstance(table, len(net.edges), group), 4) is not cut
+
+
+@pytest.mark.parametrize("mode", list(FaultMode))
+@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 4)], ids=label)
+def test_handshake_bound_that_is_met_exactly_keeps_the_plan(shape, mode):
+    # These optima touch all but one vertex of each partition with disjoint
+    # probes: the root's slack is exactly twice the optimum, and the cut must
+    # leave it (and every node on the plan's path) to the search.
+    net, _ = family(shape)
+    cands = net.measurements()
+    group = _TwinGroup(_twin_classes(net), cands, net.n)
+    target = group.slack(0) // 2
+    assert group.slack(0) == 2 * target
+    inst = _CoverInstance(reading_classes(net, cands, mode), len(net.edges), group)
+    found = inst.search(target, [], 0, 0, math.inf)
+    assert found is not None and len(found) == target
+    assert is_distinguishing(net, [cands[j] for j in found], mode)
