@@ -29,22 +29,25 @@ def fraction_free_invert(mat: list[list[int]]) -> tuple[list[list[int]], int]:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
-    # Augment with the identity; the right half becomes the adjugate.
-    width = 2 * n
+    # Augment with the identity; the right half becomes the adjugate.  At
+    # step k every column left of k holds the pivot on the diagonal and 0
+    # elsewhere, and so does every column right of n + k, so only columns
+    # k..n+k change; the diagonal entries outside them are set to the pivot.
     b = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     prev = 1
     for k in range(n):
         pivot = b[k][k]
         if pivot == 0:
             raise SingularMatrixError(f"zero pivot at step {k}")
-        row_k = b[k]
+        span = slice(k, n + k + 1)
+        pivot_row = b[k][span]
         for i in range(n):
             if i == k:
                 continue
             row_i = b[i]
             f = row_i[k]
-            for j in range(width):
-                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
+            row_i[span] = [(pivot * x - f * y) // prev for x, y in zip(row_i[span], pivot_row)]
+            row_i[i if i < k else n + i] = pivot
         prev = pivot
     det = b[n - 1][n - 1] if n else 1
     adj = [row[n:] for row in b]

@@ -8,11 +8,15 @@ from which every base resistance and every single-fault reading follows
 by the rank-one (Sherman-Morrison) update in integer arithmetic.  Within
 one probe, the readings differ only by the update's correction term, so
 the kernel numbers the faults that read alike (one class-id row per
-probe, see `signatures.reading_classes`) without forming a Fraction or
-reducing a product: each fault is keyed exactly by its edge's reduced
-ratio and |X|, keys are merged through a residue modulo 2^61 - 1
-(Rabin's fingerprint: different residues prove different readings), and
-each merge is confirmed by exact cross-multiplication.  A direct oracle that
+probe, see `signatures.reading_classes`) without forming a Fraction.
+The grounding divides P and D by their gcd, and a
+row numbers its faults by the residue of each correction modulo 2^61 - 1,
+taken from P's rows modulo that prime (Rabin's fingerprint: different
+residues prove different readings).  When the integers are small enough
+that equal residues prove equal readings too, as for every family
+network, that is the whole row; otherwise each repeated residue is
+confirmed by exact integers, and a row that fails a confirmation is
+keyed by each correction in lowest terms instead.  A direct oracle that
 grounds and inverts each altered graph's own Laplacian is kept alongside as an
 independent cross-check.
 """
@@ -23,8 +27,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .linalg import fraction_free_invert
 
@@ -204,8 +209,11 @@ def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, 
     add up.  With c the lcm of the conductance denominators, c L is an
     integer matrix (L the Laplacian less the grounds' rows and columns),
     positive definite, so one fraction-free inversion gives integers P, D
-    with L^-1 = c P / D.  Returns (P, D, c, part of each vertex), P padded
-    with zero rows and columns at the grounds so it indexes vertices.
+    with L^-1 = c P / D; both are then divided by the gcd of D and every
+    entry of P, which leaves c P / D as it was and often shrinks them by
+    half or more of their bits.  P is entrywise nonnegative (L is an
+    M-matrix).  Returns (P, D, c, part of each vertex), P padded with zero
+    rows and columns at the grounds so it indexes vertices.
     """
     scale = lcm(*(w.denominator for _, _, w in edges))
     parts = _components(n, [(u, v) for u, v, _ in edges])
@@ -230,6 +238,10 @@ def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, 
                 lap[i][j] -= w
                 lap[j][i] -= w
     adj, det = fraction_free_invert(lap)
+    common = gcd(det, *chain.from_iterable(adj))
+    if common > 1:
+        det //= common
+        adj = [[x // common for x in row] for row in adj]
     for row in adj:
         for g in grounds:
             row.insert(g, 0)
@@ -238,16 +250,26 @@ def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, 
     return adj, det, scale, part
 
 
+class _Residues(NamedTuple):
+    """One mode's data for class-id rows; see `_ReadingKernel`."""
+
+    rows: tuple  # `_ReadingKernel.ratios`
+    cells: tuple  # per edge, in edge order: (a, b, alpha / beta mod M), 0 when M | beta
+    rare: tuple  # the edges with M | beta: removed bridges (beta = 0) and any other
+    decide: bool  # residues alone decide: equal residues prove equal readings
+
+
 class _ReadingKernel:
     """One grounding of a network, shared by every probe and every fault.
 
     `_ground` grounds the connected network at vertex 0, giving the
-    integers P, D and the scale c.  For a probe x = e_r - e_s the base
-    resistance is R = c base / D, with base = x^T P x.  A fault on edge
-    (a, b) of conductance p/q drives that conductance to infinity
-    (shorted) or to 0 (removed): a rank-one change to the Laplacian along
-    v = e_a - e_b.  With the integers X = v^T P x and Z = v^T P v, the
-    Sherman-Morrison formula gives, in both modes,
+    integers P (entrywise nonnegative), D and the scale c, already divided
+    by their common gcd.  For a probe x = e_r - e_s the base resistance is
+    R = c base / D, with base = x^T P x.  A fault on edge (a, b) of
+    conductance p/q drives that conductance to infinity (shorted) or to 0
+    (removed): a rank-one change to the Laplacian along v = e_a - e_b.
+    With the integers X = v^T P x and Z = v^T P v, the Sherman-Morrison
+    formula gives, in both modes,
 
         R' = c (base beta - alpha X^2) / (D beta)
 
@@ -265,30 +287,40 @@ class _ReadingKernel:
     one.
 
     Class-id rows (`classes`) compare the correction alpha X^2 / beta
-    without reducing it.  A cell is keyed exactly by (t, |X|), t numbering
-    the distinct ratios: same ratio and same |X| give the same reading.  A
-    new key goes to a bucket chosen by the value's residue modulo the
-    prime M = 2^61 - 1: different residues prove different readings
-    (Rabin, "Fingerprinting by random polynomials", 1981), and within a
-    bucket a class is joined only when X^2 alpha beta' = X'^2 alpha' beta
-    holds exactly.  So the ids are exact for any prime M.
+    residue first.  From P's rows modulo the prime
+    M = 2^61 - 1, every cell gets the residue X^2 alpha / beta mod M (a
+    removed bridge: 0 when X = 0, else INFINITE), and the row is numbered
+    by residue in one pass.  Equal readings give equal residues, so
+    different residues prove different readings (Rabin, "Fingerprinting
+    by random polynomials", 1981).  When max|alpha| max beta (4 max P)^2
+    < M / 2, both sides of X^2 alpha beta' = X'^2 alpha' beta lie within
+    M / 2 of 0, so equal residues prove equal readings too and the row is
+    done; after the gcd reduction every family network takes this path.
+    Otherwise each cell whose residue an earlier cell has is confirmed
+    exactly against the first such cell: both have X = 0, or the same
+    (t, |X|) with t numbering the distinct ratios, or X^2 alpha beta' =
+    X'^2 alpha' beta.  Should a confirmation fail, the row is keyed by each
+    correction in lowest terms instead (`_exact_classes`).  So the ids are
+    exact for any prime M, and a row keeps O(n + m) state beside P.
     """
 
-    __slots__ = ("p", "det", "scale", "edges", "_ratios", "_p_mod")
+    __slots__ = ("p", "det", "scale", "edges", "_modulus", "_ratios", "_residues", "_p_mod")
 
     def __init__(self, net: Network):
         edges = [(e.u, e.v, e.conductance) for e in net.edges]
         self.p, self.det, self.scale, _ = _ground(net.n, edges)
         self.edges = net.edges
+        self._modulus = _MODULUS
         self._ratios: dict[FaultMode, tuple] = {}
+        self._residues: dict[FaultMode, _Residues] = {}
         self._p_mod: list[list[int]] | None = None
 
     def ratios(self, mode: FaultMode) -> tuple:
-        """Per edge, in edge order: (a, b, t, alpha, beta, tau) for the mode.
+        """Per edge, in edge order: (a, b, t, alpha, beta) for the mode.
 
-        alpha / beta is k / den in lowest terms with beta >= 0, t numbers
-        the distinct ratios from 0, and tau = alpha / beta modulo M, or
-        None when M divides beta.  Built once per mode, on first use.
+        alpha / beta is k / den in lowest terms with beta >= 0, and t
+        numbers the distinct ratios from 0.  Built once per mode, on first
+        use.
         """
         table = self._ratios.get(mode)
         if table is None:
@@ -305,10 +337,29 @@ class _ReadingKernel:
                     k, den = -pc, w.denominator * det - pc * z
                 g = gcd(k, den) if den >= 0 else -gcd(k, den)
                 alpha, beta = k // g, den // g
-                tau = alpha * pow(beta, -1, _MODULUS) % _MODULUS if beta % _MODULUS else None
-                rows.append((a, b, ids.setdefault((alpha, beta), len(ids)), alpha, beta, tau))
+                rows.append((a, b, ids.setdefault((alpha, beta), len(ids)), alpha, beta))
             table = self._ratios[mode] = tuple(rows)
         return table
+
+    def residues(self, mode: FaultMode) -> _Residues:
+        """The mode's ratios, residue cells and whether residues alone decide.
+
+        Built once per mode, on first use.
+        """
+        found = self._residues.get(mode)
+        if found is None:
+            m, rows = self._modulus, self.ratios(mode)
+            cells = tuple(
+                (a, b, alpha * pow(beta, -1, m) % m if beta % m else 0)
+                for a, b, _, alpha, beta in rows
+            )
+            rare = tuple(j for j, row in enumerate(rows) if not row[4] % m)
+            alpha_max = max((abs(row[3]) for row in rows), default=1)
+            beta_max = max((row[4] for row in rows), default=1)
+            x_max = 4 * max(map(max, self.p))
+            decide = 2 * alpha_max * max(beta_max, 1) * x_max * x_max < m
+            found = self._residues[mode] = _Residues(rows, cells, rare, decide)
+        return found
 
     def base(self, r: int, s: int) -> int:
         """x^T P x for the probe (r, s): R = c * base / D."""
@@ -321,62 +372,113 @@ class _ReadingKernel:
         The columns are the edges in order, then, with `no_fault`, the
         healthy network.  The base value, c and D are common to the row, so
         faults are compared by their corrections alpha X^2 / beta: those
-        with X = 0 read like the healthy network, a bridge with X != 0
-        reads INFINITE, and the rest are keyed by (t, |X|) and merged
-        across keys by residue and exact check (see the class docstring).
-        Ids are numbered from 0 in column order.
+        with X = 0 read like the healthy network (residue 0) and a bridge
+        with X != 0 reads INFINITE.  Cells are numbered by residue, and
+        repeated residues confirmed exactly unless residues alone decide
+        (see the class docstring).  Ids are numbered from 0 in column order.
         """
-        m = _MODULUS
+        rows, cells, rare, decide = self.residues(mode)
+        m = self._modulus
         if self._p_mod is None:
             self._p_mod = [[x % m for x in row] for row in self.p]
+        d = [x - y for x, y in zip(self._p_mod[r], self._p_mod[s])]  # P_r - P_s modulo M
+        keys: list = [(x := d[a] - d[b]) * x * tau % m for a, b, tau in cells]
+        for j in rare:
+            keys[j] = self._rare_key(r, s, rows[j], d, decide)
+        ids: dict = {}
+        out = [ids.setdefault(key, len(ids)) for key in keys]
+        if not decide and not self._confirmed(r, s, rows, keys, out, no_fault and 0 in ids):
+            return self._exact_classes(r, s, rows, no_fault)
+        if no_fault:
+            out.append(ids.get(0, len(ids)))
+        return out
+
+    def _x(self, r: int, s: int, a: int, b: int) -> int:
+        """X = (e_a - e_b)^T P (e_r - e_s), exactly."""
+        pr, ps = self.p[r], self.p[s]
+        return pr[a] - pr[b] - ps[a] + ps[b]
+
+    def _rare_key(self, r: int, s: int, row: tuple, d: list[int], decide: bool):
+        """A residue-row key for an edge whose beta M divides.
+
+        A removed bridge keys as 0 (X = 0) or INFINITE.  Any other such
+        edge keys by its reading's residue in lowest terms, or by that
+        exact fraction when M divides its denominator too.
+        """
+        a, b, _, alpha, beta = row
+        m = self._modulus
+        x = d[a] - d[b]  # X itself when residues decide (then 0 <= P < M), else X mod M
+        if not decide and (beta or not x % m):  # a bridge needs only whether X = 0
+            x = self._x(r, s, a, b)
+        if not x:
+            return 0
+        if not beta:
+            return INFINITE
+        num = x * x * alpha
+        g = gcd(num, beta)
+        num, den = num // g, beta // g
+        return num * pow(den, -1, m) % m if den % m else (num, den)
+
+    def _confirmed(self, r, s, rows, keys, out, healthy_at_zero: bool) -> bool:
+        """True when each cell with a repeated residue reads like the first cell with it.
+
+        With `healthy_at_zero`, the first cell of residue 0 must also have
+        X = 0, so that the healthy column may join its class.  INFINITE and
+        fraction keys are exact and need no confirmation.
+        """
+        repeats, top = [], -1  # ids come in column order: a repeat is no new top
+        for j, cid in enumerate(out):
+            if cid > top:
+                top = cid
+            else:
+                repeats.append(j)
+        if not repeats and not healthy_at_zero:
+            return True
         d = [x - y for x, y in zip(self.p[r], self.p[s])]
-        dm = [x - y for x, y in zip(self._p_mod[r], self._p_mod[s])]  # d modulo M
-        ids: dict = {}  # exact key -> id: (t, |X|), INFINITE, or None for no change
-        buckets: dict[int, list] = {}  # residue -> [(id, X, alpha, beta)], one per class
-        count = 0
-        out: list[int] = []
-        append = out.append
-        for a, b, t, alpha, beta, tau in self.ratios(mode):
+        for j in repeats:
+            if type(keys[j]) is not int:
+                continue
+            a, b, t, alpha, beta = rows[j]
+            a2, b2, t2, alpha2, beta2 = rows[out.index(out[j])]
+            x, x2 = d[a] - d[b], d[a2] - d[b2]
+            if not (x and x2):
+                if x or x2:
+                    return False
+            elif t != t2 or abs(x) != abs(x2):
+                if x * x * alpha * beta2 != x2 * x2 * alpha2 * beta:
+                    return False
+        if healthy_at_zero:
+            a, b = rows[keys.index(0)][:2]
+            return d[a] == d[b]
+        return True
+
+    def _exact_classes(self, r: int, s: int, rows: tuple, no_fault: bool) -> list[int]:
+        """The probe's class-id row from exact keys, for rows whose residues collide.
+
+        Each cell is keyed by its correction X^2 alpha / beta in lowest
+        terms: 0 when X = 0, and INFINITE for a bridge with X != 0.
+        """
+        d = [x - y for x, y in zip(self.p[r], self.p[s])]
+        ids: dict = {}
+        out = []
+        for a, b, _, alpha, beta in rows:
             x = d[a] - d[b]
             if x and beta:
-                key = (t, x if x > 0 else -x)
-                cid = ids.setdefault(key, count)
-                if cid == count:  # a new key: find its class by residue, then exactly
-                    if tau is not None:
-                        xm = dm[a] - dm[b]
-                        residue = xm * xm * tau % m
-                    else:  # M divides beta: the residue of the value in lowest terms
-                        num = x * x * alpha
-                        g = gcd(num, beta)
-                        num, den = num // g, beta // g
-                        residue = num * pow(den, -1, m) % m if den % m else -1
-                    members = buckets.get(residue)
-                    if members is None:  # a residue not seen yet: a new class
-                        count += 1
-                        buckets[residue] = [(cid, x, alpha, beta)]
-                    else:
-                        for cid, x2, alpha2, beta2 in members:
-                            if x * x * alpha * beta2 == x2 * x2 * alpha2 * beta:
-                                ids[key] = cid
-                                break
-                        else:
-                            cid = count
-                            count += 1
-                            members.append((cid, x, alpha, beta))
+                num = x * x * alpha
+                g = gcd(num, beta)
+                key = (num // g, beta // g)
             else:
-                cid = ids.setdefault(INFINITE if x else None, count)
-                if cid == count:
-                    count += 1
-            append(cid)
+                key = INFINITE if x else 0
+            out.append(ids.setdefault(key, len(ids)))
         if no_fault:
-            append(ids.get(None, count))
+            out.append(ids.get(0, len(ids)))
         return out
 
     def reading(self, r: int, s: int, j: int, mode: FaultMode) -> Resistance:
         """Faulted resistance of the probe (r, s) when edge j is faulted."""
-        p, c, det = self.p, self.scale, self.det
-        a, b, _, alpha, beta, _ = self.ratios(mode)[j]
-        x = p[r][a] - p[r][b] - p[s][a] + p[s][b]
+        c, det = self.scale, self.det
+        a, b, _, alpha, beta = self.ratios(mode)[j]
+        x = self._x(r, s, a, b)
         base = self.base(r, s)
         if not beta:
             return INFINITE if x else Fraction(c * base, det)

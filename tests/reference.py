@@ -1,14 +1,15 @@
 """Reference computations that only the tests use.
 
 Each one restates something the library computes another way: a plain
-matrix product to check inverses, the leading principal minors that
-fraction-free elimination produces as its pivots, the compact and
-summation forms of the k-partite block-inverse coefficient, the block
-inverse itself, the classifiers that map a (probe, fault edge) pair to
-its closed-form table column, the paper's counting rules for plan sizes
-and its k-partite upper bound, the probe-by-edge table of Fraction
-readings that the integer class ids must agree with, and a class-id row
-keyed by each correction term in lowest terms.
+matrix product to check inverses, fraction-free Gauss-Jordan elimination
+over the full augmented width, the leading principal minors that it
+produces as its pivots, the compact and summation forms of the k-partite
+block-inverse coefficient, the block inverse itself, the classifiers
+that map a (probe, fault edge) pair to its closed-form table column, the
+paper's counting rules for plan sizes and its k-partite upper bound, the
+probe-by-edge table of Fraction readings that the integer class ids must
+agree with, and a class-id row keyed by each correction term in lowest
+terms.
 """
 
 from __future__ import annotations
@@ -43,6 +44,22 @@ def multiply(a, b):
             row.append(sum((Fraction(a[i][k]) * b[k][j] for k in range(inner)), Fraction(0)))
         out.append(row)
     return out
+
+
+def full_width_invert(mat):
+    """(adj, det) of a square integer matrix by Bareiss Gauss-Jordan elimination
+    that updates every column of [mat | I] at every step."""
+    n = len(mat)
+    b = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    prev = 1
+    for k in range(n):
+        pivot = b[k][k]
+        for i in range(n):
+            if i != k:
+                f = b[i][k]
+                b[i] = [(pivot * x - f * y) // prev for x, y in zip(b[i], b[k])]
+        prev = pivot
+    return [row[n:] for row in b], b[n - 1][n - 1] if n else 1
 
 
 def leading_principal_minors(mat):

@@ -4,18 +4,22 @@ Networks here are seeded random weighted graphs with conductances p/q
 (1 <= p, q <= 9) and pendant leaves, so removal faults include bridges
 with the probe on the same side (the reading keeps its base value) and on
 opposite sides (INFINITE).  Class-id rows are also checked against the
-reduced-key reference with the residue modulus forced down to 3 and 7, so
+reduced-key reference on every probe of networks shaped like the
+benchmark's, with the residue modulus forced down to 3, 7 and 8191, so
 that residues collide and only the exact checks keep the ids right, and
 on ~200-bit conductances, whose residues take many limbs.
 """
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 
 import resfault.network
 from resfault.families import KPartiteShape, complete_network, kpartite_network
+from resfault.linalg import fraction_free_invert
 from resfault.network import (
     INFINITE,
     FaultMode,
@@ -28,6 +32,7 @@ from resfault.network import (
 from resfault.signatures import reading_classes
 from resfault.solver import Infeasible, solve_exact, solve_greedy
 
+from grounding import build_reduced_laplacian, grounded_inverse
 from reference import build_signature, gcd_keyed_classes
 
 
@@ -51,6 +56,15 @@ def bridged_network():
     edges += [(u + 5, v + 5, Fraction(u + 2, v + 1)) for u in range(4) for v in range(u + 1, 4)]
     edges += [(3, 4, 3), (4, 5, Fraction(1, 2)), (8, 9, Fraction(7, 3))]
     return Network.from_edge_list(10, edges)
+
+
+def two_leaf_network(seed):
+    """A weighted triangle 0-1-2 with leaves 3 at 0 and 4 at 2: the probe (3, 4)
+    sends current through every edge, so no fault of its row has X = 0."""
+    rng = random.Random(seed)
+    weight = lambda: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (2, 4)]
+    return Network.from_edge_list(5, [(u, v, weight()) for u, v in edges])
 
 
 @pytest.mark.parametrize("seed", [*range(4), "bridged"])
@@ -205,19 +219,28 @@ def assert_rows_match_the_reference(net, probes):
                 assert ids == gcd_keyed_classes(net, m, mode, no_fault), (mode, m, no_fault)
 
 
-@pytest.mark.parametrize("modulus", [3, 7])
+@pytest.mark.parametrize("modulus", [3, 7, 8191])
 def test_tiny_modulus_ids_match_the_reference(monkeypatch, modulus):
     # Residues this small collide all the time, so the exact checks decide
     # every merge.  On a triangle core (n = 6) two faults of different
     # ratios often read alike, and among 20 seeds some ratio denominator is
     # a multiple of 3 or 7 where the reading's reduced one is not, so the
-    # bucket must come from the value in lowest terms.
+    # residue must come from the value in lowest terms.  In a two-leaf row
+    # with no X = 0 cell, a bridge whose X the modulus divides, or a lone
+    # cell of residue 0, must be told from X = 0 exactly.  At 8191 the small
+    # complete and bipartite networks meet the bound, so residues alone
+    # decide their rows, and every other network's rows are confirmed.
     monkeypatch.setattr(resfault.network, "_MODULUS", modulus)
     nets = [pendant_network(seed, 6) for seed in range(20)]
     nets += [pendant_network(seed, 9) for seed in range(4)]
+    nets += [two_leaf_network(seed) for seed in range(40)]
     nets += [kpartite_network(KPartiteShape((2, 3, 4, 5))), bridged_network()]
+    nets += [complete_network(5), kpartite_network(KPartiteShape((2, 3)))]
+    decided = set()
     for net in nets:
         assert_rows_match_the_reference(net, net.measurements())
+        decided.update(net._reading_kernel.residues(mode).decide for mode in FaultMode)
+    assert decided == ({False, True} if modulus == 8191 else {False})
 
 
 def mirrored_big_network(seed):
@@ -264,3 +287,29 @@ def test_big_conductances_ids_equal_iff_readings_equal(monkeypatch):
 def test_forty_vertex_rows_match_the_reference():
     net = pendant_network(40, 40)
     assert_rows_match_the_reference(net, net.measurements()[::7])
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_benchmark_shaped_rows_match_the_reference(seed):
+    # n = 22 with three pendant leaves, like the benchmark's weighted pool:
+    # every probe, not a sample, so each row's repeated residues are confirmed.
+    net = pendant_network(seed, 22)
+    assert not any(net._reading_kernel.residues(mode).decide for mode in FaultMode)
+    assert_rows_match_the_reference(net, net.measurements())
+
+
+def test_grounding_divides_out_the_common_factor():
+    nets = [pendant_network(seed, 9) for seed in range(4)] + [bridged_network()]
+    nets += [complete_network(6), kpartite_network(KPartiteShape((2, 3, 4)))]
+    nets += [mirrored_big_network(11)]
+    reduced = 0
+    for net in nets:
+        kernel = net._reading_kernel
+        assert gcd(kernel.det, *chain.from_iterable(kernel.p)) == 1
+        inverse = [[Fraction(kernel.scale * x, kernel.det) for x in row] for row in kernel.p]
+        assert inverse == grounded_inverse(net, 0)
+        lap = build_reduced_laplacian(net, 0)
+        _, det = fraction_free_invert([[int(x * kernel.scale) for x in row] for row in lap])
+        assert det % kernel.det == 0
+        reduced += det != kernel.det
+    assert reduced >= 3

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,7 +8,8 @@ from resfault.linalg import SingularMatrixError, fraction_free_invert
 from resfault.network import Measurement, Network, effective_resistance
 
 from grounding import build_reduced_laplacian, grounded_inverse, grounded_resistance
-from reference import leading_principal_minors, multiply
+from reference import full_width_invert, leading_principal_minors, multiply
+from test_kernel import pendant_network
 
 
 def random_spd(rng, n):
@@ -32,6 +34,23 @@ def test_inverse_times_matrix_is_identity():
         inv = as_fractions(*fraction_free_invert(a))
         prod = multiply(a, inv)
         assert prod == [[Fraction(i == j) for j in range(n)] for i in range(n)]
+
+
+def scaled_laplacian(net):
+    """The reduced Laplacian at ground 0, scaled to integers by its denominators' lcm."""
+    lap = build_reduced_laplacian(net, 0)
+    scale = lcm(*(x.denominator for row in lap for x in row))
+    return [[int(x * scale) for x in row] for row in lap]
+
+
+def test_half_width_elimination_matches_the_full_width_reference():
+    # Only columns k..n+k change at step k; the rest of the augmented matrix
+    # is the pivot on the diagonal, which the reference computes out in full.
+    rng = random.Random(23)
+    mats = [random_spd(rng, n) for n in range(21)]
+    mats += [scaled_laplacian(pendant_network(seed, n)) for seed in range(3) for n in (6, 9, 21)]
+    for mat in mats:
+        assert fraction_free_invert(mat) == full_width_invert(mat)
 
 
 def test_rational_entries_are_scaled_exactly():
