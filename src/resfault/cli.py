@@ -5,6 +5,9 @@ Networks are given as JSON files or family shorthands (K8, K2,3,4).
 Exit codes: 0 success (verify: distinguishing; solve: plan found),
 1 verification failed, 2 bad input or out-of-scope family, 3 solver
 timeout, 4 infeasible candidate pool.
+
+Each command imports the library modules it runs itself, so a process
+loads only those: start-up is most of a short command's time.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import sys
 from functools import partial
 from itertools import permutations
 
-from . import bounds as bounds_mod
-from . import closed_forms, signatures, solver, strategies
 from .families import KPartiteShape, complete_network
 from .fileio import (
     MAX_VERTICES,
@@ -44,16 +45,26 @@ def _family_args(parser: argparse.ArgumentParser):
     group.add_argument("--complete", type=int, metavar="N", help="complete graph on N vertices")
     group.add_argument(
         "--k-partite",
+        type=_parts,
         metavar="A,B,...",
         help="complete k-partite graph with the given partition sizes",
     )
+
+
+def _parts(text: str) -> tuple[int, ...]:
+    """A --k-partite value: comma-separated integers, sorted; KPartiteShape checks them."""
+    try:
+        return tuple(sorted(int(x) for x in text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}") from None
 
 
 def _family(args) -> int | KPartiteShape:
     """The family named by --complete (its n) or --k-partite (its shape)."""
     if args.complete is not None:
         return args.complete
-    return KPartiteShape(tuple(sorted(int(x) for x in args.k_partite.split(","))))
+    return KPartiteShape(args.k_partite)
 
 
 class _OutOfScope(Exception):
@@ -73,9 +84,11 @@ def _formula_family(args) -> int | KPartiteShape:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds
+
     family = _formula_family(args)
     try:
-        report = bounds_mod.best_bound(family)
+        report = bounds.best_bound(family)
     except ValueError as exc:
         raise _OutOfScope(exc) from exc
     with _all_digits():  # a bound has about as many digits as the family's n
@@ -91,6 +104,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_strategy(args) -> int:
+    from . import signatures, strategies
+
     family = _family(args)
     try:
         if isinstance(family, int):
@@ -127,6 +142,8 @@ def cmd_strategy(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import signatures
+
     spec = load_network(args.network)
     plan = load_plan(args.plan)
     validate_plan_for(plan, spec.network)
@@ -135,6 +152,8 @@ def cmd_verify(args) -> int:
     print(f"network: {spec.label}  mode: {mode.value}  measurements: {len(plan)}")
     print(f"distinguishing: {'no' if pairs else 'yes'}")
     if pairs:
+        from . import solver  # only a failing plan loads the solver
+
         print(f"undistinguished edge pairs ({len(pairs)}):")
         for e1, e2 in pairs:
             print(f"  {e1.pair} ~ {e2.pair}")
@@ -149,6 +168,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import solver
+
     spec = load_network(args.network)
     mode = FaultMode(args.mode)
     no_fault = args.allow_no_fault
@@ -178,7 +199,8 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _print_infeasible(result: solver.Infeasible) -> int:
+def _print_infeasible(result) -> int:
+    """Report a `solver.Infeasible` and return its exit code."""
     print("infeasible: no candidate measurement separates:", file=sys.stderr)
     # The pool is every vertex pair, and each fault alters the reading across
     # its own edge, so the healthy network (None) is never in a witness here.
@@ -205,6 +227,8 @@ def cmd_resistance(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    from . import signatures
+
     spec = load_network(args.network)
     m = Measurement(args.measurement[0], args.measurement[1])
     mode = FaultMode(args.mode)
@@ -225,6 +249,8 @@ def cmd_classes(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    from . import closed_forms
+
     family = _formula_family(args)
     if isinstance(family, int):
         if family < 3:

@@ -31,10 +31,10 @@ from .network import (
     INFINITE,
     FaultMode,
     Measurement,
+    MeasurementPlan,
     Network,
     Resistance,
 )
-from .strategies import MeasurementPlan
 
 
 class FileFormatError(ValueError):

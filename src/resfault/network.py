@@ -115,6 +115,24 @@ class Measurement:
 
 
 @dataclass(frozen=True)
+class MeasurementPlan:
+    """Ordered probe list with per-probe provenance tags."""
+
+    measurements: tuple[Measurement, ...]
+    provenance: tuple[str, ...]
+    mode: FaultMode = FaultMode.REMOVED
+
+    def __post_init__(self):
+        if len(self.measurements) != len(self.provenance):
+            raise ValueError("provenance must tag every measurement")
+        if len(set(self.measurements)) != len(self.measurements):
+            raise ValueError("duplicate measurement in plan")
+
+    def __len__(self) -> int:
+        return len(self.measurements)
+
+
+@dataclass(frozen=True)
 class Network:
     """Connected simple graph with positive rational conductances.
 

@@ -66,9 +66,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .network import Edge, FaultMode, Measurement, Network, _components
+from .network import Edge, FaultMode, Measurement, MeasurementPlan, Network, _components
 from .signatures import merged_pairs, reading_classes
-from .strategies import MeasurementPlan
 
 
 @dataclass(frozen=True)

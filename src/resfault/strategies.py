@@ -19,30 +19,11 @@ do, take the lowest index.  Plans are therefore fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import _aside_costs
 from .families import KPartiteShape
-from .network import FaultMode, Measurement
-
-
-@dataclass(frozen=True)
-class MeasurementPlan:
-    """Ordered probe list with per-probe provenance tags."""
-
-    measurements: tuple[Measurement, ...]
-    provenance: tuple[str, ...]
-    mode: FaultMode = FaultMode.REMOVED
-
-    def __post_init__(self):
-        if len(self.measurements) != len(self.provenance):
-            raise ValueError("provenance must tag every measurement")
-        if len(set(self.measurements)) != len(self.measurements):
-            raise ValueError("duplicate measurement in plan")
-
-    def __len__(self) -> int:
-        return len(self.measurements)
+from .network import Measurement, MeasurementPlan
 
 
 class _Builder:

@@ -122,6 +122,16 @@ class TestBoundsCommand:
         assert main(["bounds", "--complete", "4"]) == 2
         assert "out of scope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["bounds", "--k-partite", "2,x"],
+                                      ["strategy", "--k-partite", "2,,3"]])
+    def test_malformed_partition_list_names_the_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --k-partite: must be comma-separated integers, got {argv[2]!r}" in err
+        assert "invalid literal" not in err
+
 
 class TestStrategyCommand:
     def test_complete_7(self, capsys):
