@@ -42,7 +42,7 @@ EXIT_INFEASIBLE = 4
 
 def _family_args(parser: argparse.ArgumentParser):
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--complete", type=int, metavar="N", help="complete graph on N vertices")
+    group.add_argument("--complete", type=_size, metavar="N", help="complete graph on N vertices")
     group.add_argument(
         "--k-partite",
         type=_parts,
@@ -51,10 +51,22 @@ def _family_args(parser: argparse.ArgumentParser):
     )
 
 
+def _size(text: str) -> int:
+    """One family size; past Python's int-from-text digit limit, a short error naming it."""
+    limit, digits = sys.get_int_max_str_digits(), sum(ch.isdigit() for ch in text)
+    if limit and digits > limit:
+        raise argparse.ArgumentTypeError(
+            f"a size of {digits} digits is over Python's {limit}-digit limit for integers in text")
+    return int(text)
+
+
+_size.__name__ = "int"  # argparse reports any other bad --complete as an "invalid int value"
+
+
 def _parts(text: str) -> tuple[int, ...]:
     """A --k-partite value: comma-separated integers, sorted; KPartiteShape checks them."""
     try:
-        return tuple(sorted(int(x) for x in text.split(",")))
+        return tuple(sorted(_size(x) for x in text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be comma-separated integers, got {text!r}") from None

@@ -3,22 +3,17 @@
 A network is a connected weighted simple graph; weights are conductances
 (reciprocal resistances) kept as exact rationals throughout.  Each network
 is grounded once, at vertex 0: one fraction-free inversion of the reduced
-Laplacian, scaled to integers, gives an integer adjugate and determinant,
-from which every base resistance and every single-fault reading follows
-by the rank-one (Sherman-Morrison) update in integer arithmetic.  Within
-one probe, the readings differ only by the update's correction term, so
-the kernel numbers the faults that read alike (one class-id row per
-probe, see `signatures.reading_classes`) without forming a Fraction.
-The grounding divides P and D by their gcd, and a
-row numbers its faults by the residue of each correction modulo 2^61 - 1,
-taken from P's rows modulo that prime (Rabin's fingerprint: different
-residues prove different readings).  When the integers are small enough
-that equal residues prove equal readings too, as for every family
-network, that is the whole row; otherwise each repeated residue is
-confirmed by exact integers, and a row that fails a confirmation is
-keyed by each correction in lowest terms instead.  A direct oracle that
-grounds and inverts each altered graph's own Laplacian is kept alongside as an
-independent cross-check.
+Laplacian, its rows scaled to integers, gives integers P and D with P / D
+the inverse, from which every base resistance and every single-fault
+reading follows by the rank-one (Sherman-Morrison) update in integer
+arithmetic.  Within one probe, the readings differ only by the update's
+correction term, so the kernel numbers the faults that read alike (one
+class-id row per probe, see `signatures.reading_classes`) without forming
+a Fraction: by each correction scaled to an exact integer when those stay
+a few words wide, as for every family network, else by its residue modulo
+the prime 2^30 - 35 with each repeated residue confirmed exactly.  A
+direct oracle that grounds and inverts each altered graph's own Laplacian
+is kept alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -33,7 +28,8 @@ from typing import Iterable, NamedTuple, Union
 
 from .linalg import fraction_free_invert
 
-_MODULUS = (1 << 61) - 1  # a Mersenne prime: class-id residues are taken modulo it
+_MODULUS = (1 << 30) - 35  # the largest prime below 2^30: class-id residues are taken modulo it
+_WORD_BOUND = 1 << 120  # class rows key exactly when every key stays below this
 
 
 class InfiniteResistance:
@@ -220,20 +216,19 @@ def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return components
 
 
-def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, int, list[int]]:
+def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, list[int]]:
     """Ground the graph on 0..n-1 with these (u, v, conductance) edges.
 
     The lowest vertex of each connected part is a ground; parallel edges
-    add up.  With c the lcm of the conductance denominators, c L is an
-    integer matrix (L the Laplacian less the grounds' rows and columns),
-    positive definite, so one fraction-free inversion gives integers P, D
-    with L^-1 = c P / D; both are then divided by the gcd of D and every
-    entry of P, which leaves c P / D as it was and often shrinks them by
-    half or more of their bits.  P is entrywise nonnegative (L is an
-    M-matrix).  Returns (P, D, c, part of each vertex), P padded with zero
-    rows and columns at the grounds so it indexes vertices.
+    add up.  With L the Laplacian less the grounds' rows and columns and R
+    the diagonal of r_v, the lcm of the conductance denominators at v,
+    M = R L is an integer matrix whose leading minors are L's (positive)
+    times row scales, so one fraction-free inversion meets no zero pivot.
+    L^-1 = adj(M) R / det M = P / D, both then divided by the gcd of D and
+    every entry of P.  P is entrywise nonnegative (L is an M-matrix).
+    Returns (P, D, part of each vertex), P padded with zero rows and
+    columns at the grounds so it indexes vertices.
     """
-    scale = lcm(*(w.denominator for _, _, w in edges))
     parts = _components(n, [(u, v) for u, v, _ in edges])
     grounds = [comp[0] for comp in parts]  # ascending: parts come by lowest vertex
     part = [0] * n
@@ -244,18 +239,20 @@ def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, 
     index = [-1] * n  # reduced index per vertex; -1 at a ground
     for i, v in enumerate(kept):
         index[v] = i
+    scales = [1] * n  # r_v per vertex
+    for u, v, w in edges:
+        scales[u], scales[v] = lcm(scales[u], w.denominator), lcm(scales[v], w.denominator)
     lap = [[0] * len(kept) for _ in kept]
     for u, v, w in edges:
-        w = w.numerator * (scale // w.denominator)
         i, j = index[u], index[v]
-        if i >= 0:
-            lap[i][i] += w
-        if j >= 0:
-            lap[j][j] += w
-            if i >= 0:
-                lap[i][j] -= w
-                lap[j][i] -= w
+        for x, y, end in ((i, j, u), (j, i, v)):  # row x is end's, scaled by its r
+            if x >= 0:
+                scaled = w.numerator * (scales[end] // w.denominator)
+                lap[x][x] += scaled
+                if y >= 0:
+                    lap[x][y] -= scaled
     adj, det = fraction_free_invert(lap)
+    adj = [[x * scales[v] for x, v in zip(row, kept)] for row in adj]  # column j times r_j
     common = gcd(det, *chain.from_iterable(adj))
     if common > 1:
         det //= common
@@ -265,37 +262,37 @@ def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, 
             row.insert(g, 0)
     for g in grounds:
         adj.insert(g, [0] * n)
-    return adj, det, scale, part
+    return adj, det, part
 
 
-class _Residues(NamedTuple):
+class _Cells(NamedTuple):
     """One mode's data for class-id rows; see `_ReadingKernel`."""
 
     rows: tuple  # `_ReadingKernel.ratios`
-    cells: tuple  # per edge, in edge order: (a, b, alpha / beta mod M), 0 when M | beta
-    rare: tuple  # the edges with M | beta: removed bridges (beta = 0) and any other
-    decide: bool  # residues alone decide: equal residues prove equal readings
+    cells: tuple  # per edge, in edge order: (a, b, w), or (a, b, alpha / beta mod M) on residues
+    rare: tuple  # edges keyed apart: removed bridges (beta = 0), and on residues any M | beta
+    exact: bool  # the cells hold the exact weights w = alpha Lambda / beta
 
 
 class _ReadingKernel:
     """One grounding of a network, shared by every probe and every fault.
 
     `_ground` grounds the connected network at vertex 0, giving the
-    integers P (entrywise nonnegative), D and the scale c, already divided
-    by their common gcd.  For a probe x = e_r - e_s the base resistance is
-    R = c base / D, with base = x^T P x.  A fault on edge (a, b) of
-    conductance p/q drives that conductance to infinity (shorted) or to 0
-    (removed): a rank-one change to the Laplacian along v = e_a - e_b.
-    With the integers X = v^T P x and Z = v^T P v, the Sherman-Morrison
-    formula gives, in both modes,
+    integers P (entrywise nonnegative) and D, already divided by their
+    common gcd, with P / D the inverse reduced Laplacian.  For a probe
+    x = e_r - e_s the base resistance is R = base / D, with base = x^T P x.
+    A fault on edge (a, b) of conductance p/q drives that conductance to
+    infinity (shorted) or to 0 (removed): a rank-one change to the
+    Laplacian along v = e_a - e_b.  With the integers X = v^T P x and
+    Z = v^T P v, the Sherman-Morrison formula gives, in both modes,
 
-        R' = c (base beta - alpha X^2) / (D beta)
+        R' = (base beta - alpha X^2) / (D beta)
 
     where alpha / beta, with beta >= 0, is the per-edge ratio k / den in
     lowest terms, fixed by the mode:
 
-        shorted:  k = 1,      den = Z
-        removed:  k = -p c,   den = q D - p c Z
+        shorted:  k = 1,   den = Z
+        removed:  k = -p,  den = q D - p Z
 
     beta is 0 only for a removed bridge (its effective resistance equals
     its own resistance).  Removing a bridge leaves R when X = 0 (no probe
@@ -304,33 +301,32 @@ class _ReadingKernel:
     on first use, so a network that only gives base values never builds
     one.
 
-    Class-id rows (`classes`) compare the correction alpha X^2 / beta
-    residue first.  From P's rows modulo the prime
-    M = 2^61 - 1, every cell gets the residue X^2 alpha / beta mod M (a
-    removed bridge: 0 when X = 0, else INFINITE), and the row is numbered
-    by residue in one pass.  Equal readings give equal residues, so
-    different residues prove different readings (Rabin, "Fingerprinting
-    by random polynomials", 1981).  When max|alpha| max beta (4 max P)^2
-    < M / 2, both sides of X^2 alpha beta' = X'^2 alpha' beta lie within
-    M / 2 of 0, so equal residues prove equal readings too and the row is
-    done; after the gcd reduction every family network takes this path.
-    Otherwise each cell whose residue an earlier cell has is confirmed
-    exactly against the first such cell: both have X = 0, or the same
-    (t, |X|) with t numbering the distinct ratios, or X^2 alpha beta' =
-    X'^2 alpha' beta.  Should a confirmation fail, the row is keyed by each
-    correction in lowest terms instead (`_exact_classes`).  So the ids are
-    exact for any prime M, and a row keeps O(n + m) state beside P.
+    Class-id rows (`classes`) compare the corrections alpha X^2 / beta by
+    one of two keys, chosen per mode (`cells`).  With Lambda > 0 the lcm of
+    the nonzero beta, each edge's w = alpha Lambda / beta is an integer and
+    a cell keys exactly as X^2 w (a removed bridge: 0 when X = 0, else
+    INFINITE) when (4 max P)^2 max|w| < 2^120, as on every family network
+    the benchmark runs.  Otherwise a cell keys as its residue modulo
+    the prime M = 2^30 - 35 (one CPython digit), from P's rows modulo M.
+    Different residues prove different readings (Rabin, "Fingerprinting by
+    random polynomials", 1981), and each cell whose residue an earlier cell
+    has is confirmed exactly against the first such cell: both have X = 0,
+    or the same (t, |X|) with t numbering the distinct ratios, or
+    X^2 alpha beta' = X'^2 alpha' beta.  Should a confirmation fail, the
+    row is keyed by each correction in lowest terms (`_exact_classes`).  So
+    the ids are exact for any prime M, and a row keeps O(n + m) state
+    beside P.
     """
 
-    __slots__ = ("p", "det", "scale", "edges", "_modulus", "_ratios", "_residues", "_p_mod")
+    __slots__ = ("p", "det", "edges", "_modulus", "_ratios", "_cells", "_p_mod")
 
     def __init__(self, net: Network):
         edges = [(e.u, e.v, e.conductance) for e in net.edges]
-        self.p, self.det, self.scale, _ = _ground(net.n, edges)
+        self.p, self.det, _ = _ground(net.n, edges)
         self.edges = net.edges
         self._modulus = _MODULUS
         self._ratios: dict[FaultMode, tuple] = {}
-        self._residues: dict[FaultMode, _Residues] = {}
+        self._cells: dict[FaultMode, _Cells] = {}
         self._p_mod: list[list[int]] | None = None
 
     def ratios(self, mode: FaultMode) -> tuple:
@@ -342,7 +338,7 @@ class _ReadingKernel:
         """
         table = self._ratios.get(mode)
         if table is None:
-            p, c, det = self.p, self.scale, self.det
+            p, det = self.p, self.det
             ids: dict[tuple[int, int], int] = {}
             rows = []
             for e in self.edges:
@@ -351,36 +347,45 @@ class _ReadingKernel:
                 if mode is FaultMode.SHORTED:
                     k, den = 1, z
                 else:
-                    pc = w.numerator * c
-                    k, den = -pc, w.denominator * det - pc * z
+                    k, den = -w.numerator, w.denominator * det - w.numerator * z
                 g = gcd(k, den) if den >= 0 else -gcd(k, den)
                 alpha, beta = k // g, den // g
                 rows.append((a, b, ids.setdefault((alpha, beta), len(ids)), alpha, beta))
             table = self._ratios[mode] = tuple(rows)
         return table
 
-    def residues(self, mode: FaultMode) -> _Residues:
-        """The mode's ratios, residue cells and whether residues alone decide.
-
-        Built once per mode, on first use.
-        """
-        found = self._residues.get(mode)
+    def cells(self, mode: FaultMode) -> _Cells:
+        """The mode's ratios and cells, exact weights within the word bound, built on first use."""
+        found = self._cells.get(mode)
         if found is None:
-            m, rows = self._modulus, self.ratios(mode)
-            cells = tuple(
-                (a, b, alpha * pow(beta, -1, m) % m if beta % m else 0)
-                for a, b, _, alpha, beta in rows
-            )
-            rare = tuple(j for j, row in enumerate(rows) if not row[4] % m)
-            alpha_max = max((abs(row[3]) for row in rows), default=1)
-            beta_max = max((row[4] for row in rows), default=1)
-            x_max = 4 * max(map(max, self.p))
-            decide = 2 * alpha_max * max(beta_max, 1) * x_max * x_max < m
-            found = self._residues[mode] = _Residues(rows, cells, rare, decide)
+            rows, m = self.ratios(mode), self._modulus
+            weights = self._weights(rows)
+            if weights is not None:
+                cells = tuple((a, b, w) for (a, b, *_), w in zip(rows, weights))
+                rare = tuple(j for j, row in enumerate(rows) if not row[4])
+            else:
+                cells = tuple((a, b, alpha * pow(beta, -1, m) % m if beta % m else 0)
+                              for a, b, _, alpha, beta in rows)
+                rare = tuple(j for j, row in enumerate(rows) if not row[4] % m)
+                if self._p_mod is None:
+                    self._p_mod = [[x % m for x in row] for row in self.p]
+            found = self._cells[mode] = _Cells(rows, cells, rare, weights is not None)
         return found
 
+    def _weights(self, rows: tuple) -> list[int] | None:
+        """Per edge, w = alpha Lambda / beta (0 at a removed bridge); None past the word bound."""
+        betas = [row[4] for row in rows if row[4]]
+        square, lam = (4 * max(map(max, self.p))) ** 2, 1  # square is 0 only when n = 1
+        limit = _WORD_BOUND * max(betas, default=1)
+        for beta in betas:
+            lam = lcm(lam, beta)
+            if square * lam >= limit:  # max|w| >= Lambda / max beta is past the bound already
+                return None
+        weights = [alpha * lam // beta if beta else 0 for *_, alpha, beta in rows]
+        return weights if square * max(map(abs, weights), default=0) < _WORD_BOUND else None
+
     def base(self, r: int, s: int) -> int:
-        """x^T P x for the probe (r, s): R = c * base / D."""
+        """x^T P x for the probe (r, s): R = base / D."""
         p = self.p
         return p[r][r] + p[s][s] - 2 * p[r][s]
 
@@ -388,24 +393,23 @@ class _ReadingKernel:
         """The probe's class-id row: equal ids exactly when the readings are equal.
 
         The columns are the edges in order, then, with `no_fault`, the
-        healthy network.  The base value, c and D are common to the row, so
+        healthy network.  The base value and D are common to the row, so
         faults are compared by their corrections alpha X^2 / beta: those
-        with X = 0 read like the healthy network (residue 0) and a bridge
-        with X != 0 reads INFINITE.  Cells are numbered by residue, and
-        repeated residues confirmed exactly unless residues alone decide
-        (see the class docstring).  Ids are numbered from 0 in column order.
+        with X = 0 read like the healthy network (key 0) and a bridge with
+        X != 0 reads INFINITE.  Cells are keyed exactly by X^2 w, or by
+        residue with repeated residues confirmed exactly (see the class
+        docstring).  Ids are numbered from 0 in column order.
         """
-        rows, cells, rare, decide = self.residues(mode)
-        m = self._modulus
-        if self._p_mod is None:
-            self._p_mod = [[x % m for x in row] for row in self.p]
-        d = [x - y for x, y in zip(self._p_mod[r], self._p_mod[s])]  # P_r - P_s modulo M
-        keys: list = [(x := d[a] - d[b]) * x * tau % m for a, b, tau in cells]
+        rows, cells, rare, exact = self.cells(mode)
+        m, p = self._modulus, self.p if exact else self._p_mod
+        d = [x - y for x, y in zip(p[r], p[s])]  # P_r - P_s, modulo M on residues
+        keys: list = ([(x := d[a] - d[b]) * x * w for a, b, w in cells] if exact
+                      else [(x := d[a] - d[b]) * x * tau % m for a, b, tau in cells])
         for j in rare:
-            keys[j] = self._rare_key(r, s, rows[j], d, decide)
+            keys[j] = self._rare_key(r, s, rows[j], d, exact)
         ids: dict = {}
         out = [ids.setdefault(key, len(ids)) for key in keys]
-        if not decide and not self._confirmed(r, s, rows, keys, out, no_fault and 0 in ids):
+        if not exact and not self._confirmed(r, s, rows, keys, out, no_fault and 0 in ids):
             return self._exact_classes(r, s, rows, no_fault)
         if no_fault:
             out.append(ids.get(0, len(ids)))
@@ -416,17 +420,17 @@ class _ReadingKernel:
         pr, ps = self.p[r], self.p[s]
         return pr[a] - pr[b] - ps[a] + ps[b]
 
-    def _rare_key(self, r: int, s: int, row: tuple, d: list[int], decide: bool):
-        """A residue-row key for an edge whose beta M divides.
+    def _rare_key(self, r: int, s: int, row: tuple, d: list[int], exact: bool):
+        """The row key of an edge in `_Cells.rare`.
 
-        A removed bridge keys as 0 (X = 0) or INFINITE.  Any other such
-        edge keys by its reading's residue in lowest terms, or by that
-        exact fraction when M divides its denominator too.
+        A removed bridge keys as 0 (X = 0) or INFINITE.  On residues, any other
+        edge whose beta M divides keys by its reading's residue in lowest
+        terms, or by that exact fraction when M divides its denominator too.
         """
         a, b, _, alpha, beta = row
         m = self._modulus
-        x = d[a] - d[b]  # X itself when residues decide (then 0 <= P < M), else X mod M
-        if not decide and (beta or not x % m):  # a bridge needs only whether X = 0
+        x = d[a] - d[b]  # X itself on exact keys, else X mod M
+        if not exact and (beta or not x % m):  # a bridge needs only whether X = 0
             x = self._x(r, s, a, b)
         if not x:
             return 0
@@ -494,13 +498,12 @@ class _ReadingKernel:
 
     def reading(self, r: int, s: int, j: int, mode: FaultMode) -> Resistance:
         """Faulted resistance of the probe (r, s) when edge j is faulted."""
-        c, det = self.scale, self.det
         a, b, _, alpha, beta = self.ratios(mode)[j]
         x = self._x(r, s, a, b)
         base = self.base(r, s)
         if not beta:
-            return INFINITE if x else Fraction(c * base, det)
-        return Fraction(c * (base * beta - alpha * x * x), det * beta)
+            return INFINITE if x else Fraction(base, self.det)
+        return Fraction(base * beta - alpha * x * x, self.det * beta)
 
 
 def _check_measurement(net: Network, m: Measurement):
@@ -519,7 +522,7 @@ def effective_resistance(net: Network, m: Measurement) -> Fraction:
     """Effective resistance between the probe pair (exact)."""
     _check_measurement(net, m)
     kernel = net._reading_kernel
-    return Fraction(kernel.scale * kernel.base(m.r, m.s), kernel.det)
+    return Fraction(kernel.base(m.r, m.s), kernel.det)
 
 
 def perturbed_effective_resistance(
@@ -546,7 +549,7 @@ def direct_effective_resistance_oracle(
     so the edges at b move to a (parallel edges add up in the Laplacian)
     and b is left a lone vertex.  `_ground` inverts the altered graph's
     Laplacian, grounded in each connected part, and the relabeled probe
-    reads c (P_rr + P_ss - 2 P_rs) / D: INFINITE when its ends lie in
+    reads (P_rr + P_ss - 2 P_rs) / D: INFINITE when its ends lie in
     different parts, 0 when shorting joined them.  This path shares no
     update formula with `perturbed_effective_resistance` and is the
     verification oracle for it.  The grounding is built once per (mode,
@@ -562,8 +565,8 @@ def direct_effective_resistance_oracle(
     if key not in views:
         edges = [(relabel(e.u), relabel(e.v), e.conductance) for e in net.edges if e != fault]
         views[key] = _ground(net.n, edges)
-    p, det, c, part = views[key]
+    p, det, part = views[key]
     r, s = relabel(m.r), relabel(m.s)
     if part[r] != part[s]:
         return INFINITE
-    return Fraction(c * (p[r][r] + p[s][s] - 2 * p[r][s]), det)
+    return Fraction(p[r][r] + p[s][s] - 2 * p[r][s], det)

@@ -1,11 +1,12 @@
 """Reduced Laplacians and their inverses at any ground, built in the tests.
 
-The library grounds each network once, at vertex 0, and builds the
-scaled integer Laplacian in `network._ground`.  These helpers build
-the rational reduced Laplacian at a chosen vertex, scale it to integers
-by the lcm of its entries' denominators and invert it with
-`fraction_free_invert`, so tests can check the library's resistances
-against every grounding.
+The library grounds each network once, at vertex 0, and scales each row
+of the reduced Laplacian to integers by its own denominators in
+`network._ground`.  These helpers build the rational reduced Laplacian
+at a chosen vertex, scale it as a whole to integers by the lcm of all
+its entries' denominators and invert it with `fraction_free_invert`, so
+tests can check the library's row-scaled grounding, and its resistances,
+against every grounding computed another way.
 """
 
 from fractions import Fraction

@@ -311,14 +311,14 @@ def build_signature(
 def gcd_keyed_classes(net: Network, m: Measurement, mode: FaultMode, no_fault: bool) -> list[int]:
     """The probe's class-id row, each fault keyed by its reduced correction term.
 
-    From the kernel's integers P, D and c alone: the correction is k X^2 / den
-    with (k, den) = (1, Z) shorted and (-p c, q D - p c Z) removed; a fault
+    From the kernel's integers P and D alone: the correction is k X^2 / den
+    with (k, den) = (1, Z) shorted and (-p, q D - p Z) removed; a fault
     is keyed by (k X^2, den) in lowest terms, (0, 1) when X = 0 (the healthy
     network's key) and INFINITE when den = 0 and X != 0.  Ids are numbered
     from 0 in column order.
     """
     kernel = net._reading_kernel
-    p, c, det = kernel.p, kernel.scale, kernel.det
+    p, det = kernel.p, kernel.det
     d = [x - y for x, y in zip(p[m.r], p[m.s])]
     ids: dict = {}
     out = []
@@ -328,7 +328,7 @@ def gcd_keyed_classes(net: Network, m: Measurement, mode: FaultMode, no_fault: b
         if mode is FaultMode.SHORTED:
             k, den = 1, z
         else:
-            k, den = -w.numerator * c, w.denominator * det - w.numerator * c * z
+            k, den = -w.numerator, w.denominator * det - w.numerator * z
         x = d[a] - d[b]
         if not x:
             key = (0, 1)

@@ -4,16 +4,18 @@ Networks here are seeded random weighted graphs with conductances p/q
 (1 <= p, q <= 9) and pendant leaves, so removal faults include bridges
 with the probe on the same side (the reading keeps its base value) and on
 opposite sides (INFINITE).  Class-id rows are also checked against the
-reduced-key reference on every probe of networks shaped like the
-benchmark's, with the residue modulus forced down to 3, 7 and 8191, so
-that residues collide and only the exact checks keep the ids right, and
-on ~200-bit conductances, whose residues take many limbs.
+reduced-key reference: on the exact-key path, for every family shape the
+benchmark runs and small weighted networks; on the residue path, for
+every probe of networks shaped like the benchmark's, with the residue
+modulus forced down to 3, 7 and 8191 (and the word bound to 0), so that
+residues collide and only the exact checks keep the ids right, and on
+~200-bit conductances, whose residues take several digits.
 """
 
 import random
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -227,20 +229,55 @@ def test_tiny_modulus_ids_match_the_reference(monkeypatch, modulus):
     # a multiple of 3 or 7 where the reading's reduced one is not, so the
     # residue must come from the value in lowest terms.  In a two-leaf row
     # with no X = 0 cell, a bridge whose X the modulus divides, or a lone
-    # cell of residue 0, must be told from X = 0 exactly.  At 8191 the small
-    # complete and bipartite networks meet the bound, so residues alone
-    # decide their rows, and every other network's rows are confirmed.
+    # cell of residue 0, must be told from X = 0 exactly.  A word bound of
+    # 0 keeps every network off the exact keys, the small complete and
+    # bipartite ones too, so every row goes through residues.
     monkeypatch.setattr(resfault.network, "_MODULUS", modulus)
+    monkeypatch.setattr(resfault.network, "_WORD_BOUND", 0)
     nets = [pendant_network(seed, 6) for seed in range(20)]
     nets += [pendant_network(seed, 9) for seed in range(4)]
     nets += [two_leaf_network(seed) for seed in range(40)]
     nets += [kpartite_network(KPartiteShape((2, 3, 4, 5))), bridged_network()]
     nets += [complete_network(5), kpartite_network(KPartiteShape((2, 3)))]
-    decided = set()
     for net in nets:
         assert_rows_match_the_reference(net, net.measurements())
-        decided.update(net._reading_kernel.residues(mode).decide for mode in FaultMode)
-    assert decided == ({False, True} if modulus == 8191 else {False})
+        assert not any(net._reading_kernel.cells(mode).exact for mode in FaultMode)
+
+
+# Every family shape the benchmark and CI run, as (n,) or partition sizes.
+BENCHMARK_FAMILIES = [(n,) for n in (6, 7, 8, 9, 10, 12, 14, 16, 20, 24, 32, 48, 64, 96)]
+BENCHMARK_FAMILIES += [(2, 3), (2, 4), (5, 6), (2, 3, 6), (3, 4, 5), (4, 5, 6), (4, 6, 8)]
+BENCHMARK_FAMILIES += [(2, 3, 4, 5), (3, 4, 5, 6), (4, 5, 5, 5)]
+
+
+@pytest.mark.parametrize("shape", BENCHMARK_FAMILIES, ids=lambda shape: ",".join(map(str, shape)))
+def test_family_rows_take_exact_keys_and_match_the_reference(shape):
+    net = complete_network(shape[0]) if len(shape) == 1 else kpartite_network(KPartiteShape(shape))
+    assert all(net._reading_kernel.cells(mode).exact for mode in FaultMode)
+    probes = net.measurements()
+    assert_rows_match_the_reference(net, probes[:: max(1, len(probes) // 40)])
+
+
+def test_small_weighted_exact_key_rows_match_the_reference():
+    nets = [pendant_network(seed, 6) for seed in range(10)]
+    nets += [two_leaf_network(seed) for seed in range(10)] + [bridged_network()]
+    for net in nets:
+        assert all(net._reading_kernel.cells(mode).exact for mode in FaultMode)
+        assert_rows_match_the_reference(net, net.measurements())
+
+
+@pytest.mark.parametrize("build", [lambda: complete_network(9), bridged_network])
+def test_word_bound_zero_gives_the_same_ids(monkeypatch, build):
+    net = build()
+    probes = net.measurements()
+    tables = {(mode, no_fault): reading_classes(net, probes, mode, no_fault)
+              for mode in FaultMode for no_fault in (False, True)}
+    assert all(net._reading_kernel.cells(mode).exact for mode in FaultMode)
+    monkeypatch.setattr(resfault.network, "_WORD_BOUND", 0)
+    twin = build()
+    for (mode, no_fault), table in tables.items():
+        assert reading_classes(twin, probes, mode, no_fault) == table
+    assert not any(twin._reading_kernel.cells(mode).exact for mode in FaultMode)
 
 
 def mirrored_big_network(seed):
@@ -292,9 +329,10 @@ def test_forty_vertex_rows_match_the_reference():
 @pytest.mark.parametrize("seed", range(2))
 def test_benchmark_shaped_rows_match_the_reference(seed):
     # n = 22 with three pendant leaves, like the benchmark's weighted pool:
-    # every probe, not a sample, so each row's repeated residues are confirmed.
+    # these take the residue path, and every probe, not a sample, is read, so
+    # each row's repeated residues are confirmed.
     net = pendant_network(seed, 22)
-    assert not any(net._reading_kernel.residues(mode).decide for mode in FaultMode)
+    assert not any(net._reading_kernel.cells(mode).exact for mode in FaultMode)
     assert_rows_match_the_reference(net, net.measurements())
 
 
@@ -306,10 +344,11 @@ def test_grounding_divides_out_the_common_factor():
     for net in nets:
         kernel = net._reading_kernel
         assert gcd(kernel.det, *chain.from_iterable(kernel.p)) == 1
-        inverse = [[Fraction(kernel.scale * x, kernel.det) for x in row] for row in kernel.p]
+        inverse = [[Fraction(x, kernel.det) for x in row] for row in kernel.p]
         assert inverse == grounded_inverse(net, 0)
         lap = build_reduced_laplacian(net, 0)
-        _, det = fraction_free_invert([[int(x * kernel.scale) for x in row] for row in lap])
+        c = lcm(*(x.denominator for row in lap for x in row))
+        _, det = fraction_free_invert([[int(x * c) for x in row] for row in lap])
         assert det % kernel.det == 0
         reduced += det != kernel.det
     assert reduced >= 3

@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+import resfault.network
 from resfault.linalg import SingularMatrixError, fraction_free_invert
 from resfault.network import Measurement, Network, effective_resistance
 
@@ -53,15 +54,21 @@ def test_half_width_elimination_matches_the_full_width_reference():
         assert fraction_free_invert(mat) == full_width_invert(mat)
 
 
-def test_rational_entries_are_scaled_exactly():
+def test_rational_entries_are_scaled_exactly(monkeypatch):
     # Grounded at 0, this network's reduced Laplacian is
-    # [[3/2, -1/3], [-1/3, 5/7]]; the kernel scales it by lcm(6, 3, 21).
+    # [[3/2, -1/3], [-1/3, 5/7]]; the kernel scales each row by the lcm of
+    # the denominators at its vertex: 6 at vertex 1, 21 at vertex 2.
     net = Network.from_edge_list(
         3, [(0, 1, Fraction(7, 6)), (1, 2, Fraction(1, 3)), (0, 2, Fraction(8, 21))]
     )
+    inverted = []
+    monkeypatch.setattr(
+        resfault.network, "fraction_free_invert", lambda mat: inverted.append(mat) or fraction_free_invert(mat)
+    )
     kernel = net._reading_kernel
-    assert kernel.scale == 42
-    inv = [[Fraction(kernel.scale * x, kernel.det) for x in row[1:]] for row in kernel.p[1:]]
+    assert inverted == [[[9, -2], [-7, 15]]]
+    assert inverted == [multiply([[6, 0], [0, 21]], build_reduced_laplacian(net, 0))]
+    inv = [[Fraction(x, kernel.det) for x in row[1:]] for row in kernel.p[1:]]
     assert multiply(build_reduced_laplacian(net, 0), inv) == [[1, 0], [0, 1]]
 
 
