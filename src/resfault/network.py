@@ -9,9 +9,8 @@ reading follows by the rank-one (Sherman-Morrison) update in integer
 arithmetic.  Within one probe, the readings differ only by the update's
 correction term, so the kernel numbers the faults that read alike (one
 class-id row per probe, see `signatures.reading_classes`) without forming
-a Fraction: by each correction scaled to an exact integer when those stay
-a few words wide, as for every family network, else by its residue modulo
-the prime 2^30 - 35 with each repeated residue confirmed exactly.  A
+a Fraction: each correction keys as one exact integer, from a per-edge
+table that groups the ratios whose quotients are rational squares.  A
 direct oracle that grounds and inverts each altered graph's own Laplacian
 is kept alongside as an independent cross-check.
 """
@@ -23,13 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd, lcm
-from typing import Iterable, NamedTuple, Union
+from math import gcd, isqrt, lcm
+from typing import Iterable, Union
 
 from .linalg import fraction_free_invert
 
-_MODULUS = (1 << 30) - 35  # the largest prime below 2^30: class-id residues are taken modulo it
-_WORD_BOUND = 1 << 120  # class rows key exactly when every key stays below this
+# The 24 largest primes below 2^30: quadratic characters modulo them bucket the ratios.
+_PRIMES = tuple((1 << 30) - c for c in (35, 41, 83, 101, 105, 107, 135, 153, 161, 173, 203, 257,
+                                        263, 297, 321, 347, 357, 383, 405, 425, 437, 443, 453, 495))
 
 
 class InfiniteResistance:
@@ -265,13 +265,45 @@ def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, 
     return adj, det, part
 
 
-class _Cells(NamedTuple):
-    """One mode's data for class-id rows; see `_ReadingKernel`."""
+def _square_classes(pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """Per pair of nonzero integers (alpha, beta), (k, u, v): alpha / beta = rho_k (u / v)^2.
 
-    rows: tuple  # `_ReadingKernel.ratios`
-    cells: tuple  # per edge, in edge order: (a, b, w), or (a, b, alpha / beta mod M) on residues
-    rare: tuple  # edges keyed apart: removed bridges (beta = 0), and on residues any M | beta
-    exact: bool  # the cells hold the exact weights w = alpha Lambda / beta
+    Two ratios fall in one class exactly when their quotient is the square
+    of a rational.  rho_k is class k's first ratio, alpha_0 / beta_0, and u
+    and v are the square roots of the reduced quotient (alpha beta_0) /
+    (beta alpha_0).  Pairs are bucketed by the sign of alpha beta and its
+    quadratic characters modulo `len(pairs).bit_length()` of `_PRIMES`
+    (Euler's criterion), which agree within a class unless one is 0.  So a
+    pair with a zero character is compared with every class, and a class
+    whose founder has one with every pair: a q^2 factor can hide a match.
+    """
+    primes = _PRIMES[:len(pairs).bit_length()]
+    founders: list[tuple[int, int]] = []
+    buckets: dict[tuple, list[int]] = {}  # characters -> classes founded with them
+    wild: list[int] = []  # classes whose founder has a zero character
+    out = []
+    for alpha, beta in pairs:
+        product = alpha * beta
+        chars = (product > 0, *(pow(product % q, q >> 1, q) for q in primes))
+        zero = 0 in chars[1:]
+        for k in range(len(founders)) if zero else chain(buckets.get(chars, ()), wild):
+            alpha0, beta0 = founders[k]
+            num, den = alpha * beta0, beta * alpha0
+            if (num > 0) != (den > 0):  # a negative quotient is no square
+                continue
+            g = gcd(num, den)
+            num, den = abs(num) // g, abs(den) // g
+            u = isqrt(num)
+            if u * u == num:
+                v = isqrt(den)
+                if v * v == den:
+                    out.append((k, u, v))
+                    break
+        else:
+            (wild if zero else buckets.setdefault(chars, [])).append(len(founders))
+            out.append((len(founders), 1, 1))
+            founders.append((alpha, beta))
+    return out
 
 
 class _ReadingKernel:
@@ -297,49 +329,39 @@ class _ReadingKernel:
     beta is 0 only for a removed bridge (its effective resistance equals
     its own resistance).  Removing a bridge leaves R when X = 0 (no probe
     current crosses it: both probe ends lie on one side) and separates
-    the pair otherwise.  Each mode's per-edge table (`ratios`) is built
-    on first use, so a network that only gives base values never builds
-    one.
+    the pair otherwise.  Each mode's per-edge tables (`ratios`, `keys`)
+    are built on first use, so a network that only gives base values
+    never builds one.
 
     Class-id rows (`classes`) compare the corrections alpha X^2 / beta by
-    one of two keys, chosen per mode (`cells`).  With Lambda > 0 the lcm of
-    the nonzero beta, each edge's w = alpha Lambda / beta is an integer and
-    a cell keys exactly as X^2 w (a removed bridge: 0 when X = 0, else
-    INFINITE) when (4 max P)^2 max|w| < 2^120, as on every family network
-    the benchmark runs.  Otherwise a cell keys as its residue modulo
-    the prime M = 2^30 - 35 (one CPython digit), from P's rows modulo M.
-    Different residues prove different readings (Rabin, "Fingerprinting by
-    random polynomials", 1981), and each cell whose residue an earlier cell
-    has is confirmed exactly against the first such cell: both have X = 0,
-    or the same (t, |X|) with t numbering the distinct ratios, or
-    X^2 alpha beta' = X'^2 alpha' beta.  Should a confirmation fail, the
-    row is keyed by each correction in lowest terms (`_exact_classes`).  So
-    the ids are exact for any prime M, and a row keeps O(n + m) state
-    beside P.
+    one exact integer key per cell.  `_square_classes` sorts the nonzero
+    ratios into K classes, each ratio the class founder's times (u / v)^2;
+    with L the lcm of a class's v, two corrections of class k agree
+    exactly when their |X| u L / v do, and corrections of different
+    classes agree only at X = 0.  So with m = (u L / v) K per edge, a cell
+    keys as |X| m + k, or 0 when X = 0 (the healthy reading).  A removed
+    bridge has (m, k) = (0, -1): it keys 0 when X = 0 and -1, which no
+    other cell takes, when it separates the pair.
     """
 
-    __slots__ = ("p", "det", "edges", "_modulus", "_ratios", "_cells", "_p_mod")
+    __slots__ = ("p", "det", "edges", "_ratios", "_keys")
 
     def __init__(self, net: Network):
         edges = [(e.u, e.v, e.conductance) for e in net.edges]
         self.p, self.det, _ = _ground(net.n, edges)
         self.edges = net.edges
-        self._modulus = _MODULUS
         self._ratios: dict[FaultMode, tuple] = {}
-        self._cells: dict[FaultMode, _Cells] = {}
-        self._p_mod: list[list[int]] | None = None
+        self._keys: dict[FaultMode, tuple] = {}
 
     def ratios(self, mode: FaultMode) -> tuple:
-        """Per edge, in edge order: (a, b, t, alpha, beta) for the mode.
+        """Per edge, in edge order: (a, b, alpha, beta) for the mode.
 
-        alpha / beta is k / den in lowest terms with beta >= 0, and t
-        numbers the distinct ratios from 0.  Built once per mode, on first
-        use.
+        alpha / beta is k / den in lowest terms with beta >= 0.  Built once
+        per mode, on first use.
         """
         table = self._ratios.get(mode)
         if table is None:
             p, det = self.p, self.det
-            ids: dict[tuple[int, int], int] = {}
             rows = []
             for e in self.edges:
                 a, b, w = e.u, e.v, e.conductance
@@ -349,40 +371,30 @@ class _ReadingKernel:
                 else:
                     k, den = -w.numerator, w.denominator * det - w.numerator * z
                 g = gcd(k, den) if den >= 0 else -gcd(k, den)
-                alpha, beta = k // g, den // g
-                rows.append((a, b, ids.setdefault((alpha, beta), len(ids)), alpha, beta))
+                rows.append((a, b, k // g, den // g))
             table = self._ratios[mode] = tuple(rows)
         return table
 
-    def cells(self, mode: FaultMode) -> _Cells:
-        """The mode's ratios and cells, exact weights within the word bound, built on first use."""
-        found = self._cells.get(mode)
-        if found is None:
-            rows, m = self.ratios(mode), self._modulus
-            weights = self._weights(rows)
-            if weights is not None:
-                cells = tuple((a, b, w) for (a, b, *_), w in zip(rows, weights))
-                rare = tuple(j for j, row in enumerate(rows) if not row[4])
-            else:
-                cells = tuple((a, b, alpha * pow(beta, -1, m) % m if beta % m else 0)
-                              for a, b, _, alpha, beta in rows)
-                rare = tuple(j for j, row in enumerate(rows) if not row[4] % m)
-                if self._p_mod is None:
-                    self._p_mod = [[x % m for x in row] for row in self.p]
-            found = self._cells[mode] = _Cells(rows, cells, rare, weights is not None)
-        return found
+    def keys(self, mode: FaultMode) -> tuple:
+        """Per edge, in edge order: (a, b, m, k), a cell keying as |X| m + k.
 
-    def _weights(self, rows: tuple) -> list[int] | None:
-        """Per edge, w = alpha Lambda / beta (0 at a removed bridge); None past the word bound."""
-        betas = [row[4] for row in rows if row[4]]
-        square, lam = (4 * max(map(max, self.p))) ** 2, 1  # square is 0 only when n = 1
-        limit = _WORD_BOUND * max(betas, default=1)
-        for beta in betas:
-            lam = lcm(lam, beta)
-            if square * lam >= limit:  # max|w| >= Lambda / max beta is past the bound already
-                return None
-        weights = [alpha * lam // beta if beta else 0 for *_, alpha, beta in rows]
-        return weights if square * max(map(abs, weights), default=0) < _WORD_BOUND else None
+        See the class docstring; a removed bridge has (0, -1).  Built once
+        per mode, on first use.
+        """
+        table = self._keys.get(mode)
+        if table is None:
+            rows = self.ratios(mode)
+            pairs = list(dict.fromkeys((alpha, beta) for *_, alpha, beta in rows if beta))
+            classes = _square_classes(pairs)
+            count = 1 + max((k for k, _, _ in classes), default=0)
+            lcms = [1] * count
+            for k, _, v in classes:
+                lcms[k] = lcm(lcms[k], v)
+            scaled = {pair: (u * lcms[k] // v * count, k)
+                      for pair, (k, u, v) in zip(pairs, classes)}
+            table = self._keys[mode] = tuple((a, b, *scaled[alpha, beta]) if beta else (a, b, 0, -1)
+                                             for a, b, alpha, beta in rows)
+        return table
 
     def base(self, r: int, s: int) -> int:
         """x^T P x for the probe (r, s): R = base / D."""
@@ -394,112 +406,25 @@ class _ReadingKernel:
 
         The columns are the edges in order, then, with `no_fault`, the
         healthy network.  The base value and D are common to the row, so
-        faults are compared by their corrections alpha X^2 / beta: those
-        with X = 0 read like the healthy network (key 0) and a bridge with
-        X != 0 reads INFINITE.  Cells are keyed exactly by X^2 w, or by
-        residue with repeated residues confirmed exactly (see the class
-        docstring).  Ids are numbered from 0 in column order.
+        faults are compared by their corrections alpha X^2 / beta, each
+        keyed as one exact integer (see the class docstring): 0 exactly
+        when the fault reads like the healthy network.  Ids are numbered
+        from 0 in column order.
         """
-        rows, cells, rare, exact = self.cells(mode)
-        m, p = self._modulus, self.p if exact else self._p_mod
-        d = [x - y for x, y in zip(p[r], p[s])]  # P_r - P_s, modulo M on residues
-        keys: list = ([(x := d[a] - d[b]) * x * w for a, b, w in cells] if exact
-                      else [(x := d[a] - d[b]) * x * tau % m for a, b, tau in cells])
-        for j in rare:
-            keys[j] = self._rare_key(r, s, rows[j], d, exact)
-        ids: dict = {}
-        out = [ids.setdefault(key, len(ids)) for key in keys]
-        if not exact and not self._confirmed(r, s, rows, keys, out, no_fault and 0 in ids):
-            return self._exact_classes(r, s, rows, no_fault)
-        if no_fault:
-            out.append(ids.get(0, len(ids)))
-        return out
-
-    def _x(self, r: int, s: int, a: int, b: int) -> int:
-        """X = (e_a - e_b)^T P (e_r - e_s), exactly."""
-        pr, ps = self.p[r], self.p[s]
-        return pr[a] - pr[b] - ps[a] + ps[b]
-
-    def _rare_key(self, r: int, s: int, row: tuple, d: list[int], exact: bool):
-        """The row key of an edge in `_Cells.rare`.
-
-        A removed bridge keys as 0 (X = 0) or INFINITE.  On residues, any other
-        edge whose beta M divides keys by its reading's residue in lowest
-        terms, or by that exact fraction when M divides its denominator too.
-        """
-        a, b, _, alpha, beta = row
-        m = self._modulus
-        x = d[a] - d[b]  # X itself on exact keys, else X mod M
-        if not exact and (beta or not x % m):  # a bridge needs only whether X = 0
-            x = self._x(r, s, a, b)
-        if not x:
-            return 0
-        if not beta:
-            return INFINITE
-        num = x * x * alpha
-        g = gcd(num, beta)
-        num, den = num // g, beta // g
-        return num * pow(den, -1, m) % m if den % m else (num, den)
-
-    def _confirmed(self, r, s, rows, keys, out, healthy_at_zero: bool) -> bool:
-        """True when each cell with a repeated residue reads like the first cell with it.
-
-        With `healthy_at_zero`, the first cell of residue 0 must also have
-        X = 0, so that the healthy column may join its class.  INFINITE and
-        fraction keys are exact and need no confirmation.
-        """
-        repeats, top = [], -1  # ids come in column order: a repeat is no new top
-        for j, cid in enumerate(out):
-            if cid > top:
-                top = cid
-            else:
-                repeats.append(j)
-        if not repeats and not healthy_at_zero:
-            return True
-        d = [x - y for x, y in zip(self.p[r], self.p[s])]
-        for j in repeats:
-            if type(keys[j]) is not int:
-                continue
-            a, b, t, alpha, beta = rows[j]
-            a2, b2, t2, alpha2, beta2 = rows[out.index(out[j])]
-            x, x2 = d[a] - d[b], d[a2] - d[b2]
-            if not (x and x2):
-                if x or x2:
-                    return False
-            elif t != t2 or abs(x) != abs(x2):
-                if x * x * alpha * beta2 != x2 * x2 * alpha2 * beta:
-                    return False
-        if healthy_at_zero:
-            a, b = rows[keys.index(0)][:2]
-            return d[a] == d[b]
-        return True
-
-    def _exact_classes(self, r: int, s: int, rows: tuple, no_fault: bool) -> list[int]:
-        """The probe's class-id row from exact keys, for rows whose residues collide.
-
-        Each cell is keyed by its correction X^2 alpha / beta in lowest
-        terms: 0 when X = 0, and INFINITE for a bridge with X != 0.
-        """
-        d = [x - y for x, y in zip(self.p[r], self.p[s])]
-        ids: dict = {}
-        out = []
-        for a, b, _, alpha, beta in rows:
-            x = d[a] - d[b]
-            if x and beta:
-                num = x * x * alpha
-                g = gcd(num, beta)
-                key = (num // g, beta // g)
-            else:
-                key = INFINITE if x else 0
-            out.append(ids.setdefault(key, len(ids)))
+        p = self.p
+        d = [x - y for x, y in zip(p[r], p[s])]  # P_r - P_s
+        ids: dict[int, int] = {}
+        out = [ids.setdefault((x := d[a] - d[b]) and abs(x) * m + k, len(ids))
+               for a, b, m, k in self.keys(mode)]
         if no_fault:
             out.append(ids.get(0, len(ids)))
         return out
 
     def reading(self, r: int, s: int, j: int, mode: FaultMode) -> Resistance:
         """Faulted resistance of the probe (r, s) when edge j is faulted."""
-        a, b, _, alpha, beta = self.ratios(mode)[j]
-        x = self._x(r, s, a, b)
+        a, b, alpha, beta = self.ratios(mode)[j]
+        pr, ps = self.p[r], self.p[s]
+        x = pr[a] - pr[b] - ps[a] + ps[b]  # X = (e_a - e_b)^T P (e_r - e_s)
         base = self.base(r, s)
         if not beta:
             return INFINITE if x else Fraction(base, self.det)

@@ -7,12 +7,10 @@ distinct.  When the "nothing is broken" outcome must be told apart too,
 the healthy network is one more column, holding each probe's unaltered
 reading.  `reading_classes` turns the exact readings (rationals, or the
 INFINITE open-circuit sentinel; no tolerance anywhere) into small integer
-class ids without building a Fraction: the kernel keys a row by each
-correction scaled to an exact integer when those stay a few words wide,
-else by its residue modulo the prime 2^30 - 35 (different residues prove
-different readings), confirming each repeated residue exactly (see
-`network._ReadingKernel`).  Every question here groups the columns of
-that table.
+class ids without building a Fraction: the kernel keys each correction
+as one exact integer, from |X| and the square class of the fault's ratio
+(see `network._ReadingKernel`).  Every question here groups the columns
+of that table.
 """
 
 from __future__ import annotations

@@ -4,12 +4,13 @@ Networks here are seeded random weighted graphs with conductances p/q
 (1 <= p, q <= 9) and pendant leaves, so removal faults include bridges
 with the probe on the same side (the reading keeps its base value) and on
 opposite sides (INFINITE).  Class-id rows are also checked against the
-reduced-key reference: on the exact-key path, for every family shape the
-benchmark runs and small weighted networks; on the residue path, for
-every probe of networks shaped like the benchmark's, with the residue
-modulus forced down to 3, 7 and 8191 (and the word bound to 0), so that
-residues collide and only the exact checks keep the ids right, and on
-~200-bit conductances, whose residues take several digits.
+reduced-key reference: for every family shape the benchmark runs, for
+small weighted networks whose faults of different ratios often read
+alike, for every probe of networks shaped like the benchmark's, for a
+separating bridge in a row of small keys, and on ~200-bit conductances.  The square
+classes behind the integer keys are checked directly too: a square of a
+character prime, ratios of opposite sign, and a bound on the `isqrt`
+calls that keeps the class search from comparing every pair of ratios.
 """
 
 import random
@@ -27,6 +28,7 @@ from resfault.network import (
     FaultMode,
     Measurement,
     Network,
+    _square_classes,
     direct_effective_resistance_oracle,
     effective_resistance,
     perturbed_effective_resistance,
@@ -221,19 +223,11 @@ def assert_rows_match_the_reference(net, probes):
                 assert ids == gcd_keyed_classes(net, m, mode, no_fault), (mode, m, no_fault)
 
 
-@pytest.mark.parametrize("modulus", [3, 7, 8191])
-def test_tiny_modulus_ids_match_the_reference(monkeypatch, modulus):
-    # Residues this small collide all the time, so the exact checks decide
-    # every merge.  On a triangle core (n = 6) two faults of different
-    # ratios often read alike, and among 20 seeds some ratio denominator is
-    # a multiple of 3 or 7 where the reading's reduced one is not, so the
-    # residue must come from the value in lowest terms.  In a two-leaf row
-    # with no X = 0 cell, a bridge whose X the modulus divides, or a lone
-    # cell of residue 0, must be told from X = 0 exactly.  A word bound of
-    # 0 keeps every network off the exact keys, the small complete and
-    # bipartite ones too, so every row goes through residues.
-    monkeypatch.setattr(resfault.network, "_MODULUS", modulus)
-    monkeypatch.setattr(resfault.network, "_WORD_BOUND", 0)
+def test_small_network_ids_match_the_reference():
+    # On a triangle core (n = 6) two faults of different ratios often read
+    # alike, so their ratios share a square class.  In a two-leaf row with
+    # no X = 0 cell, a bridge or a lone cell must still key apart from
+    # X = 0, where the healthy column joins.
     nets = [pendant_network(seed, 6) for seed in range(20)]
     nets += [pendant_network(seed, 9) for seed in range(4)]
     nets += [two_leaf_network(seed) for seed in range(40)]
@@ -241,7 +235,6 @@ def test_tiny_modulus_ids_match_the_reference(monkeypatch, modulus):
     nets += [complete_network(5), kpartite_network(KPartiteShape((2, 3)))]
     for net in nets:
         assert_rows_match_the_reference(net, net.measurements())
-        assert not any(net._reading_kernel.cells(mode).exact for mode in FaultMode)
 
 
 # Every family shape the benchmark and CI run, as (n,) or partition sizes.
@@ -253,7 +246,6 @@ BENCHMARK_FAMILIES += [(2, 3, 4, 5), (3, 4, 5, 6), (4, 5, 5, 5)]
 @pytest.mark.parametrize("shape", BENCHMARK_FAMILIES, ids=lambda shape: ",".join(map(str, shape)))
 def test_family_rows_take_exact_keys_and_match_the_reference(shape):
     net = complete_network(shape[0]) if len(shape) == 1 else kpartite_network(KPartiteShape(shape))
-    assert all(net._reading_kernel.cells(mode).exact for mode in FaultMode)
     probes = net.measurements()
     assert_rows_match_the_reference(net, probes[:: max(1, len(probes) // 40)])
 
@@ -262,22 +254,55 @@ def test_small_weighted_exact_key_rows_match_the_reference():
     nets = [pendant_network(seed, 6) for seed in range(10)]
     nets += [two_leaf_network(seed) for seed in range(10)] + [bridged_network()]
     for net in nets:
-        assert all(net._reading_kernel.cells(mode).exact for mode in FaultMode)
         assert_rows_match_the_reference(net, net.measurements())
 
 
-@pytest.mark.parametrize("build", [lambda: complete_network(9), bridged_network])
-def test_word_bound_zero_gives_the_same_ids(monkeypatch, build):
-    net = build()
-    probes = net.measurements()
-    tables = {(mode, no_fault): reading_classes(net, probes, mode, no_fault)
-              for mode in FaultMode for no_fault in (False, True)}
-    assert all(net._reading_kernel.cells(mode).exact for mode in FaultMode)
-    monkeypatch.setattr(resfault.network, "_WORD_BOUND", 0)
-    twin = build()
-    for (mode, no_fault), table in tables.items():
-        assert reading_classes(twin, probes, mode, no_fault) == table
-    assert not any(twin._reading_kernel.cells(mode).exact for mode in FaultMode)
+def test_a_separating_bridge_keys_apart_from_every_cell():
+    # A unit triangle 0-1-2 with a leaf 3 at vertex 2: removing the bridge
+    # (2, 3) separates the probe (0, 3), whose other cells key 1, 2 and 1,
+    # so a bridge keyed 1, or |X| - 1 = 2, would read like a triangle fault.
+    net = Network.from_edge_list(4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)])
+    m = Measurement(0, 3)
+    assert net._reading_kernel.keys(FaultMode.REMOVED) == (
+        (0, 1, 1, 0), (0, 2, 1, 0), (1, 2, 1, 0), (2, 3, 0, -1))
+    for no_fault in (False, True):
+        [ids] = reading_classes(net, [m], FaultMode.REMOVED, no_fault)
+        assert ids == gcd_keyed_classes(net, m, FaultMode.REMOVED, no_fault), no_fault
+
+
+Q = resfault.network._PRIMES[0]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_square_of_a_character_prime_joins_its_class_in_either_order(sign):
+    # Q^2 has a zero character modulo Q: as a member it must be compared with
+    # every class, and as a founder every later ratio must be compared with it.
+    square, one = (sign * Q * Q, 1), (sign, 1)
+    assert _square_classes([square, one]) == [(0, 1, 1), (0, 1, Q)]
+    assert _square_classes([one, square]) == [(0, 1, 1), (0, Q, 1)]
+
+
+@pytest.mark.parametrize("pairs", [[(Q, 1), (1, 1)], [(-1, 1), (1, 1)], [(-Q * Q, 1), (1, 1)],
+                                   [(1, 1), (-Q * Q, 1)], [(1, Q * Q), (-1, 1)]])
+def test_ratios_whose_quotient_is_no_square_stay_apart(pairs):
+    assert _square_classes(pairs) == [(0, 1, 1), (1, 1, 1)]
+
+
+def test_square_classes_take_few_isqrt_calls(monkeypatch):
+    # Comparing every pair of ratios would take about n^2 / 2 isqrt calls;
+    # the character buckets leave about one comparison per ratio.
+    rng = random.Random(40)
+    net = Network.from_edge_list(40, [(u, v, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                                      for u in range(40) for v in range(u + 1, 40)])
+    calls = []
+    real = resfault.network.isqrt
+    monkeypatch.setattr(resfault.network, "isqrt", lambda x: calls.append(x) or real(x))
+    kernel = net._reading_kernel
+    for mode in FaultMode:
+        distinct = len({row[2:] for row in kernel.ratios(mode)})
+        calls.clear()
+        kernel.keys(mode)
+        assert len(calls) <= 2 * distinct, (mode, len(calls), distinct)
 
 
 def mirrored_big_network(seed):
@@ -299,13 +324,12 @@ def mirrored_big_network(seed):
     return Network.from_edge_list(12, edges)
 
 
-def test_big_conductances_ids_equal_iff_readings_equal(monkeypatch):
+def test_big_conductances_ids_equal_iff_readings_equal():
     net = mirrored_big_network(11)
     probes = net.measurements()
-    tables = {}
     equal_pairs = 0
     for mode in FaultMode:
-        table = tables[mode] = reading_classes(net, probes, mode, no_fault=True)
+        table = reading_classes(net, probes, mode, no_fault=True)
         sig = build_signature(net, probes, mode)
         for ids, row, m in zip(table, sig.entries, probes):
             row = row + (effective_resistance(net, m),)
@@ -314,11 +338,7 @@ def test_big_conductances_ids_equal_iff_readings_equal(monkeypatch):
                     assert (ids[i] == ids[j]) == (row[i] == row[j]), (mode, m, i, j)
                     equal_pairs += row[i] == row[j]
     assert equal_pairs > 100
-    # With modulus 7 the same many-limb values collide, and exact checks decide.
-    monkeypatch.setattr(resfault.network, "_MODULUS", 7)
-    twin = mirrored_big_network(11)
-    for mode in FaultMode:
-        assert reading_classes(twin, probes[::8], mode, no_fault=True) == tables[mode][::8]
+    assert_rows_match_the_reference(net, probes[::8])
 
 
 def test_forty_vertex_rows_match_the_reference():
@@ -329,10 +349,8 @@ def test_forty_vertex_rows_match_the_reference():
 @pytest.mark.parametrize("seed", range(2))
 def test_benchmark_shaped_rows_match_the_reference(seed):
     # n = 22 with three pendant leaves, like the benchmark's weighted pool:
-    # these take the residue path, and every probe, not a sample, is read, so
-    # each row's repeated residues are confirmed.
+    # every probe, not a sample, is read.
     net = pendant_network(seed, 22)
-    assert not any(net._reading_kernel.cells(mode).exact for mode in FaultMode)
     assert_rows_match_the_reference(net, net.measurements())
 
 

@@ -18,19 +18,22 @@ from resfault.network import (
     effective_resistance,
     perturbed_effective_resistance,
 )
-from resfault.signatures import is_distinguishing
+from resfault.signatures import is_distinguishing, reading_classes
 from resfault.strategies import complete_strategy, kpartite_strategy
 
 from grounding import grounded_resistance
-from reference import classify_kpartite
+from reference import classify_kpartite, gcd_keyed_classes
+
+
+FRACTIONS = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(5), max_denominator=6)
+# Conductances whose ratios often differ by a rational square, so faults of
+# different ratios can read alike.
+SQUARES = st.sampled_from([Fraction(x) for x in ("1", "2", "4", "1/4", "9/4", "9")])
 
 
 @st.composite
-def connected_networks(draw):
+def connected_networks(draw, conductance=FRACTIONS):
     n = draw(st.integers(min_value=2, max_value=6))
-    conductance = st.fractions(
-        min_value=Fraction(1, 4), max_value=Fraction(5), max_denominator=6
-    )
     edges = []
     for v in range(1, n):
         parent = draw(st.integers(min_value=0, max_value=v - 1))
@@ -66,6 +69,15 @@ def test_ground_independence(case):
     net, m, _ = case
     values = {grounded_resistance(net, m, g) for g in range(net.n)}
     assert values == {effective_resistance(net, m)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_networks(SQUARES))
+def test_class_ids_match_the_reduced_key_reference(net):
+    for mode in FaultMode:
+        for no_fault in (False, True):
+            table = reading_classes(net, net.measurements(), mode, no_fault)
+            assert table == [gcd_keyed_classes(net, m, mode, no_fault) for m in net.measurements()]
 
 
 @settings(max_examples=40, deadline=None)

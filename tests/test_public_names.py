@@ -7,10 +7,13 @@ attribute, outside the name's own top-level definition.  The rebuilt-graph
 oracle is the one exception: it exists to cross-check the library.
 
 The package loads its submodules on first use, so each public name is
-checked against the attribute of the module that defines it.
+checked against the attribute of the module that defines it.  The
+runtime stays stdlib-only: every import in the package, function-level
+ones too, names the standard library or the package itself.
 """
 
 import ast
+import sys
 from importlib import import_module
 from pathlib import Path
 from types import ModuleType
@@ -110,3 +113,17 @@ def test_bare_import_loads_no_submodule():
 def test_submodule_resolves_after_a_bare_import():
     done = fresh_python("-c", "import resfault\nprint(resfault.solver.solve_exact.__module__)")
     assert done.stdout == "resfault.solver\n", done.stderr
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    allowed = {"__future__", "resfault", *sys.stdlib_module_names}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # relative: the package
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)
