@@ -223,11 +223,15 @@ def assert_rows_match_the_reference(net, probes):
                 assert ids == gcd_keyed_classes(net, m, mode, no_fault), (mode, m, no_fault)
 
 
-def test_small_network_ids_match_the_reference():
-    # On a triangle core (n = 6) two faults of different ratios often read
-    # alike, so their ratios share a square class.  In a two-leaf row with
-    # no X = 0 cell, a bridge or a lone cell must still key apart from
-    # X = 0, where the healthy column joins.
+@pytest.mark.parametrize("modulus", [3, 7, 8191])
+def test_tiny_modulus_ids_match_the_reference(monkeypatch, modulus):
+    # With one tiny character prime, ratios of different square classes
+    # share a bucket and many characters are 0, so the exact isqrt checks
+    # decide every merge.  On a triangle core (n = 6) two faults of
+    # different ratios often read alike, so their ratios share a square
+    # class.  In a two-leaf row with no X = 0 cell, a bridge or a lone cell
+    # must still key apart from X = 0, where the healthy column joins.
+    monkeypatch.setattr(resfault.network, "_PRIMES", (modulus,))
     nets = [pendant_network(seed, 6) for seed in range(20)]
     nets += [pendant_network(seed, 9) for seed in range(4)]
     nets += [two_leaf_network(seed) for seed in range(40)]
