@@ -23,6 +23,7 @@ from .fileio import (
     MAX_VERTICES,
     FileFormatError,
     _all_digits,
+    _parse_size,
     check_vertex_count,
     load_network,
     load_plan,
@@ -52,12 +53,11 @@ def _family_args(parser: argparse.ArgumentParser):
 
 
 def _size(text: str) -> int:
-    """One family size; past Python's int-from-text digit limit, a short error naming it."""
-    limit, digits = sys.get_int_max_str_digits(), sum(ch.isdigit() for ch in text)
-    if limit and digits > limit:
-        raise argparse.ArgumentTypeError(
-            f"a size of {digits} digits is over Python's {limit}-digit limit for integers in text")
-    return int(text)
+    """One family size, refused with a short error past Python's int-from-text digit limit."""
+    try:
+        return _parse_size(text)
+    except FileFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _size.__name__ = "int"  # argparse reports any other bad --complete as an "invalid int value"

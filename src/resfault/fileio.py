@@ -69,6 +69,15 @@ class NetworkSpec:
 _SHORTHAND = re.compile(r"^[Kk](\d+(?:,\d+)*)$")
 
 
+def _parse_size(text: str) -> int:
+    """One family size; past Python's int-from-text digit limit, a short error naming it."""
+    limit, digits = sys.get_int_max_str_digits(), sum(ch.isdigit() for ch in text)
+    if limit and digits > limit:
+        raise FileFormatError(
+            f"a size of {digits} digits is over Python's {limit}-digit limit for integers in text")
+    return int(text)
+
+
 def _complete_spec(n: int) -> NetworkSpec:
     check_vertex_count(n)
     return NetworkSpec(complete_network(n), f"complete({n})")
@@ -85,7 +94,7 @@ def parse_shorthand(text: str) -> NetworkSpec | None:
     match = _SHORTHAND.match(text.strip())
     if not match:
         return None
-    nums = [int(x) for x in match.group(1).split(",")]
+    nums = [_parse_size(x) for x in match.group(1).split(",")]
     return _complete_spec(nums[0]) if len(nums) == 1 else _kpartite_spec(nums)
 
 

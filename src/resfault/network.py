@@ -271,28 +271,32 @@ def _square_classes(pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
     Two ratios fall in one class exactly when their quotient is the square
     of a rational.  rho_k is class k's first ratio, alpha_0 / beta_0, and u
     and v are the square roots of the reduced quotient (alpha beta_0) /
-    (beta alpha_0).  Pairs are bucketed by the sign of alpha beta and its
-    quadratic characters modulo `len(pairs).bit_length()` of `_PRIMES`
-    (Euler's criterion), which agree within a class unless one is 0.  So a
-    pair with a zero character is compared with every class, and a class
-    whose founder has one with every pair: a q^2 factor can hide a match.
+    (beta alpha_0).  Each pair is bucketed by a key that every ratio of its
+    class shares: the sign of alpha beta and, for each of the first
+    `len(pairs).bit_length()` of `_PRIMES`, q when q divides alpha beta to
+    an odd power, else the quadratic character (Euler's criterion) of alpha
+    beta with its power of q divided out.  So a ratio is compared only with
+    the classes of its own bucket, all of its sign, and one exact `isqrt`
+    test proves each merge.
     """
     primes = _PRIMES[:len(pairs).bit_length()]
     founders: list[tuple[int, int]] = []
-    buckets: dict[tuple, list[int]] = {}  # characters -> classes founded with them
-    wild: list[int] = []  # classes whose founder has a zero character
+    buckets: dict[tuple, list[int]] = {}  # key -> classes founded with it
     out = []
     for alpha, beta in pairs:
         product = alpha * beta
-        chars = (product > 0, *(pow(product % q, q >> 1, q) for q in primes))
-        zero = 0 in chars[1:]
-        for k in range(len(founders)) if zero else chain(buckets.get(chars, ()), wild):
+        key = [product > 0]
+        for q in primes:
+            rest, odd = product, False
+            while not rest % q:
+                rest, odd = rest // q, not odd
+            key.append(q if odd else pow(rest, q >> 1, q))
+        bucket = buckets.setdefault(tuple(key), [])
+        for k in bucket:
             alpha0, beta0 = founders[k]
-            num, den = alpha * beta0, beta * alpha0
-            if (num > 0) != (den > 0):  # a negative quotient is no square
-                continue
+            num, den = abs(alpha * beta0), abs(beta * alpha0)
             g = gcd(num, den)
-            num, den = abs(num) // g, abs(den) // g
+            num, den = num // g, den // g
             u = isqrt(num)
             if u * u == num:
                 v = isqrt(den)
@@ -300,7 +304,7 @@ def _square_classes(pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
                     out.append((k, u, v))
                     break
         else:
-            (wild if zero else buckets.setdefault(chars, [])).append(len(founders))
+            bucket.append(len(founders))
             out.append((len(founders), 1, 1))
             founders.append((alpha, beta))
     return out

@@ -132,15 +132,20 @@ class TestBoundsCommand:
         assert f"argument --k-partite: must be comma-separated integers, got {argv[2]!r}" in err
         assert "invalid literal" not in err
 
-    @pytest.mark.parametrize("option", ["--complete", "--k-partite"])
+    @pytest.mark.parametrize("option", ["--complete", "--k-partite", "--network"])
     def test_size_past_the_digit_limit_names_the_limit(self, option, capsys):
+        # A shorthand network's size gets the same short message, as a parse error.
         limit = sys.get_int_max_str_digits()
         size = "1" + "0" * limit
-        with pytest.raises(SystemExit) as exit_info:
-            main(["bounds", option, size if option == "--complete" else f"2,{size}"])
-        assert exit_info.value.code == 2
+        if option == "--network":
+            assert main(["solve", option, f"K{size}"]) == 2
+        else:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["bounds", option, size if option == "--complete" else f"2,{size}"])
+            assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {option}: a size of {limit + 1} digits is over Python's {limit}-digit " \
+        prefix = "parse error" if option == "--network" else f"argument {option}"
+        assert f"{prefix}: a size of {limit + 1} digits is over Python's {limit}-digit " \
                "limit for integers in text" in err
         assert len(err) < 300
 

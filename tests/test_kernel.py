@@ -8,9 +8,13 @@ reduced-key reference: for every family shape the benchmark runs, for
 small weighted networks whose faults of different ratios often read
 alike, for every probe of networks shaped like the benchmark's, for a
 separating bridge in a row of small keys, and on ~200-bit conductances.  The square
-classes behind the integer keys are checked directly too: a square of a
+classes behind the integer keys are checked directly too.  Every ratio of
+a class shares one bucket key: the sign of alpha beta and, per character
+prime q, q for an odd power of q, else the character of what is left once
+that power is divided out.  The checks cover odd and even powers of a
 character prime, ratios of opposite sign, and a bound on the `isqrt`
-calls that keeps the class search from comparing every pair of ratios.
+calls, with and without many multiples of a character prime, that keeps
+the class search from comparing every pair of ratios.
 """
 
 import random
@@ -226,8 +230,9 @@ def assert_rows_match_the_reference(net, probes):
 @pytest.mark.parametrize("modulus", [3, 7, 8191])
 def test_tiny_modulus_ids_match_the_reference(monkeypatch, modulus):
     # With one tiny character prime, ratios of different square classes
-    # share a bucket and many characters are 0, so the exact isqrt checks
-    # decide every merge.  On a triangle core (n = 6) two faults of
+    # share a bucket and many products are multiples of the prime, so their
+    # key entries come from odd and even powers of it and the exact isqrt
+    # checks decide every merge.  On a triangle core (n = 6) two faults of
     # different ratios often read alike, so their ratios share a square
     # class.  In a two-leaf row with no X = 0 cell, a bridge or a lone cell
     # must still key apart from X = 0, where the healthy column joins.
@@ -279,34 +284,46 @@ Q = resfault.network._PRIMES[0]
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_a_square_of_a_character_prime_joins_its_class_in_either_order(sign):
-    # Q^2 has a zero character modulo Q: as a member it must be compared with
-    # every class, and as a founder every later ratio must be compared with it.
-    square, one = (sign * Q * Q, 1), (sign, 1)
-    assert _square_classes([square, one]) == [(0, 1, 1), (0, 1, Q)]
-    assert _square_classes([one, square]) == [(0, 1, 1), (0, Q, 1)]
+    # Q^2 and 1 hold even powers of Q, so their key entries are the
+    # character of what is left, sign * 1; Q^3 and Q hold odd powers, so
+    # both take the entry Q.  Either way the two ratios share one bucket,
+    # whichever of them founds the class.
+    for big, small in [((sign * Q * Q, 1), (sign, 1)), ((sign * Q**3, 1), (sign * Q, 1))]:
+        assert _square_classes([big, small]) == [(0, 1, 1), (0, 1, Q)]
+        assert _square_classes([small, big]) == [(0, 1, 1), (0, Q, 1)]
 
 
 @pytest.mark.parametrize("pairs", [[(Q, 1), (1, 1)], [(-1, 1), (1, 1)], [(-Q * Q, 1), (1, 1)],
-                                   [(1, 1), (-Q * Q, 1)], [(1, Q * Q), (-1, 1)]])
-def test_ratios_whose_quotient_is_no_square_stay_apart(pairs):
+                                   [(1, 1), (-Q * Q, 1)], [(1, Q * Q), (-1, 1)],
+                                   [(Q, 1), (Q * Q, 1)]])
+def test_ratios_whose_quotient_is_no_square_stay_apart(monkeypatch, pairs):
+    assert _square_classes(pairs) == [(0, 1, 1), (1, 1, 1)]
+    # -1 is a square modulo 5, so there only the sign keeps ratios of
+    # opposite signs in different buckets.
+    monkeypatch.setattr(resfault.network, "_PRIMES", (5,))
     assert _square_classes(pairs) == [(0, 1, 1), (1, 1, 1)]
 
 
 def test_square_classes_take_few_isqrt_calls(monkeypatch):
     # Comparing every pair of ratios would take about n^2 / 2 isqrt calls;
-    # the character buckets leave about one comparison per ratio.
+    # the buckets leave about one comparison per ratio.  With every other
+    # numerator a multiple of Q, the products of many ratios are too, and
+    # their key entries for Q must still keep each bucket to one class.
     rng = random.Random(40)
-    net = Network.from_edge_list(40, [(u, v, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-                                      for u in range(40) for v in range(u + 1, 40)])
+    pairs = [(u, v) for u in range(40) for v in range(u + 1, 40)]
+    weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in pairs]
     calls = []
     real = resfault.network.isqrt
     monkeypatch.setattr(resfault.network, "isqrt", lambda x: calls.append(x) or real(x))
-    kernel = net._reading_kernel
-    for mode in FaultMode:
-        distinct = len({row[2:] for row in kernel.ratios(mode)})
-        calls.clear()
-        kernel.keys(mode)
-        assert len(calls) <= 2 * distinct, (mode, len(calls), distinct)
+    for scale in (1, Q):
+        net = Network.from_edge_list(40, [(u, v, w * scale if j % 2 else w)
+                                          for j, ((u, v), w) in enumerate(zip(pairs, weights))])
+        kernel = net._reading_kernel
+        for mode in FaultMode:
+            distinct = len({row[2:] for row in kernel.ratios(mode)})
+            calls.clear()
+            kernel.keys(mode)
+            assert len(calls) <= 2 * distinct, (scale, mode, len(calls), distinct)
 
 
 def mirrored_big_network(seed):

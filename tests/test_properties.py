@@ -15,6 +15,7 @@ from resfault.network import (
     FaultMode,
     Measurement,
     Network,
+    _PRIMES,
     effective_resistance,
     perturbed_effective_resistance,
 )
@@ -27,8 +28,11 @@ from reference import classify_kpartite, gcd_keyed_classes
 
 FRACTIONS = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(5), max_denominator=6)
 # Conductances whose ratios often differ by a rational square, so faults of
-# different ratios can read alike.
-SQUARES = st.sampled_from([Fraction(x) for x in ("1", "2", "4", "1/4", "9/4", "9")])
+# different ratios can read alike; Q, Q^2 and 1/Q put odd and even powers of
+# the first character prime into the ratios.
+Q = _PRIMES[0]
+SQUARES = st.sampled_from([Fraction(x) for x in ("1", "2", "4", "1/4", "9/4", "9")]
+                          + [Fraction(Q), Fraction(Q * Q), Fraction(1, Q)])
 
 
 @st.composite

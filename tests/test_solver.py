@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from itertools import combinations
 from math import ceil
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -404,6 +405,56 @@ class TestSizeTwoPartitionCertificate:
         assert len(plan) == max(g, 3)
         for mode in FaultMode:
             assert is_distinguishing(net, plan.measurements, mode), mode
+
+
+def oracle_rows(net, probes, mode):
+    """Per probe, each fault's class id, numbered from 0 in edge order, from oracle readings."""
+    rows = []
+    for m in probes:
+        ids = {}
+        rows.append([ids.setdefault(direct_effective_resistance_oracle(net, m, e, mode), len(ids))
+                     for e in net.edges])
+    return rows
+
+
+def refine(codes, row):
+    """Column codes split by one more row, renumbered from 0 in column order."""
+    ids = {}
+    return [ids.setdefault(pair, len(ids)) for pair in zip(codes, row)]
+
+
+class TestDominatedTripartiteCertificate:
+    """K(2,3,6) needs exactly 5 probes, shown by the oracle rather than the solver.
+
+    The class-id rows come from `direct_effective_resistance_oracle`, which
+    shares no update formula with the reading kernel.  All 341,055 sets of
+    four of its 55 probes are enumerated, the 36 fault columns refined one
+    probe at a time: each set leaves two faults reading alike.  The exact
+    solver's 5-probe plan separates every column under the same readings.
+    """
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_no_four_probes_distinguish(self, mode):
+        net = KPartiteShape((2, 3, 6)).network()
+        rows = oracle_rows(net, net.measurements(), mode)
+        cols = len(net.edges)
+        assert (len(rows), cols) == (55, 36)
+        for i, first in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                two = refine(first, rows[j])
+                for k in range(j + 1, len(rows)):
+                    # Codes and ids are below cols, so code * cols + id keys each column.
+                    three = [cols * code for code in refine(two, rows[k])]
+                    assert all(len(set(map(add, three, row))) < cols for row in rows[k + 1:]), \
+                        (i, j, k)
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_the_solver_plan_distinguishes_under_the_oracle(self, mode):
+        net = KPartiteShape((2, 3, 6)).network()
+        result = solve_exact(net, mode=mode)
+        assert isinstance(result, ExactSolution) and len(result.plan) == 5
+        rows = oracle_rows(net, result.plan.measurements, mode)
+        assert len(set(zip(*rows))) == len(net.edges)
 
 
 class TestGreedy:
