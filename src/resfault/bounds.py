@@ -8,22 +8,26 @@ pair for a complete graph's n or a k-partite shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+
 from .families import KPartiteShape
+from .network import _Record
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    family: str
-    lower: int
-    upper: int
-    lower_formula: str
-    upper_formula: str
+class BoundReport(_Record):
+    """Lower and upper bounds on a family's measurement count, with their formulas."""
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
+    __slots__ = _fields = ("family", "lower", "upper", "lower_formula", "upper_formula")
+
+    def __init__(self, family: str, lower: int, upper: int, lower_formula: str,
+                 upper_formula: str):
+        if lower > upper:
+            raise ValueError(f"lower bound {lower} exceeds upper bound {upper}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower_formula", lower_formula)
+        object.__setattr__(self, "upper_formula", upper_formula)
 
     @property
     def exact(self) -> int | None:

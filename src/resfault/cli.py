@@ -23,6 +23,7 @@ from .fileio import (
     MAX_VERTICES,
     FileFormatError,
     _all_digits,
+    _parse_int,
     _parse_size,
     check_vertex_count,
     load_network,
@@ -52,15 +53,21 @@ def _family_args(parser: argparse.ArgumentParser):
     )
 
 
-def _size(text: str) -> int:
-    """One family size, refused with a short error past Python's int-from-text digit limit."""
-    try:
-        return _parse_size(text)
-    except FileFormatError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _int_option(parse):
+    """An argparse type from `parse`: a short error past Python's int-from-text digit limit."""
+
+    def option(text: str) -> int:
+        try:
+            return parse(text)
+        except FileFormatError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    option.__name__ = "int"  # argparse reports any other bad value as an "invalid int value"
+    return option
 
 
-_size.__name__ = "int"  # argparse reports any other bad --complete as an "invalid int value"
+_size = _int_option(_parse_size)  # a family size
+_vertex = _int_option(_parse_int)  # a vertex of --pair, --fault or --measurement
 
 
 def _parts(text: str) -> tuple[int, ...]:
@@ -348,15 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resistance", help="effective resistance, optionally under a fault")
     p.add_argument("--network", required=True)
-    p.add_argument("--pair", nargs=2, type=int, required=True, metavar=("R", "S"))
-    p.add_argument("--fault", nargs=2, type=int, metavar=("U", "V"))
+    p.add_argument("--pair", nargs=2, type=_vertex, required=True, metavar=("R", "S"))
+    p.add_argument("--fault", nargs=2, type=_vertex, metavar=("U", "V"))
     p.add_argument("--mode", choices=["removed", "shorted"], default="removed")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_resistance)
 
     p = sub.add_parser("classes", help="fault equivalence classes of one measurement")
     p.add_argument("--network", required=True)
-    p.add_argument("--measurement", nargs=2, type=int, required=True, metavar=("R", "S"))
+    p.add_argument("--measurement", nargs=2, type=_vertex, required=True, metavar=("R", "S"))
     p.add_argument("--mode", choices=["removed", "shorted"], default="removed")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classes)

@@ -15,11 +15,10 @@ at the fault endpoint written `b`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .families import KPartiteShape
-from .network import FaultMode
+from .network import FaultMode, _Record
 
 
 class CompleteCase(enum.Enum):
@@ -71,17 +70,19 @@ class KPartiteColumn(enum.Enum):
 ZERO_COLUMNS = frozenset({KPartiteColumn.IX, KPartiteColumn.XI, KPartiteColumn.XII})
 
 
-@dataclass(frozen=True)
-class KPartiteCase:
+class KPartiteCase(_Record):
     """Table column plus the partition roles its formula consumes.
 
     a_partition is the partition of the edge endpoint playing `a`;
     b_partition is the partition of the grounded endpoint `b`.
     """
 
-    column: KPartiteColumn
-    a_partition: int
-    b_partition: int
+    __slots__ = _fields = ("column", "a_partition", "b_partition")
+
+    def __init__(self, column: KPartiteColumn, a_partition: int, b_partition: int):
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "a_partition", a_partition)
+        object.__setattr__(self, "b_partition", b_partition)
 
 
 def kpartite_delta(shape: KPartiteShape, case: KPartiteCase, mode: FaultMode) -> Fraction:

@@ -12,28 +12,27 @@ only as long as its caller holds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .network import Measurement, Network
+from .network import Measurement, Network, _Record
 
 
-@dataclass(frozen=True)
-class KPartiteShape:
+class KPartiteShape(_Record):
     """Partition sizes of a complete k-partite graph, nondecreasing."""
 
-    parts: tuple[int, ...]
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not all(isinstance(p, int) and not isinstance(p, bool) for p in self.parts):
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(parts)
+        if not all(isinstance(p, int) and not isinstance(p, bool) for p in parts):
             raise ValueError("partition sizes must be integers")
-        if len(self.parts) < 2:
+        if len(parts) < 2:
             raise ValueError("a k-partite shape needs at least two partitions")
-        if any(p < 1 for p in self.parts):
+        if any(p < 1 for p in parts):
             raise ValueError("partition sizes must be positive")
-        if list(self.parts) != sorted(self.parts):
+        if list(parts) != sorted(parts):
             raise ValueError("partition sizes must be nondecreasing")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def k(self) -> int:

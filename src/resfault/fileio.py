@@ -22,7 +22,6 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from .network import (
     MeasurementPlan,
     Network,
     Resistance,
+    _Record,
 )
 
 
@@ -58,24 +58,31 @@ def check_vertex_count(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(_Record):
     """A parsed network and its report label: complete(8), k_partite(2, 3, 4), explicit(n=4)."""
 
-    network: Network
-    label: str
+    __slots__ = _fields = ("network", "label")
+
+    def __init__(self, network: Network, label: str):
+        object.__setattr__(self, "network", network)
+        object.__setattr__(self, "label", label)
 
 
 _SHORTHAND = re.compile(r"^[Kk](\d+(?:,\d+)*)$")
 
 
-def _parse_size(text: str) -> int:
-    """One family size; past Python's int-from-text digit limit, a short error naming it."""
+def _parse_int(text: str, what: str = "an integer") -> int:
+    """An integer from text; past Python's int-from-text digit limit, a short error naming it."""
     limit, digits = sys.get_int_max_str_digits(), sum(ch.isdigit() for ch in text)
     if limit and digits > limit:
         raise FileFormatError(
-            f"a size of {digits} digits is over Python's {limit}-digit limit for integers in text")
+            f"{what} of {digits} digits is over Python's {limit}-digit limit for integers in text")
     return int(text)
+
+
+def _parse_size(text: str) -> int:
+    """One family size, as `_parse_int` reads it."""
+    return _parse_int(text, "a size")
 
 
 def _complete_spec(n: int) -> NetworkSpec:
@@ -217,7 +224,8 @@ def validate_plan_for(plan: MeasurementPlan, net: Network):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=str)  # a number's literal text, never a float
+            # A float's literal text, never a float; an integer within the digit limit.
+            data = json.load(fh, parse_float=str, parse_int=_parse_int)
     except FileNotFoundError as exc:
         raise FileFormatError(f"{path}: no such file") from exc
     except OSError as exc:
@@ -226,7 +234,7 @@ def _load_json(path: str) -> dict:
         raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path}: JSON nested too deeply") from exc
-    except ValueError as exc:  # undecodable bytes, an integer too long to read
+    except ValueError as exc:  # undecodable bytes, an integer past the digit limit
         raise FileFormatError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")

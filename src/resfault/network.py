@@ -18,11 +18,11 @@ is kept alongside as an independent cross-check.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt, lcm
+from operator import attrgetter, ge, gt, le, lt
 from typing import Iterable, Union
 
 from .linalg import fraction_free_invert
@@ -68,92 +68,145 @@ class FaultMode(enum.Enum):
     SHORTED = "shorted"
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    u: int
-    v: int
-    conductance: Fraction
+def _ordered(compare):
+    """A rich comparison of two records of one class, as `compare` orders their keys."""
 
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError(f"self loop at vertex {self.u}")
-        if self.u > self.v:
-            u, v = self.v, self.u
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
-        object.__setattr__(self, "conductance", Fraction(self.conductance))
-        if self.conductance <= 0:
-            raise ValueError(f"conductance must be positive, got {self.conductance}")
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return compare(self._key(self), other._key(other))
+        return NotImplemented
+
+    return method
+
+
+class _Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in `_fields`, and its `__init__` stores
+    each once with `object.__setattr__`; assignment and deletion then
+    raise AttributeError.  Equality and hash compare the fields through
+    one `attrgetter` key, so records of different classes are never
+    equal, and `order=True` in the class statement adds <, <=, > and >=
+    as tuples of the fields compare.  The repr names each field, and a
+    record pickles and copies by calling its class on its fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, order: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_ordered, (lt, le, gt, ge))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}: records are frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}: records are frozen")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Edge(_Record, order=True):
+    """Undirected resistor; normalized so u < v, its conductance a positive Fraction."""
+
+    __slots__ = _fields = ("u", "v", "conductance")
+
+    def __init__(self, u: int, v: int, conductance):
+        if u == v:
+            raise ValueError(f"self loop at vertex {u}")
+        if u > v:
+            u, v = v, u
+        conductance = Fraction(conductance)
+        if conductance <= 0:
+            raise ValueError(f"conductance must be positive, got {conductance}")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "conductance", conductance)
 
     @property
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True, order=True)
-class Measurement:
+class Measurement(_Record, order=True):
     """Unordered probe pair; normalized so r < s."""
 
-    r: int
-    s: int
+    __slots__ = _fields = ("r", "s")
 
-    def __post_init__(self):
-        if self.r == self.s:
-            raise ValueError(f"measurement endpoints must differ, got {self.r}")
-        if self.r > self.s:
-            r, s = self.s, self.r
-            object.__setattr__(self, "r", r)
-            object.__setattr__(self, "s", s)
+    def __init__(self, r: int, s: int):
+        if r == s:
+            raise ValueError(f"measurement endpoints must differ, got {r}")
+        if r > s:
+            r, s = s, r
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
 
     @property
     def pair(self) -> tuple[int, int]:
         return (self.r, self.s)
 
 
-@dataclass(frozen=True)
-class MeasurementPlan:
+class MeasurementPlan(_Record):
     """Ordered probe list with per-probe provenance tags."""
 
-    measurements: tuple[Measurement, ...]
-    provenance: tuple[str, ...]
-    mode: FaultMode = FaultMode.REMOVED
+    __slots__ = _fields = ("measurements", "provenance", "mode")
 
-    def __post_init__(self):
-        if len(self.measurements) != len(self.provenance):
+    def __init__(self, measurements: tuple[Measurement, ...], provenance: tuple[str, ...],
+                 mode: FaultMode = FaultMode.REMOVED):
+        if len(measurements) != len(provenance):
             raise ValueError("provenance must tag every measurement")
-        if len(set(self.measurements)) != len(self.measurements):
+        if len(set(measurements)) != len(measurements):
             raise ValueError("duplicate measurement in plan")
+        object.__setattr__(self, "measurements", measurements)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "mode", mode)
 
     def __len__(self) -> int:
         return len(self.measurements)
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(_Record):
     """Connected simple graph with positive rational conductances.
 
     Vertices are 0..n-1.  Construction validates simplicity, ranges and
     connectivity; use `from_edge_list` to merge parallel edges first.  The
     reading kernel, the edge index and the oracle's groundings of altered
-    graphs are built on first use and kept on the instance.
+    graphs are built on first use and kept on the instance (in its
+    `__dict__`: a network, unlike the other records, has no `__slots__`).
     """
 
-    n: int
-    edges: tuple[Edge, ...]
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges: tuple[Edge, ...]):
+        if n < 1:
             raise ValueError("network needs at least one vertex")
         seen = set()
-        for e in self.edges:
-            if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                raise ValueError(f"edge {e.pair} out of range for n={self.n}")
+        for e in edges:
+            if not (0 <= e.u < n and 0 <= e.v < n):
+                raise ValueError(f"edge {e.pair} out of range for n={n}")
             if e.pair in seen:
                 raise ValueError(f"duplicate edge {e.pair}; merge parallel edges first")
             seen.add(e.pair)
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        if len(_components(self.n, [e.pair for e in self.edges])) > 1:
+        edges = tuple(sorted(edges))
+        if len(_components(n, [e.pair for e in edges])) > 1:
             raise ValueError("network must be connected")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int, object]]) -> "Network":

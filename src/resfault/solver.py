@@ -62,40 +62,47 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .network import Edge, FaultMode, Measurement, MeasurementPlan, Network, _components
+from .network import Edge, FaultMode, Measurement, MeasurementPlan, Network, _components, _Record
 from .signatures import merged_pairs, reading_classes
 
 
-@dataclass(frozen=True)
-class ExactSolution:
-    plan: MeasurementPlan
+class ExactSolution(_Record):
+    """A distinguishing plan of the fewest probes."""
+
+    __slots__ = _fields = ("plan",)
+
+    def __init__(self, plan: MeasurementPlan):
+        object.__setattr__(self, "plan", plan)
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(_Record):
     """Even the full candidate pool cannot separate these column pairs.
 
     The healthy network, a column only when it must be told apart too,
     is named None; it comes last in its pair.
     """
 
-    witness_pairs: tuple[tuple[Edge, Edge | None], ...]
+    __slots__ = _fields = ("witness_pairs",)
+
+    def __init__(self, witness_pairs: tuple[tuple[Edge, Edge | None], ...]):
+        object.__setattr__(self, "witness_pairs", witness_pairs)
 
 
-@dataclass(frozen=True)
-class TimedOut:
+class TimedOut(_Record):
     """Search budget exhausted: the greedy plan and the size proven necessary.
 
     `lower_bound` is the smallest target not yet refuted: the search
     proved that no plan of fewer probes exists.
     """
 
-    incumbent: MeasurementPlan
-    lower_bound: int
+    __slots__ = _fields = ("incumbent", "lower_bound")
+
+    def __init__(self, incumbent: MeasurementPlan, lower_bound: int):
+        object.__setattr__(self, "incumbent", incumbent)
+        object.__setattr__(self, "lower_bound", lower_bound)
 
 
 class _Deadline(Exception):
@@ -499,14 +506,17 @@ def solve_greedy(
     return greedy if isinstance(greedy, Infeasible) else _plan(cands, greedy, "greedy", mode)
 
 
-@dataclass(frozen=True)
-class MeasurementGraphReport:
+class MeasurementGraphReport(_Record):
     """Component structure of the probe pairs viewed as a graph on the vertices."""
 
-    components: tuple[tuple[int, ...], ...]
-    isolated: tuple[int, ...]
-    size_two_components: tuple[tuple[int, int], ...]
-    violations: tuple[str, ...]
+    __slots__ = _fields = ("components", "isolated", "size_two_components", "violations")
+
+    def __init__(self, components: tuple[tuple[int, ...], ...], isolated: tuple[int, ...],
+                 size_two_components: tuple[tuple[int, int], ...], violations: tuple[str, ...]):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "isolated", isolated)
+        object.__setattr__(self, "size_two_components", size_two_components)
+        object.__setattr__(self, "violations", violations)
 
 
 def analyze_measurement_graph(

@@ -22,6 +22,8 @@ from resfault.network import FaultMode, Measurement, Network
 from resfault.signatures import merged_pairs, reading_classes
 from resfault.strategies import complete_strategy
 
+VERTEX_OPTIONS = ["--pair", "--fault", "--measurement"]  # integer options that name vertices
+
 
 class TestFileFormats:
     def test_shorthand_parsing(self):
@@ -132,22 +134,45 @@ class TestBoundsCommand:
         assert f"argument --k-partite: must be comma-separated integers, got {argv[2]!r}" in err
         assert "invalid literal" not in err
 
-    @pytest.mark.parametrize("option", ["--complete", "--k-partite", "--network"])
+    @pytest.mark.parametrize(
+        "option", ["--complete", "--k-partite", "--network", "--pair", "--fault", "--measurement"])
     def test_size_past_the_digit_limit_names_the_limit(self, option, capsys):
-        # A shorthand network's size gets the same short message, as a parse error.
+        # A shorthand network's size gets the same short message, as a parse error,
+        # and so does a vertex option's integer.
         limit = sys.get_int_max_str_digits()
         size = "1" + "0" * limit
+        argv = {
+            "--complete": ["bounds", option, size],
+            "--k-partite": ["bounds", option, f"2,{size}"],
+            "--network": ["solve", option, f"K{size}"],
+            "--pair": ["resistance", "--network", "K5", option, "0", size],
+            "--fault": ["resistance", "--network", "K5", "--pair", "0", "1", option, size, "1"],
+            "--measurement": ["classes", "--network", "K5", option, size, "1"],
+        }[option]
         if option == "--network":
-            assert main(["solve", option, f"K{size}"]) == 2
+            assert main(argv) == 2
         else:
             with pytest.raises(SystemExit) as exit_info:
-                main(["bounds", option, size if option == "--complete" else f"2,{size}"])
+                main(argv)
             assert exit_info.value.code == 2
         err = capsys.readouterr().err
         prefix = "parse error" if option == "--network" else f"argument {option}"
-        assert f"{prefix}: a size of {limit + 1} digits is over Python's {limit}-digit " \
+        what = "an integer" if option in VERTEX_OPTIONS else "a size"
+        assert f"{prefix}: {what} of {limit + 1} digits is over Python's {limit}-digit " \
                "limit for integers in text" in err
         assert len(err) < 300
+
+    @pytest.mark.parametrize("option", VERTEX_OPTIONS)
+    def test_other_bad_vertex_is_an_invalid_int_value(self, option, capsys):
+        argv = {
+            "--pair": ["resistance", "--network", "K5", option, "0", "x"],
+            "--fault": ["resistance", "--network", "K5", "--pair", "0", "1", option, "x", "1"],
+            "--measurement": ["classes", "--network", "K5", option, "x", "1"],
+        }[option]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {option}: invalid int value: 'x'" in capsys.readouterr().err
 
 
 class TestStrategyCommand:
@@ -351,7 +376,8 @@ class TestVerifyCommand:
         "raw,reason",
         [
             (b"\xff\xfe{}", "can't decode"),
-            (b'{"family": "complete", "n": 1' + b"0" * 5000 + b"}", "Exceeds the limit"),
+            (b'{"family": "complete", "n": 1' + b"0" * 5000 + b"}",
+             "an integer of 5001 digits is over Python's 4300-digit limit for integers in text"),
         ],
         ids=["undecodable", "long-integer"],
     )
@@ -361,6 +387,26 @@ class TestVerifyCommand:
         assert main(["verify", "--network", str(path), "--plan", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: {path}: ") and reason in err
+
+    @pytest.mark.parametrize("network,plan", [
+        ({"family": "complete", "n": "BIG"}, {"measurements": [[0, 1]]}),
+        ({"family": "k_partite", "parts": [2, "BIG"]}, {"measurements": [[0, 1]]}),
+        ({"family": "explicit", "n": 3, "edges": [[0, "BIG", "1"]]}, {"measurements": [[0, 1]]}),
+        ({"family": "complete", "n": 6}, {"measurements": [[0, 1], ["BIG", 2]]}),
+    ], ids=["n", "parts", "edge-vertex", "plan-vertex"])
+    def test_integer_past_the_digit_limit_names_the_limit(self, tmp_path, capsys, network, plan):
+        # Python's own message would tell the user to call sys.set_int_max_str_digits().
+        limit = sys.get_int_max_str_digits()
+        paths = []
+        for name, doc in (("net.json", network), ("plan.json", plan)):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * limit))
+            paths.append(path)
+        assert main(["verify", "--network", str(paths[0]), "--plan", str(paths[1])]) == 2
+        bad = paths[0] if "BIG" in json.dumps(network) else paths[1]
+        assert capsys.readouterr().err == (
+            f"parse error: {bad}: an integer of {limit + 1} digits is over Python's "
+            f"{limit}-digit limit for integers in text\n")
 
 
 class TestInputSizeGuard:

@@ -2,8 +2,10 @@
 
 The CLI imports most modules inside the command that uses them, so a
 command that forgets one fails only in a process of its own.  Each run
-must exit as documented and print the same bytes as `main` in-process;
-the light commands also load exactly the modules listed here.
+must exit as documented and print the same bytes as `main` in-process,
+and no command loads `dataclasses` or `inspect` (with `ast`, `dis` and
+`tokenize`, several ms of every start); the light commands also load
+exactly the modules listed here.
 """
 
 import json
@@ -63,9 +65,13 @@ def written(argv):
 @pytest.mark.parametrize("argv,code", RUNS, ids=[" ".join(argv) for argv, _ in RUNS])
 def test_command_runs_in_a_fresh_interpreter(argv, code, files, capsys):
     argv = files(argv)
-    done = fresh_python("-m", "resfault.cli", *argv)
+    done = fresh_python("-X", "importtime", "-m", "resfault.cli", *argv)
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
+    # -X importtime writes one "import time: ... | <module>" line per module loaded.
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "resfault.network" in imported and not imported & {"dataclasses", "inspect"}
     out_file = written(argv)
     assert main(argv) == code
     assert done.stdout == capsys.readouterr().out

@@ -192,7 +192,7 @@ def test_the_oracle_builds_no_ratio_table(monkeypatch):
     nets = (pendant_network(2, 9), kpartite_network(KPartiteShape((2, 3, 4))))
     calls, built = [], []
     kernel = resfault.network._ReadingKernel
-    real, real_init, real_check = kernel.ratios, kernel.__init__, Network.__post_init__
+    real, real_init, real_network = kernel.ratios, kernel.__init__, Network.__init__
 
     def recording(kernel, mode):
         calls.append(mode)
@@ -202,13 +202,13 @@ def test_the_oracle_builds_no_ratio_table(monkeypatch):
         built.append("kernel")
         real_init(kernel, net)
 
-    def checking(net):
+    def constructing(net, *args):
         built.append("network")
-        real_check(net)
+        real_network(net, *args)
 
     monkeypatch.setattr(kernel, "ratios", recording)
     monkeypatch.setattr(kernel, "__init__", building)
-    monkeypatch.setattr(Network, "__post_init__", checking)
+    monkeypatch.setattr(Network, "__init__", constructing)
     for net in nets:
         for mode in FaultMode:
             for e in net.edges:
