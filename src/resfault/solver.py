@@ -14,8 +14,8 @@ exists, so the first plan found is provably minimum.  Branching picks an
 uncovered pair with the fewest covering probes (read off masks bucketed
 by coverer count) and tries each of them; subtrees are cut when some
 uncovered pair has no usable coverer, when even the best single-probe
-coverage cannot finish within the target, or when too many twin vertices
-are still untouched (the handshake cut below).
+coverage cannot finish within the target, or when the shape of the probe
+graph needs more probes than are left (the component cut below).
 
 Symmetry comes from twin vertices: u ~ v iff c(u, w) = c(v, w) for every
 w other than u and v.  This is an equivalence, the transposition (u v)
@@ -40,22 +40,43 @@ bans are made by orbit at every node, the root with caller-given first
 probes included.  Banned siblings are skipped.  A candidate pool
 that is not closed under the group gets single-probe bans only.
 
-Handshake seed and cut.  Two twins u, v (with some w, other than both,
+Component seed and cut.  Two twins u, v (with some w, other than both,
 joined to each, which connectivity gives when n >= 3) leave the faults
 (u, w) and (v, w) reading the same on every probe that touches neither,
 and on the probe (u, v): (u v) maps one fault to the other and fixes the
-probe.  So every distinguishing set touches all but at most one vertex
-per class, and needs at least ceil((n - c) / 2) probes for c classes.
-The deepening starts at the larger of this and the counting bound; each
-target is searched on its own, so skipping targets that cannot succeed
-leaves the plan unchanged.  The same count holds at every node, for any
-candidate pool: with r probes left and F_c the untouched vertices of
-class c, the r probes touch at most 2r of them, so a node with
-sum_c max(0, |F_c| - 1) > 2r holds no plan and is cut after the counting
-cut.  (On two vertices that sum is at most 1, and the counting cut
-already ends every node with no probe left.)  A cut removes only
-subtrees without a plan of the target size, so the plan found is the
-same as without it.
+probe.  So on n >= 3 vertices the probe graph of a distinguishing set
+leaves at most one vertex per class untouched, and has no lone twin
+pair: a probe between twins that no other probe touches at either end.
+At a node with r probes left, let S be the fresh vertices beyond one per
+class, S_max the largest single class's share of S, and B the lone twin
+pairs among the chosen probes (counted only when n >= 3); one routine,
+`_TwinGroup.shortfall`, reads both facts here and in
+analyze_measurement_graph.  Each of these is a demand on the new probes:
+S fresh vertices to touch, and B pairs to reach with a probe end.
+Contract each component of the chosen probes to one node; the new probes
+join these nodes into the final components.  A final component meeting
+d demands joins at least d nodes, so it holds at least d - 1 new probes,
+and at least d/2, one end per demand: at least 2d/3, except when one
+probe meets two demands.  There are three such exceptions: a fresh pair
+across two classes (a fresh pair in one class would be a new lone twin
+pair), a lone pair plus one fresh vertex, and two lone pairs joined.
+With F >= S fresh vertices touched, F_c of them in class c, the
+exceptions number at most B plus the cross-class fresh pairs, which are
+at most F / 2 and at most F - F_c for each c (each has an end outside c).
+Summing, r >= (2(F + B) - B - F/2) / 3 and r >= (F + F_c + B) / 3, so a
+node with r < max(ceil((3S + 2B) / 6), ceil((S + S_max + B) / 3)) holds
+no plan and is cut, before the counting cut.  The first term is the
+handshake term (with B = 0 it is ceil(S / 2): a probe has two ends);
+the second, the largest-class term, binds when one class holds most of
+S.  The bound holds for any
+candidate pool and with the healthy column.  (On two vertices S is at
+most 1 and B is not counted, so the bound is at most 1, and the counting
+cut already ends every node with no probe left.)  With nothing chosen
+(B = 0) the same bound seeds the deepening, with the counting bound:
+ceil(2(n - 1) / 3) on K_n, the optimum when 3 divides n.  Each target is
+searched on its own, and a cut removes only subtrees without a plan of
+the target size, so skipping targets that cannot succeed and cutting
+nodes leave the plan unchanged.
 """
 
 from __future__ import annotations
@@ -158,7 +179,7 @@ class _TwinGroup:
     single-probe orbits.
     """
 
-    def __init__(self, classes: list[list[int]], cands: Sequence[Measurement], n: int):
+    def __init__(self, classes: Sequence[Sequence[int]], cands: Sequence[Measurement], n: int):
         self.class_bits = [0] * n  # class_bits[v]: vertex mask of v's class
         self.masks: list[int] = []
         for c in classes:
@@ -221,10 +242,34 @@ class _TwinGroup:
             rest &= ~self.orbit(j, touched)
         return out
 
-    def slack(self, touched: int) -> int:
-        """Vertices a distinguishing set must still touch: all but one fresh per class."""
-        fresh = ~touched
-        return sum(max(0, (bits & fresh).bit_count() - 1) for bits in self.masks)
+    def shortfall(self, ends: Sequence[tuple[int, int]]) -> tuple[list[int], list[tuple[int, int]]]:
+        """How far probes with these ends are from the two twin-class facts.
+
+        Returns how many vertices of each class in `masks` are untouched,
+        and the lone twin pairs: the probes (u, v) with u ~ v that no other
+        probe touches at u or v, each a two-vertex component of the probe
+        graph.
+        """
+        once = twice = 0
+        for a, b in ends:
+            both = 1 << a | 1 << b
+            twice |= once & both
+            once |= both
+        untouched = [(mask & ~once).bit_count() for mask in self.masks]
+        bits = self.class_bits
+        lone = [(a, b) for a, b in ends if bits[a] >> b & 1 and not (twice >> a | twice >> b) & 1]
+        return untouched, lone
+
+    def needed(self, chosen: Sequence[int]) -> int:
+        """The fewest probes a distinguishing set must add to these candidates.
+
+        This is the component bound of the module docstring.
+        """
+        untouched, lone = self.shortfall([self.ends[j] for j in chosen])
+        shares = [k - 1 for k in untouched if k > 1]
+        s = sum(shares)
+        b = len(lone) if len(self.class_bits) >= 3 else 0
+        return max(-(-(3 * s + 2 * b) // 6), -(-(s + max(shares, default=0) + b) // 3))
 
 
 class _CoverInstance:
@@ -236,14 +281,18 @@ class _CoverInstance:
     segment of ne-i-1 bits, bit j-i-1 of it, and segments follow edge
     order from bit 0.  A candidate's mask holds the pairs its row
     separates (different class ids): segment i is the set of edges outside
-    row[i]'s class shifted right by i+1, and a row's segments are joined
-    in one binary-string conversion, so no loop runs per pair.
+    row[i]'s class, from edge ne-1 down to edge i+1.  Each class of two or
+    more edges is written once as an ne-digit binary string (edge ne-1
+    first), a single edge's class as all ones (only its own digit differs,
+    and no segment reads it), and segment i is that string's first ne-i-1
+    digits; a row's segments are joined in one binary-string conversion,
+    so no loop runs per pair.
 
     `buckets` partitions the pairs by how many candidates cover them, in
     ascending count order; the counts are summed bit-sliced (a carry-save
     adder over the masks, one bit plane per binary digit of the count).
     `group`, the pool's twin group when given, supplies the orbits that
-    refuted children ban, the handshake cut and `touch[j]`, the vertex
+    refuted children ban, the component cut and `touch[j]`, the vertex
     mask of candidate j's two ends (0 without it).  The build raises
     _Deadline once a row starts after `deadline`.
     """
@@ -261,6 +310,7 @@ class _CoverInstance:
         self.pair_count = ne * (ne - 1) // 2
         self.full = (1 << self.pair_count) - 1
         every = (1 << ne) - 1
+        width, ones = f"0{ne}b", "1" * ne
         self.masks: list[int] = []
         for row in table:
             if time.monotonic() > deadline:
@@ -268,10 +318,8 @@ class _CoverInstance:
             members: dict[int, int] = {}
             for e, cid in enumerate(row):
                 members[cid] = members.get(cid, 0) | 1 << e
-            segments = [
-                format((every ^ members[row[i]]) >> (i + 1), f"0{ne - i - 1}b")
-                for i in range(ne - 2, -1, -1)
-            ]
+            text = {c: format(every ^ m, width) if m & m - 1 else ones for c, m in members.items()}
+            segments = [text[row[i]][: ne - 1 - i] for i in range(ne - 2, -1, -1)]
             self.masks.append(int("".join(segments) or "0", 2))
         planes: list[int] = []  # planes[k]: pairs whose coverer count has bit k set
         for carry in self.masks:
@@ -310,8 +358,8 @@ class _CoverInstance:
         orbit of a refuted earlier sibling of a node on the path, whose
         subtree already tried every cover that includes it (or its image)
         at this target.  `touched` holds the vertices that the chosen
-        probes touch; with a twin group, a node whose fresh vertices need
-        more than two per remaining probe is cut (the handshake bound, see
+        probes touch.  With a twin group, a node whose probe graph needs
+        more probes than are left is cut first (the component bound, see
         the module docstring).  `first`, at the root, replaces the pivot's
         coverers with caller-given first probes, tried in the order given.
         There is no depth test: with no probe left to choose and a pair
@@ -321,6 +369,9 @@ class _CoverInstance:
             return chosen
         if time.monotonic() > deadline:
             raise _Deadline
+        left = target - len(chosen)
+        if self.group and self.group.needed(chosen) > left:
+            return None
         masks = self.masks
         missing = self.full & ~covered
         reachable = 0
@@ -332,10 +383,7 @@ class _CoverInstance:
                 gains[j] = hit.bit_count()
         if reachable != missing:
             return None
-        left = target - len(chosen)
         if -(-missing.bit_count() // max(gains.values())) > left:
-            return None
-        if self.group and self.group.slack(touched) > 2 * left:
             return None
         if first is not None:
             children = first
@@ -464,9 +512,8 @@ def solve_exact(
         (pair_count - sum(k * (k - 1) // 2 for k in Counter(row).values()) for row in table),
         default=0,
     )
-    handshake = -(-group.slack(0) // 2)
     # max_single is 0 only when there is no pair to split (else greedy stalled).
-    root_lower = max(1, -(-pair_count // max(max_single, 1)), handshake)
+    root_lower = max(1, -(-pair_count // max(max_single, 1)), group.needed(()))
     if root_lower < len(greedy):  # else no smaller set exists
         if time.monotonic() > deadline:
             return TimedOut(incumbent=greedy_plan, lower_bound=root_lower)
@@ -524,14 +571,16 @@ def analyze_measurement_graph(
 ) -> MeasurementGraphReport:
     """Check a probe set against two structural conditions every solution obeys.
 
-    By the handshake argument in the module docstring, a distinguishing
-    set on n >= 3 vertices leaves at most one vertex of each twin class
-    untouched, and has no two-vertex component whose vertices are twins:
-    there the probe joining them is the only one touching either, and
-    the transposition fixes it.  In a complete graph the one class is
-    every vertex; in a complete k-partite graph with parts of two or
-    more, the classes are the partitions.  Violations are reported by
-    name; an empty tuple means the necessary conditions hold.
+    By the argument in the module docstring, a distinguishing set on
+    n >= 3 vertices leaves at most one vertex of each twin class
+    untouched, and has no two-vertex component whose vertices are twins
+    (a lone twin pair): there the probe joining them is the only one
+    touching either, and the transposition fixes it.  The search's
+    component cut reads the same two facts through the same routine.  In
+    a complete graph the one class is every vertex; in a complete
+    k-partite graph with parts of two or more, the classes are the
+    partitions.  Violations are reported by name; an empty tuple means
+    the necessary conditions hold.
     """
     components = tuple(map(tuple, _components(net.n, [m.pair for m in measurements])))
     isolated = tuple(c[0] for c in components if len(c) == 1)
@@ -539,16 +588,15 @@ def analyze_measurement_graph(
 
     violations: list[str] = []
     if net.n >= 3:
-        lone = set(isolated)
-        class_of: dict[int, tuple[int, ...]] = {}
-        for cls in map(tuple, _twin_classes(net)):
-            untouched = len(lone.intersection(cls))
-            if untouched > 1:
+        classes = [tuple(c) for c in _twin_classes(net) if len(c) > 1]
+        pairs = list(dict.fromkeys(m.pair for m in measurements))
+        untouched, lone = _TwinGroup(classes, (), net.n).shortfall(pairs)
+        for cls, k in zip(classes, untouched):
+            if k > 1:
                 violations.append(
-                    f"twin class {cls} has {untouched} isolated vertices (at most one is allowed)"
+                    f"twin class {cls} has {k} isolated vertices (at most one is allowed)"
                 )
-            class_of.update(dict.fromkeys(cls, cls))
-        for c in size_two:
-            if class_of[c[0]] == class_of[c[1]]:
-                violations.append(f"component of size two {c} inside twin class {class_of[c[0]]}")
+        class_of = {v: cls for cls in classes for v in cls}
+        for c in sorted(lone):
+            violations.append(f"component of size two {c} inside twin class {class_of[c[0]]}")
     return MeasurementGraphReport(components, isolated, size_two, tuple(violations))

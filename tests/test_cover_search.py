@@ -4,8 +4,9 @@
 library's `solve_exact` must return the very same probe sequence, and
 its greedy, which scores one row per orbit, the same order as
 `plain_search.plain_greedy`.  The cover masks, the bucket pivot, the twin
-classes, the probe orbits and the handshake cut's boundary are checked by
-brute force.
+classes, the probe orbits and the component cut (its bound, checked
+against enumeration, and the boundary of each of its two terms) are
+checked by brute force.
 """
 
 import math
@@ -22,7 +23,7 @@ from resfault.families import (
     complete_orbit_representatives,
     measurement_orbit_representatives,
 )
-from resfault.network import FaultMode, Network
+from resfault.network import FaultMode, Measurement, Network
 from resfault.signatures import is_distinguishing, reading_classes
 from resfault.solver import (
     ExactSolution,
@@ -135,10 +136,21 @@ def test_search_matches_the_plain_search_on_random_tables():
 
 
 def test_mask_bits_are_the_pairs_with_different_class_ids():
+    # A row's mask is built from one bit string per class of two or more
+    # edges and one shared string for every single edge; the tables below
+    # give rows of only single edges, rows of one class, and the mix that a
+    # weighted network shaped like the benchmark's (n = 22, p/q conductances,
+    # three pendant bridges) reads.
     rng = random.Random(5)
     tables = [random_table(rng, rng.randint(1, 12), rng.randint(0, 25)) for _ in range(40)]
+    tables += [[list(range(ne)), [0] * ne, list(range(ne, 0, -1)), [3] * ne] for ne in (2, 10, 17)]
     net = pendant_network(2, 9)
     tables.append(reading_classes(net, net.measurements(), FaultMode.REMOVED))
+    weighted = pendant_network(4, 22)
+    table = reading_classes(weighted, weighted.measurements(), FaultMode.REMOVED)
+    sizes = [Counter(row).values() for row in table]
+    assert any(max(k) > 1 and min(k) == 1 for k in sizes)
+    tables.append(table)
     for table in tables:
         ne = len(table[0])
         inst = _CoverInstance(table, ne)
@@ -344,7 +356,7 @@ def test_pools_not_closed_under_the_group_ban_single_probes():
     assert not group.closed
     inst = _CoverInstance(reading_classes(net, pool, FaultMode.REMOVED), len(net.edges), group)
     assert all(inst.orbit(j, 0) == 1 << j for j in range(len(pool)))
-    # The handshake cut still reads which vertices each probe touches.
+    # The component cut still reads which vertices each probe touches.
     assert inst.touch == [1 << m.r | 1 << m.s for m in pool]
     result = solve_exact(net, pool)
     assert result.plan.measurements == plain_solve(net, pool)
@@ -415,33 +427,185 @@ class ChildEntered(Exception):
     pass
 
 
-def enters_a_child(inst, target):
-    """Whether the root search at `target` goes on to a child, or is cut first."""
+def enters_a_child(inst, target, chosen=()):
+    """Whether the search at the node of `chosen` goes on to a child, or is cut first."""
     search = inst.search
 
     def child(*args):
         raise ChildEntered
 
+    covered = touched = 0
+    for j in chosen:
+        covered |= inst.masks[j]
+        touched |= inst.touch[j]
     inst.search = child  # the recursion reads the instance attribute
     try:
-        search(target, [], 0, 0, math.inf)
+        search(target, list(chosen), covered, 0, math.inf, touched)
     except ChildEntered:
         return True
+    finally:
+        del inst.search
     return False
 
 
+def instances(net):
+    """The candidate pool, a cover instance without the twin group and one with it."""
+    cands = net.measurements()
+    table = reading_classes(net, cands, FaultMode.REMOVED)
+    group = _TwinGroup(_twin_classes(net), cands, net.n)
+    return cands, _CoverInstance(table, len(net.edges)), _CoverInstance(table, len(net.edges), group)
+
+
+def slack(group):
+    """S at the root: the vertices a distinguishing set must touch, all but one per class."""
+    untouched, _ = group.shortfall([])
+    return sum(k - 1 for k in untouched)
+
+
 def test_handshake_cut_fires_only_above_twice_the_probes_left():
-    # With no probe chosen, K_n's one class leaves a slack of n - 1.  At
-    # target 4, K9's root (slack 8 = 2 * 4) must be searched and K10's root
-    # (slack 9 = 2 * 4 + 1) cut, though the counting cut lets both through.
-    for n, cut in ((9, False), (10, True)):
-        net = complete_network(n)
+    # With no probe chosen, K(2,2,2,2) leaves S = 4 and K(2,2,2,2,2) S = 5,
+    # one vertex per partition, so the other term, ceil((S + 1) / 3), is 2 on
+    # both.  At target 2 the first root (3S = 12 = 6 * 2) must be searched
+    # and the second (3S = 15 > 12) cut, though the counting cut lets both
+    # through.
+    for parts, cut in (((2,) * 4, False), ((2,) * 5, True)):
+        _, plain, inst = instances(KPartiteShape(parts).network())
+        assert slack(inst.group) == len(parts)
+        assert enters_a_child(plain, 2)
+        assert enters_a_child(inst, 2) is not cut
+
+
+# (shape, chosen probes, S, S_max, B, the term that binds, probes the node needs)
+CUT_BOUNDARIES = [
+    ((2, 2, 2, 2, 2), [], 5, 1, 0, "handshake", 3),  # ceil(15 / 6) > ceil(6 / 3)
+    ((2, 2, 2, 2, 2), [(0, 1)], 4, 1, 1, "handshake", 3),  # ceil(14 / 6); B = 0 gives 2
+    ((9,), [], 8, 8, 0, "largest class", 6),  # ceil(16 / 3) > ceil(24 / 6)
+    ((9,), [(0, 1)], 6, 6, 1, "largest class", 5),  # ceil(13 / 3); B = 0 gives 4
+]
+
+
+@pytest.mark.parametrize(
+    "shape,pairs,s,s_max,b,term,need", CUT_BOUNDARIES, ids=lambda x: str(x).replace(" ", "")
+)
+def test_component_cut_keeps_a_node_at_its_bound_and_cuts_it_below(
+    shape, pairs, s, s_max, b, term, need
+):
+    # A node needing `need` more probes is searched with `need` probes left
+    # and cut with one fewer; the plain search enters a child at both.
+    cands, plain, inst = instances(family(shape)[0])
+    chosen = [cands.index(Measurement(*pair)) for pair in pairs]
+    untouched, lone = inst.group.shortfall([cands[j].pair for j in chosen])
+    shares = [k - 1 for k in untouched if k > 1]
+    assert (sum(shares), max(shares), len(lone)) == (s, s_max, b)
+    handshake, largest = -(-(3 * s + 2 * b) // 6), -(-(s + s_max + b) // 3)
+    assert max(handshake, largest) == need
+    assert (handshake if term == "handshake" else largest) > min(handshake, largest)
+    assert inst.group.needed(chosen) == need
+    target = len(chosen) + need
+    assert enters_a_child(plain, target - 1, chosen)
+    assert enters_a_child(inst, target, chosen)
+    assert not enters_a_child(inst, target - 1, chosen)
+
+
+@pytest.mark.parametrize(
+    "pairs,lone",
+    [
+        ([], []),
+        ([(0, 1)], [(0, 1)]),  # the class of two, joined by its own probe
+        ([(0, 1), (1, 2)], []),  # a second probe touches vertex 1
+        ([(0, 1), (0, 4)], []),  # ... or vertex 0
+        ([(2, 3)], [(2, 3)]),  # two of the class of three
+        ([(0, 1), (2, 4)], [(0, 1), (2, 4)]),
+        ([(0, 2)], []),  # not twins
+        ([(2, 3), (3, 4)], []),  # a path inside one class
+    ],
+)
+def test_lone_twin_pairs_on_k23(pairs, lone):
+    # K(2,3): twin classes {0, 1} and {2, 3, 4}.
+    net = KPartiteShape((2, 3)).network()
+    cands = net.measurements()
+    group = _TwinGroup(_twin_classes(net), cands, net.n)
+    untouched, found = group.shortfall(pairs)
+    assert found == lone
+    touched = {v for pair in pairs for v in pair}
+    assert untouched == [len({0, 1} - touched), len({2, 3, 4} - touched)]
+    chosen = [cands.index(Measurement(*pair)) for pair in pairs]
+    shares = [k - 1 for k in untouched if k > 1]
+    s, b = sum(shares), len(lone)
+    assert group.needed(chosen) == max(
+        -(-(3 * s + 2 * b) // 6), -(-(s + max(shares, default=0) + b) // 3)
+    )
+
+
+def test_two_vertices_never_count_a_lone_pair():
+    # On K2 the probe (0, 1) is a lone twin pair, but with no third vertex the
+    # swap merges no faults: the one probe tells the fault from the healthy
+    # network, so nothing more is needed.
+    net = complete_network(2)
+    group = _TwinGroup(_twin_classes(net), net.measurements(), net.n)
+    assert group.shortfall([(0, 1)]) == ([0], [(0, 1)])
+    assert group.needed([0]) == 0
+    assert group.needed([]) == 1
+    result = solve_exact(net, no_fault=True)
+    assert isinstance(result, ExactSolution) and len(result.plan) == 1
+
+
+def remainder_optimum(table, chosen):
+    """Fewest rows that, added to `chosen`, give every column its own readings."""
+    ne = len(table[0])
+    rest = [j for j in range(len(table)) if j not in chosen]
+    for size in range(len(rest) + 1):
+        for extra in combinations(rest, size):
+            rows = [table[j] for j in (*chosen, *extra)]
+            if len(set(zip(*rows))) == ne:
+                return size
+    return None
+
+
+@pytest.mark.parametrize("no_fault", [False, True], ids=["faults", "no_fault"])
+def test_component_bound_never_exceeds_the_enumerated_remainder(no_fault):
+    # At nodes of up to two chosen probes on small twin networks, no
+    # distinguishing superset adds fewer probes than the bound says.
+    rng = random.Random(17)
+    nets = [complete_network(n) for n in (3, 4, 5, 6)]
+    nets += [KPartiteShape(p).network() for p in [(2, 3), (2, 2, 2), (1, 1, 3), (3, 3)]]
+    nets += [twin_network(seed, base=4, planted=2) for seed in range(3)]
+    tight = with_lone = 0
+    for net in nets:
         cands = net.measurements()
-        table = reading_classes(net, cands, FaultMode.REMOVED)
-        group = _TwinGroup(_twin_classes(net), cands, n)
-        assert group.slack(0) == n - 1
-        assert enters_a_child(_CoverInstance(table, len(net.edges)), 4)
-        assert enters_a_child(_CoverInstance(table, len(net.edges), group), 4) is not cut
+        table = reading_classes(net, cands, FaultMode.REMOVED, no_fault)
+        group = _TwinGroup(_twin_classes(net), cands, net.n)
+        nodes = [()] + [tuple(rng.sample(range(len(cands)), k)) for k in (1, 1, 2, 2, 2)]
+        for chosen in nodes:
+            optimum = remainder_optimum(table, chosen)
+            assert group.needed(chosen) <= optimum, (net.edges, chosen)
+            tight += group.needed(chosen) == optimum
+            with_lone += bool(group.shortfall([cands[j].pair for j in chosen])[1])
+    assert tight >= 20 and with_lone >= 3, (tight, with_lone)
+
+
+@pytest.mark.parametrize("mode", list(FaultMode))
+@pytest.mark.parametrize("seed", range(6))
+def test_twin_network_pools_not_closed_match_the_plain_search(seed, mode):
+    # Random shares of a twin network's probes break the group, so the search
+    # bans single probes, but the component cut still acts at every node.
+    rng = random.Random(seed)
+    net = twin_network(seed)
+    classes = _twin_classes(net)
+    everything = net.measurements()
+    solved = 0
+    for share in (0.4, 0.6, 0.8):
+        pool = rng.sample(everything, int(len(everything) * share))
+        assert not _TwinGroup(classes, pool, net.n).closed
+        want = plain_solve(net, pool, mode)
+        result = solve_exact(net, pool, mode)
+        if want is None:
+            assert isinstance(result, Infeasible)
+        else:
+            assert isinstance(result, ExactSolution)
+            assert result.plan.measurements == want
+            solved += 1
+    assert solved >= 1
 
 
 @pytest.mark.parametrize("mode", list(FaultMode))
@@ -453,8 +617,8 @@ def test_handshake_bound_that_is_met_exactly_keeps_the_plan(shape, mode):
     net, _ = family(shape)
     cands = net.measurements()
     group = _TwinGroup(_twin_classes(net), cands, net.n)
-    target = group.slack(0) // 2
-    assert group.slack(0) == 2 * target
+    target = slack(group) // 2
+    assert slack(group) == 2 * target == 2 * group.needed([])
     inst = _CoverInstance(reading_classes(net, cands, mode), len(net.edges), group)
     found = inst.search(target, [], 0, 0, math.inf)
     assert found is not None and len(found) == target

@@ -190,11 +190,12 @@ class TestExactSolver:
         result = solve_exact(net, budget_seconds=0.0)
         assert isinstance(result, TimedOut)
         assert len(result.incumbent) == len(solve_greedy(net))
-        # The handshake seed ceil((8 - 1) / 2) beats the counting bound 2.
-        assert result.lower_bound == 4
+        # K8 is one twin class, so S = S_max = 7 and B = 0: the component seed
+        # ceil((7 + 7) / 3) = 5 beats ceil(3 * 7 / 6) = 4 and the counting bound 2.
+        assert result.lower_bound == 5
 
     def test_greedy_met_by_the_seed_needs_no_budget(self):
-        # K(2,2,2): the handshake seed ceil((6 - 3) / 2) = 2 is greedy's size,
+        # K(2,2,2): the component seed, ceil(3 * 3 / 6) = 2, is greedy's size,
         # so greedy is optimal before any search, even with no time at all.
         net = KPartiteShape((2, 2, 2)).network()
         result = solve_exact(net, budget_seconds=0.0)
@@ -304,7 +305,7 @@ class TestMaskBuildDeadline:
         result = solve_exact(net, budget_seconds=1.0)
         assert isinstance(result, TimedOut)
         assert result.incumbent == greedy
-        assert result.lower_bound == 4  # the handshake seed ceil((8 - 1) / 2)
+        assert result.lower_bound == 5  # the component seed ceil((7 + 7) / 3)
         assert len(calls) == 4  # set the deadline, after greedy, rows 0 and 1 of 28
 
 
