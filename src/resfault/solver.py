@@ -86,7 +86,16 @@ from collections import Counter
 from operator import itemgetter
 from typing import Sequence
 
-from .network import Edge, FaultMode, Measurement, MeasurementPlan, Network, _components, _Record
+from .network import (
+    Edge,
+    FaultMode,
+    Measurement,
+    MeasurementPlan,
+    Network,
+    _check_measurement,
+    _components,
+    _Record,
+)
 from .signatures import merged_pairs, reading_classes
 
 
@@ -291,21 +300,17 @@ class _CoverInstance:
     `buckets` partitions the pairs by how many candidates cover them, in
     ascending count order; the counts are summed bit-sliced (a carry-save
     adder over the masks, one bit plane per binary digit of the count).
-    `group`, the pool's twin group when given, supplies the orbits that
-    refuted children ban, the component cut and `touch[j]`, the vertex
-    mask of candidate j's two ends (0 without it).  The build raises
-    _Deadline once a row starts after `deadline`.
+    `group`, the pool's twin group, supplies the orbits that refuted
+    children ban, the component cut and `touch[j]`, the vertex mask of
+    candidate j's two ends.  The build raises _Deadline once a row starts
+    after `deadline` (a `time.monotonic` reading), the search once a node does.
     """
 
     def __init__(
-        self,
-        table: Sequence[Sequence[int]],
-        column_count: int,
-        group: _TwinGroup | None = None,
-        deadline: float = float("inf"),
+        self, table: Sequence[Sequence[int]], column_count: int, group: _TwinGroup, deadline: float
     ):
         self.group = group
-        self.touch = group.touch if group else [0] * len(table)
+        self.deadline = deadline
         ne = column_count
         self.pair_count = ne * (ne - 1) // 2
         self.full = (1 << self.pair_count) - 1
@@ -338,18 +343,13 @@ class _CoverInstance:
         hit = next(hit for hit in (missing & b for b in self.buckets) if hit)
         return (hit & -hit).bit_length() - 1
 
-    def orbit(self, j: int, touched: int) -> int:
-        """Candidate j's orbit as a candidate mask, given the touched vertices."""
-        return self.group.orbit(j, touched) if self.group else 1 << j
-
     def search(
         self,
         target: int,
         chosen: list[int],
         covered: int,
         banned: int,
-        deadline: float,
-        touched: int = 0,
+        touched: int,
         first: Sequence[int] | None = None,
     ) -> list[int] | None:
         """Depth-first cover of every pair with at most `target` candidates.
@@ -358,19 +358,20 @@ class _CoverInstance:
         orbit of a refuted earlier sibling of a node on the path, whose
         subtree already tried every cover that includes it (or its image)
         at this target.  `touched` holds the vertices that the chosen
-        probes touch.  With a twin group, a node whose probe graph needs
-        more probes than are left is cut first (the component bound, see
-        the module docstring).  `first`, at the root, replaces the pivot's
-        coverers with caller-given first probes, tried in the order given.
-        There is no depth test: with no probe left to choose and a pair
-        missing, the counting cut already fails.
+        probes touch.  A node whose probe graph needs more probes than are
+        left is cut first (the component bound, see the module docstring).
+        `first`, at the root, replaces the pivot's coverers with
+        caller-given first probes, tried in the order given.  A node entered
+        after `self.deadline` raises _Deadline.  There is no depth test: with
+        no probe left to choose and a pair missing, the counting cut fails.
         """
         if covered == self.full:
             return chosen
-        if time.monotonic() > deadline:
+        if time.monotonic() > self.deadline:
             raise _Deadline
+        group = self.group
         left = target - len(chosen)
-        if self.group and self.group.needed(chosen) > left:
+        if group.needed(chosen) > left:
             return None
         masks = self.masks
         missing = self.full & ~covered
@@ -396,16 +397,11 @@ class _CoverInstance:
             if banned >> j & 1:
                 continue
             result = self.search(
-                target,
-                chosen + [j],
-                covered | masks[j],
-                banned,
-                deadline,
-                touched | self.touch[j],
+                target, chosen + [j], covered | masks[j], banned, touched | group.touch[j]
             )
             if result is not None:
                 return result
-            banned |= self.orbit(j, touched)
+            banned |= group.orbit(j, touched)
         return None
 
 
@@ -500,9 +496,13 @@ def solve_exact(
     built, returns the greedy incumbent with the seed lower bound.
     `first_probe_orbits`, first probes to try at the root, is kept only
     for perfbench/workloads.py: the twin-orbit root makes it pure overhead.
+    It must hold candidates, at least one: the root tries no other child.
     """
     deadline = time.monotonic() + budget_seconds
     cands, table, ne, group, greedy = _greedy_start(net, candidates, mode, no_fault)
+    first = set(first_probe_orbits or ())
+    if (first_probe_orbits is not None and not first) or first - set(cands):
+        raise ValueError("first_probe_orbits must be a non-empty list of candidates")
     if isinstance(greedy, Infeasible):
         return greedy
     greedy_plan = _plan(cands, greedy, "greedy", mode)
@@ -517,15 +517,12 @@ def solve_exact(
     if root_lower < len(greedy):  # else no smaller set exists
         if time.monotonic() > deadline:
             return TimedOut(incumbent=greedy_plan, lower_bound=root_lower)
-        root_indices = None
-        if first_probe_orbits is not None:
-            first = set(first_probe_orbits)
-            root_indices = [i for i, m in enumerate(cands) if m in first]
+        root_indices = [i for i, m in enumerate(cands) if m in first] if first else None
         target = root_lower
         try:
             inst = _CoverInstance(table, ne, group, deadline)
             for target in range(root_lower, len(greedy)):
-                found = inst.search(target, [], 0, 0, deadline, 0, root_indices)
+                found = inst.search(target, [], 0, 0, 0, root_indices)
                 if found is not None:
                     return ExactSolution(_plan(cands, found, "exact", mode))
         except _Deadline:
@@ -582,6 +579,8 @@ def analyze_measurement_graph(
     partitions.  Violations are reported by name; an empty tuple means
     the necessary conditions hold.
     """
+    for m in measurements:
+        _check_measurement(net, m)
     components = tuple(map(tuple, _components(net.n, [m.pair for m in measurements])))
     isolated = tuple(c[0] for c in components if len(c) == 1)
     size_two = tuple((c[0], c[1]) for c in components if len(c) == 2)

@@ -120,6 +120,12 @@ def random_table(rng, rows, edges, classes=4):
     return table
 
 
+def bare_instance(table, column_count):
+    """The cover instance of a bare table: one probe per row, no twin class."""
+    pool = [Measurement(0, j + 1) for j in range(len(table))]
+    return _CoverInstance(table, column_count, _TwinGroup((), pool, len(pool) + 1), math.inf)
+
+
 def test_search_matches_the_plain_search_on_random_tables():
     # Rows with two or three classes make small test-cover instances with
     # many near-ties, where most targets are refuted only after a real search.
@@ -127,9 +133,9 @@ def test_search_matches_the_plain_search_on_random_tables():
     for _ in range(400):
         edges = rng.randint(6, 16)
         table = random_table(rng, rng.randint(6, 24), edges, classes=3)
-        inst, plain = _CoverInstance(table, edges), PlainCover(table, edges)
+        inst, plain = bare_instance(table, edges), PlainCover(table, edges)
         for target in range(1, len(table) + 1):
-            found = inst.search(target, [], 0, 0, math.inf)
+            found = inst.search(target, [], 0, 0, 0)
             assert found == plain.search(target), (table, target)
             if found is not None:
                 break
@@ -153,7 +159,7 @@ def test_mask_bits_are_the_pairs_with_different_class_ids():
     tables.append(table)
     for table in tables:
         ne = len(table[0])
-        inst = _CoverInstance(table, ne)
+        inst = bare_instance(table, ne)
         pairs = list(combinations(range(ne), 2))
         assert inst.pair_count == len(pairs) and inst.full == (1 << len(pairs)) - 1
         for row, mask in zip(table, inst.masks):
@@ -164,7 +170,7 @@ def test_mask_bits_are_the_pairs_with_different_class_ids():
 
 @pytest.mark.parametrize("edge_count", [0, 1])
 def test_networks_without_pairs(edge_count):
-    inst = _CoverInstance([[0] * edge_count, [0] * edge_count], edge_count)
+    inst = bare_instance([[0] * edge_count, [0] * edge_count], edge_count)
     assert inst.pair_count == 0 and inst.full == 0
     assert inst.masks == [0, 0] and inst.buckets == []
 
@@ -173,7 +179,7 @@ def test_bucket_pivot_is_the_fewest_coverers_then_the_lowest_bit():
     rng = random.Random(11)
     for _ in range(30):
         table = random_table(rng, rng.randint(1, 40), rng.randint(2, 20))
-        inst = _CoverInstance(table, len(table[0]))
+        inst = bare_instance(table, len(table[0]))
         counts = [sum(m >> bit & 1 for m in inst.masks) for bit in range(inst.pair_count)]
         union = 0
         for bucket in inst.buckets:
@@ -348,30 +354,52 @@ def test_twin_network_pools_include_infeasible_ones():
     assert infeasible >= 1
 
 
+def assert_single_probe_orbits(group, pool, n):
+    """Every orbit is one probe, whichever vertices are touched."""
+    rng = random.Random(len(pool))
+    for touched in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(10)]:
+        assert all(group.orbit(j, touched) == 1 << j for j in range(len(pool)))
+        assert list(group.representatives(touched)) == list(range(len(pool)))
+    # The component cut still reads which vertices each probe touches.
+    assert group.touch == [1 << m.r | 1 << m.s for m in pool]
+
+
 def test_pools_not_closed_under_the_group_ban_single_probes():
     net = complete_network(6)
     classes = _twin_classes(net)
     pool = net.measurements()[1:]
     group = _TwinGroup(classes, pool, net.n)
     assert not group.closed
-    inst = _CoverInstance(reading_classes(net, pool, FaultMode.REMOVED), len(net.edges), group)
-    assert all(inst.orbit(j, 0) == 1 << j for j in range(len(pool)))
-    # The component cut still reads which vertices each probe touches.
-    assert inst.touch == [1 << m.r | 1 << m.s for m in pool]
+    assert_single_probe_orbits(group, pool, net.n)
     result = solve_exact(net, pool)
     assert result.plan.measurements == plain_solve(net, pool)
 
 
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 4)], ids=label)
+def test_the_group_without_classes_bans_single_probes_and_cuts_nothing(shape):
+    # With no twin class the group is closed, its orbits are single probes and
+    # its component bound is 0 at every node: the search runs as without bans
+    # or the component cut, as on a network with no symmetry.
+    net, _ = family(shape)
+    pool = net.measurements()
+    group = _TwinGroup((), pool, net.n)
+    assert group.closed and not group.masks
+    assert_single_probe_orbits(group, pool, net.n)
+    rng = random.Random(len(pool))
+    nodes = [()] + [rng.sample(range(len(pool)), k) for k in (1, 2, 3, 5, len(pool))]
+    assert all(group.needed(chosen) == 0 for chosen in nodes)
+
+
 def test_orbit_bans_prune_below_the_root():
     # With the first probe fixed, every child that fails bans its orbit under
-    # the group of fresh vertices; single bans search many more nodes.  No
-    # node is entered through a banned probe.
+    # the group of fresh vertices; the no-class group's single bans search
+    # many more nodes.  No node is entered through a banned probe.
     net = complete_network(9)
     cands = net.measurements()
     table = reading_classes(net, cands, FaultMode.REMOVED)
     nodes = []
-    for twins in (_TwinGroup(_twin_classes(net), cands, net.n), None):
-        inst = _CoverInstance(table, len(net.edges), twins)
+    for twins in (_TwinGroup(_twin_classes(net), cands, net.n), _TwinGroup((), cands, net.n)):
+        inst = _CoverInstance(table, len(net.edges), twins, math.inf)
         search, calls = inst.search, []
 
         def counted(target, chosen, covered, banned, *rest):
@@ -381,7 +409,7 @@ def test_orbit_bans_prune_below_the_root():
 
         inst.search = counted
         touched = 1 << 0 | 1 << 1
-        assert inst.search(5, [0], inst.masks[0], 0, math.inf, touched) is None
+        assert inst.search(5, [0], inst.masks[0], 0, touched) is None
         nodes.append(len(calls))
     assert nodes[0] * 5 < nodes[1], nodes
 
@@ -437,10 +465,10 @@ def enters_a_child(inst, target, chosen=()):
     covered = touched = 0
     for j in chosen:
         covered |= inst.masks[j]
-        touched |= inst.touch[j]
+        touched |= inst.group.touch[j]
     inst.search = child  # the recursion reads the instance attribute
     try:
-        search(target, list(chosen), covered, 0, math.inf, touched)
+        search(target, list(chosen), covered, 0, touched)
     except ChildEntered:
         return True
     finally:
@@ -449,11 +477,13 @@ def enters_a_child(inst, target, chosen=()):
 
 
 def instances(net):
-    """The candidate pool, a cover instance without the twin group and one with it."""
+    """The candidate pool, its cover instance with the no-class group and with the twin group."""
     cands = net.measurements()
     table = reading_classes(net, cands, FaultMode.REMOVED)
-    group = _TwinGroup(_twin_classes(net), cands, net.n)
-    return cands, _CoverInstance(table, len(net.edges)), _CoverInstance(table, len(net.edges), group)
+    return cands, *(
+        _CoverInstance(table, len(net.edges), _TwinGroup(classes, cands, net.n), math.inf)
+        for classes in ((), _twin_classes(net))
+    )
 
 
 def slack(group):
@@ -619,7 +649,7 @@ def test_handshake_bound_that_is_met_exactly_keeps_the_plan(shape, mode):
     group = _TwinGroup(_twin_classes(net), cands, net.n)
     target = slack(group) // 2
     assert slack(group) == 2 * target == 2 * group.needed([])
-    inst = _CoverInstance(reading_classes(net, cands, mode), len(net.edges), group)
-    found = inst.search(target, [], 0, 0, math.inf)
+    inst = _CoverInstance(reading_classes(net, cands, mode), len(net.edges), group, math.inf)
+    found = inst.search(target, [], 0, 0, 0)
     assert found is not None and len(found) == target
     assert is_distinguishing(net, [cands[j] for j in found], mode)

@@ -109,6 +109,18 @@ class TestExactSolver:
         assert isinstance(with_sym, ExactSolution) and isinstance(without, ExactSolution)
         assert len(with_sym.plan) == len(without.plan) == 3
 
+    @pytest.mark.parametrize("shape", [(2, 3, 6), (2, 4, 7)], ids=["K2,3,6", "K2,4,7"])
+    @pytest.mark.parametrize("first", [[], [Measurement(0, 99)]], ids=["empty", "outside"])
+    def test_first_probes_must_be_candidates(self, shape, first):
+        # The root tries only these probes, so an empty list or one outside the
+        # pool would refute every target below greedy's and tag greedy exact.
+        net = KPartiteShape(shape).network()
+        with pytest.raises(ValueError, match="non-empty list of candidates"):
+            solve_exact(net, first_probe_orbits=first)
+        pool = net.measurements()[:-1]
+        with pytest.raises(ValueError, match="non-empty list of candidates"):
+            solve_exact(net, pool, first_probe_orbits=[*first, net.measurements()[-1]])
+
     def test_restricted_pool_infeasible(self):
         net = complete_network(6)
         # probes confined to vertices 0..2 cannot separate far-apart faults
@@ -514,6 +526,11 @@ class TestMeasurementGraph:
         report = analyze_measurement_graph(complete_network(6), probes)
         assert any("size two" in v for v in report.violations)
         assert report.size_two_components == ((0, 1),)
+
+    @pytest.mark.parametrize("n,probe", [(5, Measurement(0, 7)), (2, Measurement(-1, 0))])
+    def test_probes_out_of_range_are_refused(self, n, probe):
+        with pytest.raises(ValueError, match="out of range"):
+            analyze_measurement_graph(complete_network(n), [Measurement(0, 1), probe])
 
     def test_two_vertices_need_no_probe(self):
         # K2 has one fault, so the empty plan distinguishes and nothing is flagged.
