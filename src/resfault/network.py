@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import attrgetter, ge, gt, le, lt
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .linalg import fraction_free_invert
 
@@ -398,7 +398,9 @@ class _ReadingKernel:
     classes agree only at X = 0.  So with m = (u L / v) K per edge, a cell
     keys as |X| m + k, or 0 when X = 0 (the healthy reading).  A removed
     bridge has (m, k) = (0, -1): it keys 0 when X = 0 and -1, which no
-    other cell takes, when it separates the pair.
+    other cell takes, when it separates the pair.  `cell_keys` gives the
+    raw keys on any selection of `keys` entries, the greedy's row source;
+    the healthy network's entry is (0, 0, 0, 0), whose X is always 0.
     """
 
     __slots__ = ("p", "det", "edges", "_ratios", "_keys")
@@ -457,6 +459,15 @@ class _ReadingKernel:
         """x^T P x for the probe (r, s): R = base / D."""
         p = self.p
         return p[r][r] + p[s][s] - 2 * p[r][s]
+
+    def cell_keys(self, r: int, s: int, entries: Sequence[tuple]) -> list[int]:
+        """The probe's cell keys |X| m + k on the columns of these `keys` entries.
+
+        The healthy network's entry (0, 0, 0, 0) always keys 0.
+        """
+        p = self.p
+        d = [x - y for x, y in zip(p[r], p[s])]  # P_r - P_s
+        return [(x := d[a] - d[b]) and abs(x) * m + k for a, b, m, k in entries]
 
     def classes(self, r: int, s: int, mode: FaultMode, no_fault: bool) -> list[int]:
         """The probe's class-id row: equal ids exactly when the readings are equal.

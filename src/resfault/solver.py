@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Sequence
 
 from .network import (
@@ -405,16 +405,21 @@ class _CoverInstance:
         return None
 
 
-def _greedy_order(
-    table: Sequence[Sequence[int]], column_count: int, group: _TwinGroup
-) -> list[int] | None:
+def _greedy_order(row, column_count: int, group: _TwinGroup) -> list[int] | None:
     """Candidate indices in greedy order; None if the pool stops splitting first.
 
     Each step picks the row that raises the number of fault classes the
-    most (ties to the earliest).  Classes are integer ids refined by each
-    chosen row (partition refinement), so a chosen row never splits one
-    again; only edges in classes of two or more can still split, so only
-    those are counted.
+    most (ties to the earliest).  Classes are integer labels refined by
+    each chosen row (partition refinement), so a chosen row never splits
+    one again; only columns in classes of two or more can still split, so
+    only those are counted.  `row(j, kept)` gives candidate j's values on
+    the columns listed in `kept` (every column when None), by position,
+    equal exactly where the readings are.  At the first step every label is
+    equal, so a row scores its number of distinct values, and the scan
+    stops at a row that splits every column: no later row beats it.  Later
+    steps read each row once, on the columns the first pick left live, and
+    then from that cache by position.  New labels come from a running
+    counter, so a column left single never shares a label with a live class.
 
     Only the lowest row of each orbit under the twin group that fixes every
     touched vertex is scored.  Such a group element maps the network onto
@@ -423,28 +428,44 @@ def _greedy_order(
     orbit's lowest row is the one "earliest wins ties" would pick.
     """
     ne = column_count
-    labels = [0] * ne
-    active = list(range(ne))
+    kept = None  # the columns read from the second step on
+    labels = [0] * ne  # per column, then per kept column
+    active = range(ne)  # positions of the columns in classes of two or more
+    cache: dict[int, Sequence[int]] = {}  # rows on `kept`
     chosen: list[int] = []
     touched = 0
-    classes = 1 if ne else 0
+    classes = fresh = min(ne, 1)
     while classes < ne:
         # Some class has two members, so `active` has two or more entries and
-        # itemgetter returns tuples.
+        # itemgetter returns tuples.  Rows on `kept` hold ids below ne, and
+        # first-step labels are all 0, so label * ne + value is one int per
+        # (label, value) pair.
         pick = itemgetter(*active)
-        live = pick(labels)
+        live = [label * ne for label in pick(labels)]
         singles = ne - len(active)
-        best_j, best_classes = None, classes
+        best_j, best_classes, best_row = None, classes, ()
         for j in group.representatives(touched):
-            count = singles + len(set(zip(live, pick(table[j]))))
-            if count > best_classes:
-                best_j, best_classes = j, count
+            if kept is None:
+                values = row(j, None)
+                score = len(set(values))
+            else:
+                if (values := cache.get(j)) is None:
+                    values = cache[j] = row(j, kept)
+                score = singles + len(set(map(add, live, pick(values))))
+            if score > best_classes:
+                best_j, best_classes, best_row = j, score, values
+                if score == ne:
+                    break
         if best_j is None:
             return None
-        ids: dict[tuple[int, int], int] = {}
-        labels = [ids.setdefault(pair, len(ids)) for pair in zip(labels, table[best_j])]
+        ids: dict[int, int] = {}
+        for i, key in zip(active, map(add, live, pick(best_row))):
+            labels[i] = ids.setdefault(key, fresh + len(ids))
+        fresh += len(ids)
         sizes = Counter(labels)
-        active = [e for e in range(ne) if sizes[labels[e]] > 1]
+        active = [i for i in active if sizes[labels[i]] > 1]
+        if kept is None:
+            kept, labels, active = active, [labels[c] for c in active], range(len(active))
         chosen.append(best_j)
         touched |= group.touch[best_j]
         classes = best_classes
@@ -456,19 +477,39 @@ def _plan(cands, indices, tag: str, mode: FaultMode) -> MeasurementPlan:
     return MeasurementPlan(ms, (tag,) * len(ms), mode)
 
 
-def _greedy_start(net: Network, candidates, mode: FaultMode, no_fault: bool):
+def _greedy_start(net: Network, candidates, mode: FaultMode, no_fault: bool, exact: bool):
     """Both solvers' set-up: the pool, its class-id table, the column count, the
     pool's twin group and the greedy order.
 
-    The order is Infeasible, naming every merged column pair, when the
-    greedy stalls, which it does exactly when some pair is never split.
+    Only the exact solve (`exact`) builds the table up front; the greedy
+    alone reads the kernel's cell keys, and builds the table only to name
+    every merged column pair in Infeasible when it stalls, which it does
+    exactly when some pair is never split.
     """
     cands = list(candidates) if candidates is not None else net.measurements()
-    table = reading_classes(net, cands, mode, no_fault)
     columns = net.edges + (None,) * no_fault
+    if exact:
+        table = reading_classes(net, cands, mode, no_fault)
+        row = lambda j, kept: table[j] if kept is None else itemgetter(*kept)(table[j])
+    else:
+        table = None
+        for m in cands:  # before the first step, whose scan may stop early
+            _check_measurement(net, m)
+        kernel = net._reading_kernel
+        entries = kernel.keys(mode) + ((0, 0, 0, 0),) * no_fault
+
+        def row(j, kept):  # rows on `kept` are numbered into small ids by first appearance
+            m = cands[j]
+            if kept is None:
+                return kernel.cell_keys(m.r, m.s, entries)
+            ids: dict[int, int] = {}
+            keys = kernel.cell_keys(m.r, m.s, itemgetter(*kept)(entries))
+            return [ids.setdefault(key, len(ids)) for key in keys]
     group = _TwinGroup(_twin_classes(net), cands, net.n)
-    greedy = _greedy_order(table, len(columns), group)
+    greedy = _greedy_order(row, len(columns), group)
     if greedy is None:
+        if table is None:
+            table = reading_classes(net, cands, mode, no_fault)
         greedy = Infeasible(tuple(merged_pairs(columns, table)))
     return cands, table, len(columns), group, greedy
 
@@ -499,7 +540,7 @@ def solve_exact(
     It must hold candidates, at least one: the root tries no other child.
     """
     deadline = time.monotonic() + budget_seconds
-    cands, table, ne, group, greedy = _greedy_start(net, candidates, mode, no_fault)
+    cands, table, ne, group, greedy = _greedy_start(net, candidates, mode, no_fault, True)
     first = set(first_probe_orbits or ())
     if (first_probe_orbits is not None and not first) or first - set(cands):
         raise ValueError("first_probe_orbits must be a non-empty list of candidates")
@@ -544,9 +585,12 @@ def solve_greedy(
     fault equivalence classes the most (ties to the earliest candidate);
     with `no_fault` the healthy network counts as one more class member.
     The result is distinguishing whenever the full pool is, but not
-    necessarily minimum; the exact solver uses it as its incumbent.
+    necessarily minimum; the exact solver uses it as its incumbent.  Every
+    candidate is range-checked first.  No class-id table is built unless
+    the pool leaves a pair merged: rows are scored from the reading
+    kernel's cell keys, each computed once after the first step.
     """
-    cands, _, _, _, greedy = _greedy_start(net, candidates, mode, no_fault)
+    cands, _, _, _, greedy = _greedy_start(net, candidates, mode, no_fault, False)
     return greedy if isinstance(greedy, Infeasible) else _plan(cands, greedy, "greedy", mode)
 
 

@@ -2,11 +2,12 @@
 
 `plain_search.plain_solve` keeps the search without buckets or bans; the
 library's `solve_exact` must return the very same probe sequence, and
-its greedy, which scores one row per orbit, the same order as
-`plain_search.plain_greedy`.  The cover masks, the bucket pivot, the twin
-classes, the probe orbits and the component cut (its bound, checked
-against enumeration, and the boundary of each of its two terms) are
-checked by brute force.
+both greedies, which score one row per orbit (`solve_exact`'s from its
+class-id table, `solve_greedy`'s from the kernel's cell keys, with no
+table), the same order as `plain_search.plain_greedy`.  The cover masks,
+the bucket pivot, the twin classes, the probe orbits and the component
+cut (its bound, checked against enumeration, and the boundary of each of
+its two terms) are checked by brute force.
 """
 
 import math
@@ -17,22 +18,25 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from resfault import solver
 from resfault.families import (
     KPartiteShape,
     complete_network,
     complete_orbit_representatives,
     measurement_orbit_representatives,
 )
-from resfault.network import FaultMode, Measurement, Network
-from resfault.signatures import is_distinguishing, reading_classes
+from resfault.network import FaultMode, Measurement, Network, _ReadingKernel
+from resfault.signatures import is_distinguishing, merged_pairs, reading_classes
 from resfault.solver import (
     ExactSolution,
     Infeasible,
     _CoverInstance,
+    _greedy_order,
     _greedy_start,
     _twin_classes,
     _TwinGroup,
     solve_exact,
+    solve_greedy,
 )
 
 from plain_search import PlainCover, plain_greedy, plain_solve
@@ -414,11 +418,20 @@ def test_orbit_bans_prune_below_the_root():
     assert nodes[0] * 5 < nodes[1], nodes
 
 
+def cycle_network(n):
+    """The unit-conductance cycle 0-1-...-(n-1)-0."""
+    return Network.from_edge_list(n, [(v, (v + 1) % n, 1) for v in range(n)])
+
+
 def greedy_cases():
     """(network, pool) pairs: families and twin networks whole, then restricted pools.
 
     The pools cover every kind of group: closed with twins (whole families,
-    invariant pools), not closed (random halves), and without twins.
+    invariant pools), not closed (random halves), and without twins.  Last
+    come three networks without twins: a weighted pendant network whose
+    greedy takes two or more steps in every mode, one whose first row in
+    shorted mode splits every fault, and a cycle probed at distance two,
+    whose first pick leaves no fault column single.
     """
     rng = random.Random(13)
     nets = [complete_network(n) for n in range(2, 25)]
@@ -434,21 +447,157 @@ def greedy_cases():
         everything = net.measurements()
         cases.append((net, invariant_pool(rng, net, classes)))
         cases.append((net, rng.sample(everything, len(everything) // 2)))
+    cases += [(pendant_network(2, 7), None), (pendant_network(0, 10), None)]
+    cases.append((cycle_network(6), [Measurement(v, (v + 2) % 6) for v in range(6)]))
     return cases
+
+
+def greedy_indices(plan, cands):
+    """The candidate indices of a greedy plan; None for Infeasible."""
+    return None if isinstance(plan, Infeasible) else [cands.index(m) for m in plan.measurements]
 
 
 @pytest.mark.parametrize("no_fault", [False, True], ids=["faults", "no_fault"])
 @pytest.mark.parametrize("mode", list(FaultMode))
 def test_greedy_by_orbit_matches_the_every_row_greedy(mode, no_fault):
-    # The solver scores one row per orbit of the group that fixes the touched
-    # vertices; the plain greedy scores every row.  Both must pick the same rows.
-    kinds = Counter()
+    # Both greedies score one row per orbit of the group that fixes the touched
+    # vertices: solve_greedy from the kernel's cell keys, with no class-id
+    # table, and solve_exact's set-up from its table.  The plain greedy scores
+    # every row of the table.  All three must pick the same rows.
+    kinds, sizes = Counter(), []
     for net, pool in greedy_cases():
-        _, table, ne, group, greedy = _greedy_start(net, pool, mode, no_fault)
-        want = plain_greedy(table, ne)
-        assert (None if isinstance(greedy, Infeasible) else greedy) == want, (net.n, pool)
+        cands, _, ne, group, from_table = _greedy_start(net, pool, mode, no_fault, True)
+        want = plain_greedy(reading_classes(net, cands, mode, no_fault), ne)
+        plan = solve_greedy(net, pool, mode, no_fault)
+        assert greedy_indices(plan, cands) == want, (net.n, pool)
+        assert (None if isinstance(from_table, Infeasible) else from_table) == want, (net.n, pool)
+        if want is None:
+            assert plan == from_table
         kinds[group.closed, bool(group.masks)] += 1
+        sizes.append(None if want is None else len(want))
     assert kinds[True, True] and kinds[False, True] and kinds[True, False], kinds
+    steps, one_step, cycle = sizes[-3:]
+    assert steps >= 2 and cycle >= 2
+    assert one_step == 1 or mode is FaultMode.REMOVED or no_fault
+
+
+class KernelReads:
+    """Counts the reading kernel's class-id rows and logs its cell-key reads."""
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        self.keys: list[tuple[tuple[int, int], int]] = []  # ((r, s), columns read)
+        classes, cell_keys = _ReadingKernel.classes, _ReadingKernel.cell_keys
+
+        def counted_classes(kernel, *args):
+            self.rows += 1
+            return classes(kernel, *args)
+
+        def logged_cell_keys(kernel, r, s, entries):
+            self.keys.append(((r, s), len(entries)))
+            return cell_keys(kernel, r, s, entries)
+
+        monkeypatch.setattr(_ReadingKernel, "classes", counted_classes)
+        monkeypatch.setattr(_ReadingKernel, "cell_keys", logged_cell_keys)
+
+
+@pytest.mark.parametrize("mode", list(FaultMode))
+@pytest.mark.parametrize("shape", [(14,), (4, 5, 6)], ids=label)
+def test_greedy_builds_no_table_and_reads_each_row_once_after_the_first_step(
+    shape, mode, monkeypatch
+):
+    net, _ = family(shape)
+    cands, _, ne, _, want = _greedy_start(net, None, mode, False, True)
+    reads = KernelReads(monkeypatch)
+    plan = solve_greedy(Network(net.n, net.edges), mode=mode)  # a fresh kernel
+    assert greedy_indices(plan, cands) == want and len(want) > 2
+    assert reads.rows == 0
+    first = 0  # the first step reads every column; later steps read fewer
+    while reads.keys[first][1] == ne:
+        first += 1
+    later = reads.keys[first:]
+    pairs = [pair for pair, _ in later]
+    assert later and all(width < ne for _, width in later)
+    assert len(pairs) == len(set(pairs))
+
+
+@pytest.mark.parametrize("mode", list(FaultMode))
+def test_kernel_rows_after_the_first_step_are_numbered_from_zero(mode, monkeypatch):
+    # The greedy packs a label and a value into label * ne + value, so a row
+    # read on the kept columns must hold small ids, even when the first pick
+    # leaves every column live, as it does on this cycle.
+    greedy_order, widths = solver._greedy_order, []
+
+    def checked(row, column_count, group):
+        def numbered(j, kept):
+            values = row(j, kept)
+            if kept is not None:
+                ids: dict[int, int] = {}
+                assert values == [ids.setdefault(v, len(ids)) for v in values]
+                widths.append(len(kept))
+            return values
+
+        return greedy_order(numbered, column_count, group)
+
+    monkeypatch.setattr(solver, "_greedy_order", checked)
+    net, pool = greedy_cases()[-1]
+    assert len(solve_greedy(net, pool, mode)) == 4
+    assert widths and set(widths) == {len(net.edges)}
+
+
+@pytest.mark.parametrize("no_fault", [False, True], ids=["faults", "no_fault"])
+@pytest.mark.parametrize("mode", list(FaultMode))
+def test_a_stalled_greedy_builds_the_table_to_name_the_merged_pairs(mode, no_fault, monkeypatch):
+    net = complete_network(6)
+    pool = [Measurement(0, 1), Measurement(2, 3)]
+    columns = net.edges + (None,) * no_fault
+    want = merged_pairs(columns, reading_classes(net, pool, mode, no_fault))
+    reads = KernelReads(monkeypatch)
+    result = solve_greedy(net, pool, mode, no_fault)
+    assert result == Infeasible(tuple(want)) and want
+    assert reads.rows == len(pool)
+
+
+def test_the_greedy_range_checks_every_candidate_before_it_stops_early(monkeypatch):
+    # On the path 0-1-2 the probe (0, 2) alone tells the two shorted faults
+    # apart, so the first step's scan stops there, before the second probe.
+    net = Network.from_edge_list(3, [(0, 1, 1), (1, 2, 2)])
+    reads = KernelReads(monkeypatch)
+    plan = solve_greedy(net, [Measurement(0, 2), Measurement(0, 1)], mode=FaultMode.SHORTED)
+    assert plan.measurements == (Measurement(0, 2),)
+    assert reads.keys == [((0, 2), 2)]
+    with pytest.raises(ValueError, match=r"measurement \(0, 99\) out of range"):
+        solve_greedy(net, [Measurement(0, 2), Measurement(0, 99)], mode=FaultMode.SHORTED)
+
+
+def test_the_greedy_reads_no_column_left_single():
+    # Row 0 splits the six columns into two classes of three, so every column
+    # stays live.  Row 1 leaves columns 2 and 4 single, and row 2 leaves 1 and
+    # 3.  Labels reused from one step to the next, not drawn from a running
+    # counter, would give column 3 the label that column 2 was left with, so
+    # column 3 would stay live and be read at the last step.
+    table = [[0, 1, 0, 1, 1, 0], [0, 0, 1, 0, 1, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]]
+    reads: list[int] = []
+
+    class Logged(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    def row(j, kept):
+        return table[j] if kept is None else Logged(table[j][c] for c in kept)
+
+    group = _TwinGroup((), [Measurement(0, j + 1) for j in range(len(table))], len(table) + 1)
+    assert _greedy_order(row, 6, group) == plain_greedy(table, 6) == [0, 1, 2, 3]
+    # Each row is read on the live columns in ascending order, so a read at a
+    # column no higher than the last one starts the next row.
+    runs: list[list[int]] = []
+    for i in reads:
+        if runs and i > runs[-1][-1]:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    assert {tuple(run) for run in runs} == {(0, 1, 2, 3, 4, 5), (0, 1, 3, 5), (0, 5)}
 
 
 class ChildEntered(Exception):
