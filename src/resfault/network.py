@@ -7,9 +7,9 @@ Laplacian, its rows scaled to integers, gives integers P and D with P / D
 the inverse, from which every base resistance and every single-fault
 reading follows by the rank-one (Sherman-Morrison) update in integer
 arithmetic.  Within one probe, the readings differ only by the update's
-correction term, so the kernel numbers the faults that read alike (one
-class-id row per probe, see `signatures.reading_classes`) without forming
-a Fraction: each correction keys as one exact integer, from a per-edge
+correction term, so the kernel keys each fault's reading (one row of
+cell keys per probe, see `signatures.reading_classes`) without forming a
+Fraction: each correction keys as one exact integer, from a per-edge
 table that groups the ratios whose quotients are rational squares.  A
 direct oracle that grounds and inverts each altered graph's own Laplacian
 is kept alongside as an independent cross-check.
@@ -390,17 +390,17 @@ class _ReadingKernel:
     are built on first use, so a network that only gives base values
     never builds one.
 
-    Class-id rows (`classes`) compare the corrections alpha X^2 / beta by
-    one exact integer key per cell.  `_square_classes` sorts the nonzero
-    ratios into K classes, each ratio the class founder's times (u / v)^2;
-    with L the lcm of a class's v, two corrections of class k agree
-    exactly when their |X| u L / v do, and corrections of different
+    Rows of cell keys (`cell_keys`) compare the corrections alpha X^2 /
+    beta by one exact integer key per cell.  `_square_classes` sorts the
+    nonzero ratios into K classes, each ratio the class founder's times
+    (u / v)^2; with L the lcm of a class's v, two corrections of class k
+    agree exactly when their |X| u L / v do, and corrections of different
     classes agree only at X = 0.  So with m = (u L / v) K per edge, a cell
     keys as |X| m + k, or 0 when X = 0 (the healthy reading).  A removed
     bridge has (m, k) = (0, -1): it keys 0 when X = 0 and -1, which no
-    other cell takes, when it separates the pair.  `cell_keys` gives the
-    raw keys on any selection of `keys` entries, the greedy's row source;
-    the healthy network's entry is (0, 0, 0, 0), whose X is always 0.
+    other cell takes, when it separates the pair.  `cell_keys` reads any
+    selection of `keys` entries; the healthy network's entry is
+    (0, 0, 0, 0), whose X is always 0.
     """
 
     __slots__ = ("p", "det", "edges", "_ratios", "_keys")
@@ -463,30 +463,12 @@ class _ReadingKernel:
     def cell_keys(self, r: int, s: int, entries: Sequence[tuple]) -> list[int]:
         """The probe's cell keys |X| m + k on the columns of these `keys` entries.
 
-        The healthy network's entry (0, 0, 0, 0) always keys 0.
+        Two cells key alike exactly when their readings are equal: the
+        base value and D are common to the row.
         """
         p = self.p
         d = [x - y for x, y in zip(p[r], p[s])]  # P_r - P_s
         return [(x := d[a] - d[b]) and abs(x) * m + k for a, b, m, k in entries]
-
-    def classes(self, r: int, s: int, mode: FaultMode, no_fault: bool) -> list[int]:
-        """The probe's class-id row: equal ids exactly when the readings are equal.
-
-        The columns are the edges in order, then, with `no_fault`, the
-        healthy network.  The base value and D are common to the row, so
-        faults are compared by their corrections alpha X^2 / beta, each
-        keyed as one exact integer (see the class docstring): 0 exactly
-        when the fault reads like the healthy network.  Ids are numbered
-        from 0 in column order.
-        """
-        p = self.p
-        d = [x - y for x, y in zip(p[r], p[s])]  # P_r - P_s
-        ids: dict[int, int] = {}
-        out = [ids.setdefault((x := d[a] - d[b]) and abs(x) * m + k, len(ids))
-               for a, b, m, k in self.keys(mode)]
-        if no_fault:
-            out.append(ids.get(0, len(ids)))
-        return out
 
     def reading(self, r: int, s: int, j: int, mode: FaultMode) -> Resistance:
         """Faulted resistance of the probe (r, s) when edge j is faulted."""

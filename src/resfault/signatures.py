@@ -6,11 +6,11 @@ A probe set solves the detection problem precisely when all columns are
 distinct.  When the "nothing is broken" outcome must be told apart too,
 the healthy network is one more column, holding each probe's unaltered
 reading.  `reading_classes` turns the exact readings (rationals, or the
-INFINITE open-circuit sentinel; no tolerance anywhere) into small integer
-class ids without building a Fraction: the kernel keys each correction
-as one exact integer, from |X| and the square class of the fault's ratio
-(see `network._ReadingKernel`).  Every question here groups the columns
-of that table.
+INFINITE open-circuit sentinel; no tolerance anywhere) into one exact
+integer key per cell without building a Fraction: the kernel keys each
+correction from |X| and the square class of the fault's ratio (see
+`network._ReadingKernel`).  Every question here groups the columns of
+that key table.
 """
 
 from __future__ import annotations
@@ -20,26 +20,30 @@ from typing import Sequence
 from .network import Edge, FaultMode, Measurement, Network, _check_measurement
 
 
+def _key_entries(net: Network, mode: FaultMode, no_fault: bool) -> tuple:
+    """The kernel's `keys` entries of the columns: the edges, then with
+    `no_fault` the healthy network, whose entry (0, 0, 0, 0) always keys 0."""
+    return net._reading_kernel.keys(mode) + ((0, 0, 0, 0),) * no_fault
+
+
 def reading_classes(
     net: Network, measurements: Sequence[Measurement], mode: FaultMode, no_fault: bool = False
 ) -> list[list[int]]:
-    """Per probe, each column's class id: equal ids exactly when the readings are equal.
+    """Per probe, each column's exact key: equal keys exactly when the readings are equal.
 
     The columns are the edges in edge order, then, with `no_fault`, the
-    healthy network, which reads alike with exactly the faults that leave
-    the reading unaltered.  Ids are numbered from 0 in column order within
-    each row, so every id of a row is below the column count.  No probes
-    give no rows.
+    healthy network, which keys 0 and reads alike with exactly the faults
+    that leave the reading unaltered.  No probes give no rows, and build
+    no reading kernel.
     """
-    table = []
     for m in measurements:
         _check_measurement(net, m)
-        table.append(net._reading_kernel.classes(m.r, m.s, mode, no_fault))
-    return table
+    entries = _key_entries(net, mode, no_fault) if measurements else ()
+    return [net._reading_kernel.cell_keys(m.r, m.s, entries) for m in measurements]
 
 
 def _column_groups(table: Sequence[Sequence[int]], column_count: int) -> list[list[int]]:
-    """Columns whose class ids agree in every row, grouped in order of first column.
+    """Columns whose keys agree in every row, grouped in order of first column.
 
     With no rows every column reads alike, so they form one group.
     """
@@ -52,7 +56,7 @@ def _column_groups(table: Sequence[Sequence[int]], column_count: int) -> list[li
 def merged_pairs(
     columns: Sequence[Edge | None], table: Sequence[Sequence[int]]
 ) -> list[tuple[Edge, Edge | None]]:
-    """Column pairs whose class ids agree in every row of `table`, in column order.
+    """Column pairs whose keys agree in every row of `table`, in column order.
 
     `columns` names the table's columns: the edges, then None for the
     healthy network when it is one.  An empty table merges every pair.

@@ -5,7 +5,7 @@ candidate fault edges, and a probe "covers" the pairs it tells apart
 (different exact readings).  A probe set distinguishes every fault iff
 its covered pairs are the whole universe.  When "nothing is broken" must
 be told apart too (`no_fault`), the healthy network is one more column
-of the class table: its pairs with each edge are covered by the probes
+of the key table: its pairs with each edge are covered by the probes
 that the fault alters.  Both solvers then solve that problem directly.
 
 solve_exact runs iterative-deepening branch and bound over bitmask pair
@@ -96,7 +96,7 @@ from .network import (
     _components,
     _Record,
 )
-from .signatures import merged_pairs, reading_classes
+from .signatures import _key_entries, merged_pairs, reading_classes
 
 
 class ExactSolution(_Record):
@@ -282,14 +282,14 @@ class _TwinGroup:
 
 
 class _CoverInstance:
-    """Bitmask view of the test-cover problem, built from a class-id table.
+    """Bitmask view of the test-cover problem, built from a key table.
 
     The table's columns are the fault edges, then the healthy network
     when it must be told apart too; below, "edge" means a column.  Pair
     (i, j) of edges, i < j, is one bit; the pairs of edge i fill one
     segment of ne-i-1 bits, bit j-i-1 of it, and segments follow edge
     order from bit 0.  A candidate's mask holds the pairs its row
-    separates (different class ids): segment i is the set of edges outside
+    separates (different keys): segment i is the set of edges outside
     row[i]'s class, from edge ne-1 down to edge i+1.  Each class of two or
     more edges is written once as an ne-digit binary string (edge ne-1
     first), a single edge's class as all ones (only its own digit differs,
@@ -360,8 +360,9 @@ class _CoverInstance:
         at this target.  `touched` holds the vertices that the chosen
         probes touch.  A node whose probe graph needs more probes than are
         left is cut first (the component bound, see the module docstring).
-        `first`, at the root, replaces the pivot's coverers with
-        caller-given first probes, tried in the order given.  A node entered
+        `first`, at the root, lists caller-given probes to try, in the order
+        given, before the pivot's coverers; a coverer in the orbit of a
+        refuted first probe is banned like any other.  A node entered
         after `self.deadline` raises _Deadline.  There is no depth test: with
         no probe left to choose and a pair missing, the counting cut fails.
         """
@@ -386,13 +387,12 @@ class _CoverInstance:
             return None
         if -(-missing.bit_count() // max(gains.values())) > left:
             return None
+        # Pivot on static coverer counts; `gains` holds the unbanned probes that add a pair.
+        pivot = self.pivot(missing)
+        children = [j for j in gains if masks[j] >> pivot & 1]
+        children.sort(key=lambda j: (-gains[j], j))
         if first is not None:
-            children = first
-        else:
-            # Pivot on static coverer counts; `gains` holds the unbanned probes that add a pair.
-            pivot = self.pivot(missing)
-            children = [j for j in gains if masks[j] >> pivot & 1]
-            children.sort(key=lambda j: (-gains[j], j))
+            children = [*first, *children]
         for j in children:
             if banned >> j & 1:
                 continue
@@ -412,14 +412,15 @@ def _greedy_order(row, column_count: int, group: _TwinGroup) -> list[int] | None
     most (ties to the earliest).  Classes are integer labels refined by
     each chosen row (partition refinement), so a chosen row never splits
     one again; only columns in classes of two or more can still split, so
-    only those are counted.  `row(j, kept)` gives candidate j's values on
-    the columns listed in `kept` (every column when None), by position,
+    only those are counted.  `row(j, kept)` gives candidate j's exact keys
+    on the columns listed in `kept` (every column when None), by position,
     equal exactly where the readings are.  At the first step every label is
-    equal, so a row scores its number of distinct values, and the scan
-    stops at a row that splits every column: no later row beats it.  Later
-    steps read each row once, on the columns the first pick left live, and
-    then from that cache by position.  New labels come from a running
-    counter, so a column left single never shares a label with a live class.
+    equal, so a row scores its number of distinct keys, and the scan stops
+    at a row that splits every column: no later row beats it.  Later steps
+    read each row once, on the columns the first pick left live, number its
+    keys from 0 by first appearance and cache it, then read it by position.
+    New labels come from a running counter, so a column left single never
+    shares a label with a live class.
 
     Only the lowest row of each orbit under the twin group that fixes every
     touched vertex is scored.  Such a group element maps the network onto
@@ -431,13 +432,13 @@ def _greedy_order(row, column_count: int, group: _TwinGroup) -> list[int] | None
     kept = None  # the columns read from the second step on
     labels = [0] * ne  # per column, then per kept column
     active = range(ne)  # positions of the columns in classes of two or more
-    cache: dict[int, Sequence[int]] = {}  # rows on `kept`
+    cache: dict[int, list[int]] = {}  # rows on `kept`, numbered
     chosen: list[int] = []
     touched = 0
     classes = fresh = min(ne, 1)
     while classes < ne:
         # Some class has two members, so `active` has two or more entries and
-        # itemgetter returns tuples.  Rows on `kept` hold ids below ne, and
+        # itemgetter returns tuples.  Cached rows hold numbers below ne, and
         # first-step labels are all 0, so label * ne + value is one int per
         # (label, value) pair.
         pick = itemgetter(*active)
@@ -450,7 +451,8 @@ def _greedy_order(row, column_count: int, group: _TwinGroup) -> list[int] | None
                 score = len(set(values))
             else:
                 if (values := cache.get(j)) is None:
-                    values = cache[j] = row(j, kept)
+                    ids: dict[int, int] = {}
+                    values = cache[j] = [ids.setdefault(key, len(ids)) for key in row(j, kept)]
                 score = singles + len(set(map(add, live, pick(values))))
             if score > best_classes:
                 best_j, best_classes, best_row = j, score, values
@@ -458,7 +460,7 @@ def _greedy_order(row, column_count: int, group: _TwinGroup) -> list[int] | None
                     break
         if best_j is None:
             return None
-        ids: dict[int, int] = {}
+        ids = {}
         for i, key in zip(active, map(add, live, pick(best_row))):
             labels[i] = ids.setdefault(key, fresh + len(ids))
         fresh += len(ids)
@@ -477,43 +479,6 @@ def _plan(cands, indices, tag: str, mode: FaultMode) -> MeasurementPlan:
     return MeasurementPlan(ms, (tag,) * len(ms), mode)
 
 
-def _greedy_start(net: Network, candidates, mode: FaultMode, no_fault: bool, exact: bool):
-    """Both solvers' set-up: the pool, its class-id table, the column count, the
-    pool's twin group and the greedy order.
-
-    Only the exact solve (`exact`) builds the table up front; the greedy
-    alone reads the kernel's cell keys, and builds the table only to name
-    every merged column pair in Infeasible when it stalls, which it does
-    exactly when some pair is never split.
-    """
-    cands = list(candidates) if candidates is not None else net.measurements()
-    columns = net.edges + (None,) * no_fault
-    if exact:
-        table = reading_classes(net, cands, mode, no_fault)
-        row = lambda j, kept: table[j] if kept is None else itemgetter(*kept)(table[j])
-    else:
-        table = None
-        for m in cands:  # before the first step, whose scan may stop early
-            _check_measurement(net, m)
-        kernel = net._reading_kernel
-        entries = kernel.keys(mode) + ((0, 0, 0, 0),) * no_fault
-
-        def row(j, kept):  # rows on `kept` are numbered into small ids by first appearance
-            m = cands[j]
-            if kept is None:
-                return kernel.cell_keys(m.r, m.s, entries)
-            ids: dict[int, int] = {}
-            keys = kernel.cell_keys(m.r, m.s, itemgetter(*kept)(entries))
-            return [ids.setdefault(key, len(ids)) for key in keys]
-    group = _TwinGroup(_twin_classes(net), cands, net.n)
-    greedy = _greedy_order(row, len(columns), group)
-    if greedy is None:
-        if table is None:
-            table = reading_classes(net, cands, mode, no_fault)
-        greedy = Infeasible(tuple(merged_pairs(columns, table)))
-    return cands, table, len(columns), group, greedy
-
-
 def solve_exact(
     net: Network,
     candidates: Sequence[Measurement] | None = None,
@@ -529,23 +494,29 @@ def solve_exact(
     when even the whole candidate pool leaves some column pair merged,
     and TimedOut (carrying the greedy incumbent and the size proven
     insufficient so far) when the budget expires.  The cover masks and
-    the greedy incumbent share one class-id table.  The budget runs from
-    the call, but it is first checked once the incumbent exists: the
-    network's inversion, the class-id table and the greedy order always
-    run to the end, so the budget bounds the mask build and the search,
-    not that set-up.  A budget spent by then, or while the masks are
-    built, returns the greedy incumbent with the seed lower bound.
-    `first_probe_orbits`, first probes to try at the root, is kept only
-    for perfbench/workloads.py: the twin-orbit root makes it pure overhead.
-    It must hold candidates, at least one: the root tries no other child.
+    the greedy incumbent share one key table (`reading_classes`).  The
+    budget runs from the call, but it is first checked once the incumbent
+    exists: the network's inversion, the key table and the greedy order
+    always run to the end, so the budget bounds the mask build and the
+    search, not that set-up.  A budget spent by then, or while the masks
+    are built, returns the greedy incumbent with the seed lower bound.
+    `first_probe_orbits`, probes the root tries first (then the pivot's
+    coverers that their refuted orbits leave unbanned), is kept only for
+    perfbench/workloads.py: the twin-orbit root makes it pure overhead.
+    It must be a non-empty list of candidates.
     """
     deadline = time.monotonic() + budget_seconds
-    cands, table, ne, group, greedy = _greedy_start(net, candidates, mode, no_fault, True)
+    cands = list(candidates) if candidates is not None else net.measurements()
+    table = reading_classes(net, cands, mode, no_fault)
     first = set(first_probe_orbits or ())
     if (first_probe_orbits is not None and not first) or first - set(cands):
         raise ValueError("first_probe_orbits must be a non-empty list of candidates")
-    if isinstance(greedy, Infeasible):
-        return greedy
+    ne = len(net.edges) + no_fault
+    group = _TwinGroup(_twin_classes(net), cands, net.n)
+    table_row = lambda j, kept: table[j] if kept is None else itemgetter(*kept)(table[j])
+    greedy = _greedy_order(table_row, ne, group)
+    if greedy is None:
+        return Infeasible(tuple(merged_pairs(net.edges + (None,) * no_fault, table)))
     greedy_plan = _plan(cands, greedy, "greedy", mode)
 
     pair_count = ne * (ne - 1) // 2
@@ -586,12 +557,27 @@ def solve_greedy(
     with `no_fault` the healthy network counts as one more class member.
     The result is distinguishing whenever the full pool is, but not
     necessarily minimum; the exact solver uses it as its incumbent.  Every
-    candidate is range-checked first.  No class-id table is built unless
-    the pool leaves a pair merged: rows are scored from the reading
-    kernel's cell keys, each computed once after the first step.
+    candidate is range-checked first.  Rows come straight from the reading
+    kernel's cell keys, each computed once after the first step; the key
+    table is built only when the pool leaves a pair merged, to name every
+    merged pair in Infeasible.
     """
-    cands, _, _, _, greedy = _greedy_start(net, candidates, mode, no_fault, False)
-    return greedy if isinstance(greedy, Infeasible) else _plan(cands, greedy, "greedy", mode)
+    cands = list(candidates) if candidates is not None else net.measurements()
+    for m in cands:  # before the first step, whose scan may stop early
+        _check_measurement(net, m)
+    kernel = net._reading_kernel
+    entries = _key_entries(net, mode, no_fault)
+
+    def row(j, kept):
+        m = cands[j]
+        return kernel.cell_keys(m.r, m.s, entries if kept is None else itemgetter(*kept)(entries))
+
+    group = _TwinGroup(_twin_classes(net), cands, net.n)
+    greedy = _greedy_order(row, len(entries), group)
+    if greedy is None:  # name every merged pair
+        table = reading_classes(net, cands, mode, no_fault)
+        return Infeasible(tuple(merged_pairs(net.edges + (None,) * no_fault, table)))
+    return _plan(cands, greedy, "greedy", mode)
 
 
 class MeasurementGraphReport(_Record):

@@ -110,7 +110,10 @@ class PlainCover:
 
 
 def plain_solve(net, candidates=None, mode=FaultMode.REMOVED, first_probe_orbits=None):
-    """The measurements `solve_exact` should return; None when infeasible."""
+    """The measurements `solve_exact` should return; None when infeasible.
+
+    Each target tries the given first probes, then the plain search.
+    """
     cands = list(candidates) if candidates is not None else net.measurements()
     table = reading_classes(net, cands, mode)
     cover = PlainCover(table, len(net.edges))
@@ -129,13 +132,12 @@ def plain_solve(net, candidates=None, mode=FaultMode.REMOVED, first_probe_orbits
         index_of = {m: i for i, m in enumerate(cands)}
         roots = sorted(index_of[m] for m in first_probe_orbits if m in index_of)
     for target in range(root_lower, len(greedy)):
-        if roots is not None:
-            found = None
-            for j in roots:
-                found = cover.search(target, [j], masks[j])
-                if found is not None:
-                    break
-        else:
+        found = None
+        for j in roots or ():
+            found = cover.search(target, [j], masks[j])
+            if found is not None:
+                break
+        if found is None:  # every first probe failed: search the whole pool
             found = cover.search(target)
         if found is not None:
             return tuple(cands[j] for j in found)

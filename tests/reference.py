@@ -7,9 +7,9 @@ produces as its pivots, the compact and summation forms of the k-partite
 block-inverse coefficient, the block inverse itself, the classifiers
 that map a (probe, fault edge) pair to its closed-form table column, the
 paper's counting rules for plan sizes and its k-partite upper bound, the
-probe-by-edge table of Fraction readings that the integer class ids must
-agree with, and a class-id row keyed by each correction term in lowest
-terms.
+probe-by-edge table of Fraction readings that the integer keys must
+group alike, a row's values numbered by first appearance, and a class-id
+row keyed by each correction term in lowest terms.
 """
 
 from __future__ import annotations
@@ -308,6 +308,15 @@ def build_signature(
     return SignatureMatrix(ms, net.edges, mode, rows)
 
 
+def numbered(row: Sequence) -> list[int]:
+    """The row's values numbered from 0 by first appearance.
+
+    Two rows number alike exactly when they group their columns alike.
+    """
+    ids: dict = {}
+    return [ids.setdefault(value, len(ids)) for value in row]
+
+
 def gcd_keyed_classes(net: Network, m: Measurement, mode: FaultMode, no_fault: bool) -> list[int]:
     """The probe's class-id row, each fault keyed by its reduced correction term.
 
@@ -320,8 +329,7 @@ def gcd_keyed_classes(net: Network, m: Measurement, mode: FaultMode, no_fault: b
     kernel = net._reading_kernel
     p, det = kernel.p, kernel.det
     d = [x - y for x, y in zip(p[m.r], p[m.s])]
-    ids: dict = {}
-    out = []
+    keys = []
     for e in net.edges:
         a, b, w = e.u, e.v, e.conductance
         z = p[a][a] + p[b][b] - 2 * p[a][b]
@@ -338,7 +346,7 @@ def gcd_keyed_classes(net: Network, m: Measurement, mode: FaultMode, no_fault: b
             x *= k * x
             g = gcd(x, den)
             key = (x // g, den // g)
-        out.append(ids.setdefault(key, len(ids)))
+        keys.append(key)
     if no_fault:
-        out.append(ids.setdefault((0, 1), len(ids)))
-    return out
+        keys.append((0, 1))
+    return numbered(keys)

@@ -552,7 +552,7 @@ class TestSolveCommand:
     def test_budget_bounds_wall_time(self, capsys):
         # The deadline is checked per row of the cover-mask build (406
         # candidate probes, 82,215 fault pairs on K29) and inside the search;
-        # only the class-id table and the greedy order run before it unchecked.
+        # only the key table and the greedy order run before it unchecked.
         # K29's search takes about 19 s on a 2-core VM.
         start = time.monotonic()
         assert main(["solve", "--network", "K29", "--budget", "1"]) == 3

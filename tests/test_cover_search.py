@@ -3,8 +3,8 @@
 `plain_search.plain_solve` keeps the search without buckets or bans; the
 library's `solve_exact` must return the very same probe sequence, and
 both greedies, which score one row per orbit (`solve_exact`'s from its
-class-id table, `solve_greedy`'s from the kernel's cell keys, with no
-table), the same order as `plain_search.plain_greedy`.  The cover masks,
+key table, `solve_greedy`'s from the kernel's cell keys, with no table),
+the same order as `plain_search.plain_greedy`.  The cover masks,
 the bucket pivot, the twin classes, the probe orbits and the component
 cut (its bound, checked against enumeration, and the boundary of each of
 its two terms) are checked by brute force.
@@ -32,7 +32,6 @@ from resfault.solver import (
     Infeasible,
     _CoverInstance,
     _greedy_order,
-    _greedy_start,
     _twin_classes,
     _TwinGroup,
     solve_exact,
@@ -40,6 +39,7 @@ from resfault.solver import (
 )
 
 from plain_search import PlainCover, plain_greedy, plain_solve
+from reference import numbered
 from test_kernel import pendant_network
 
 FAMILIES = [(6,), (7,), (8,), (9,), (2, 3), (2, 4), (2, 3, 6), (3, 4, 5)]
@@ -457,22 +457,32 @@ def greedy_indices(plan, cands):
     return None if isinstance(plan, Infeasible) else [cands.index(m) for m in plan.measurements]
 
 
+def table_greedy(net, pool, mode, no_fault):
+    """The pool, its key table, its twin group and the greedy order fed from
+    that table, as `solve_exact` runs it."""
+    cands = list(pool) if pool is not None else net.measurements()
+    table = reading_classes(net, cands, mode, no_fault)
+    group = _TwinGroup(_twin_classes(net), cands, net.n)
+    row = lambda j, kept: table[j] if kept is None else [table[j][c] for c in kept]
+    return cands, table, group, _greedy_order(row, len(net.edges) + no_fault, group)
+
+
 @pytest.mark.parametrize("no_fault", [False, True], ids=["faults", "no_fault"])
 @pytest.mark.parametrize("mode", list(FaultMode))
 def test_greedy_by_orbit_matches_the_every_row_greedy(mode, no_fault):
     # Both greedies score one row per orbit of the group that fixes the touched
-    # vertices: solve_greedy from the kernel's cell keys, with no class-id
-    # table, and solve_exact's set-up from its table.  The plain greedy scores
-    # every row of the table.  All three must pick the same rows.
+    # vertices: solve_greedy from the kernel's cell keys, with no key table,
+    # and solve_exact's from its table.  The plain greedy scores every row of
+    # the table.  All three must pick the same rows.
     kinds, sizes = Counter(), []
     for net, pool in greedy_cases():
-        cands, _, ne, group, from_table = _greedy_start(net, pool, mode, no_fault, True)
-        want = plain_greedy(reading_classes(net, cands, mode, no_fault), ne)
+        cands, table, group, from_table = table_greedy(net, pool, mode, no_fault)
+        want = plain_greedy(table, len(net.edges) + no_fault)
         plan = solve_greedy(net, pool, mode, no_fault)
         assert greedy_indices(plan, cands) == want, (net.n, pool)
-        assert (None if isinstance(from_table, Infeasible) else from_table) == want, (net.n, pool)
+        assert from_table == want, (net.n, pool)
         if want is None:
-            assert plan == from_table
+            assert plan == solve_exact(net, pool, mode, no_fault=no_fault)
         kinds[group.closed, bool(group.masks)] += 1
         sizes.append(None if want is None else len(want))
     assert kinds[True, True] and kinds[False, True] and kinds[True, False], kinds
@@ -482,22 +492,22 @@ def test_greedy_by_orbit_matches_the_every_row_greedy(mode, no_fault):
 
 
 class KernelReads:
-    """Counts the reading kernel's class-id rows and logs its cell-key reads."""
+    """Counts the solver's key tables and logs the reading kernel's cell-key reads."""
 
     def __init__(self, monkeypatch):
-        self.rows = 0
+        self.tables = 0
         self.keys: list[tuple[tuple[int, int], int]] = []  # ((r, s), columns read)
-        classes, cell_keys = _ReadingKernel.classes, _ReadingKernel.cell_keys
+        reading_classes, cell_keys = solver.reading_classes, _ReadingKernel.cell_keys
 
-        def counted_classes(kernel, *args):
-            self.rows += 1
-            return classes(kernel, *args)
+        def counted_tables(*args):
+            self.tables += 1
+            return reading_classes(*args)
 
         def logged_cell_keys(kernel, r, s, entries):
             self.keys.append(((r, s), len(entries)))
             return cell_keys(kernel, r, s, entries)
 
-        monkeypatch.setattr(_ReadingKernel, "classes", counted_classes)
+        monkeypatch.setattr(solver, "reading_classes", counted_tables)
         monkeypatch.setattr(_ReadingKernel, "cell_keys", logged_cell_keys)
 
 
@@ -507,11 +517,12 @@ def test_greedy_builds_no_table_and_reads_each_row_once_after_the_first_step(
     shape, mode, monkeypatch
 ):
     net, _ = family(shape)
-    cands, _, ne, _, want = _greedy_start(net, None, mode, False, True)
+    cands, _, _, want = table_greedy(net, None, mode, False)
+    ne = len(net.edges)
     reads = KernelReads(monkeypatch)
     plan = solve_greedy(Network(net.n, net.edges), mode=mode)  # a fresh kernel
     assert greedy_indices(plan, cands) == want and len(want) > 2
-    assert reads.rows == 0
+    assert reads.tables == 0
     first = 0  # the first step reads every column; later steps read fewer
     while reads.keys[first][1] == ne:
         first += 1
@@ -523,26 +534,24 @@ def test_greedy_builds_no_table_and_reads_each_row_once_after_the_first_step(
 
 @pytest.mark.parametrize("mode", list(FaultMode))
 def test_kernel_rows_after_the_first_step_are_numbered_from_zero(mode, monkeypatch):
-    # The greedy packs a label and a value into label * ne + value, so a row
-    # read on the kept columns must hold small ids, even when the first pick
-    # leaves every column live, as it does on this cycle.
-    greedy_order, widths = solver._greedy_order, []
-
-    def checked(row, column_count, group):
-        def numbered(j, kept):
-            values = row(j, kept)
-            if kept is not None:
-                ids: dict[int, int] = {}
-                assert values == [ids.setdefault(v, len(ids)) for v in values]
-                widths.append(len(kept))
-            return values
-
-        return greedy_order(numbered, column_count, group)
-
-    monkeypatch.setattr(solver, "_greedy_order", checked)
+    # The greedy packs a label and a value into label * ne + value, so it
+    # numbers each row it reads on the kept columns from 0.  Keys moved to
+    # 0, ne, 2 ne, ... by first appearance keep each row's groups, but packed
+    # raw they would collide: (label l, key ne) with (label l + 1, key 0).
+    # The plan must not change, even when the first pick leaves every column
+    # live, as it does on this cycle.
     net, pool = greedy_cases()[-1]
-    assert len(solve_greedy(net, pool, mode)) == 4
-    assert widths and set(widths) == {len(net.edges)}
+    ne = len(net.edges)
+    want = solve_greedy(net, pool, mode)
+    cell_keys, widths = _ReadingKernel.cell_keys, []
+
+    def spread(kernel, r, s, entries):
+        widths.append(len(entries))
+        return [number * ne for number in numbered(cell_keys(kernel, r, s, entries))]
+
+    monkeypatch.setattr(_ReadingKernel, "cell_keys", spread)
+    assert solve_greedy(net, pool, mode) == want and len(want) == 4
+    assert widths.count(ne) > len(pool)  # some row was read again on the kept columns
 
 
 @pytest.mark.parametrize("no_fault", [False, True], ids=["faults", "no_fault"])
@@ -555,7 +564,7 @@ def test_a_stalled_greedy_builds_the_table_to_name_the_merged_pairs(mode, no_fau
     reads = KernelReads(monkeypatch)
     result = solve_greedy(net, pool, mode, no_fault)
     assert result == Infeasible(tuple(want)) and want
-    assert reads.rows == len(pool)
+    assert reads.tables == 1
 
 
 def test_the_greedy_range_checks_every_candidate_before_it_stops_early(monkeypatch):
@@ -570,34 +579,27 @@ def test_the_greedy_range_checks_every_candidate_before_it_stops_early(monkeypat
         solve_greedy(net, [Measurement(0, 2), Measurement(0, 99)], mode=FaultMode.SHORTED)
 
 
-def test_the_greedy_reads_no_column_left_single():
+def test_the_greedy_reads_no_column_left_single(monkeypatch):
     # Row 0 splits the six columns into two classes of three, so every column
     # stays live.  Row 1 leaves columns 2 and 4 single, and row 2 leaves 1 and
     # 3.  Labels reused from one step to the next, not drawn from a running
     # counter, would give column 3 the label that column 2 was left with, so
     # column 3 would stay live and be read at the last step.
     table = [[0, 1, 0, 1, 1, 0], [0, 0, 1, 0, 1, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]]
-    reads: list[int] = []
+    picks: list[tuple[int, ...]] = []  # the live columns each step reads
+    itemgetter = solver.itemgetter
 
-    class Logged(tuple):
-        def __getitem__(self, i):
-            reads.append(i)
-            return tuple.__getitem__(self, i)
+    def logged(*columns):
+        picks.append(columns)
+        return itemgetter(*columns)
 
     def row(j, kept):
-        return table[j] if kept is None else Logged(table[j][c] for c in kept)
+        return table[j] if kept is None else [table[j][c] for c in kept]
 
+    monkeypatch.setattr(solver, "itemgetter", logged)
     group = _TwinGroup((), [Measurement(0, j + 1) for j in range(len(table))], len(table) + 1)
     assert _greedy_order(row, 6, group) == plain_greedy(table, 6) == [0, 1, 2, 3]
-    # Each row is read on the live columns in ascending order, so a read at a
-    # column no higher than the last one starts the next row.
-    runs: list[list[int]] = []
-    for i in reads:
-        if runs and i > runs[-1][-1]:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    assert {tuple(run) for run in runs} == {(0, 1, 2, 3, 4, 5), (0, 1, 3, 5), (0, 5)}
+    assert picks == [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), (0, 1, 3, 5), (0, 5)]
 
 
 class ChildEntered(Exception):

@@ -3,12 +3,13 @@
 Networks here are seeded random weighted graphs with conductances p/q
 (1 <= p, q <= 9) and pendant leaves, so removal faults include bridges
 with the probe on the same side (the reading keeps its base value) and on
-opposite sides (INFINITE).  Class-id rows are also checked against the
-reduced-key reference: for every family shape the benchmark runs, for
-small weighted networks whose faults of different ratios often read
-alike, for every probe of networks shaped like the benchmark's, for a
-separating bridge in a row of small keys, and on ~200-bit conductances.  The square
-classes behind the integer keys are checked directly too.  Every ratio of
+opposite sides (INFINITE).  Rows of keys are also checked to group their
+columns as the reduced-key reference does: for every family shape the
+benchmark runs, for small weighted networks whose faults of different
+ratios often read alike, for every probe of networks shaped like the
+benchmark's, for a separating bridge in a row of small keys, and on
+~200-bit conductances.  The square classes behind the integer keys are
+checked directly too.  Every ratio of
 a class shares one bucket key: the sign of alpha beta and, per character
 prime q, q for an odd power of q, else the character of what is left once
 that power is divided out.  The checks cover odd and even powers of a
@@ -41,7 +42,7 @@ from resfault.signatures import reading_classes
 from resfault.solver import Infeasible, solve_exact, solve_greedy
 
 from grounding import build_reduced_laplacian, grounded_inverse
-from reference import build_signature, gcd_keyed_classes
+from reference import build_signature, gcd_keyed_classes, numbered
 
 
 def pendant_network(seed, n):
@@ -105,17 +106,16 @@ def test_keys_and_readings_match_the_oracle(seed, mode):
         assert all(bridge_cases.values()), bridge_cases
 
 
-def test_reading_classes_number_each_row_in_edge_order():
+def test_reading_classes_group_each_row_like_the_readings():
     net = pendant_network(7, 8)
     ms = net.measurements()
     sig = build_signature(net, ms, FaultMode.REMOVED)
     for no_fault in (False, True):
         table = reading_classes(net, ms, FaultMode.REMOVED, no_fault)
         assert len(table) == len(ms)
-        for ids, row, m in zip(table, sig.entries, ms):
+        for keys, row, m in zip(table, sig.entries, ms):
             row = list(row) + ([effective_resistance(net, m)] if no_fault else [])
-            first_seen = {}
-            assert ids == [first_seen.setdefault(value, len(first_seen)) for value in row]
+            assert numbered(keys) == numbered(row)
 
 
 def test_one_inversion_per_network(monkeypatch):
@@ -223,8 +223,9 @@ def assert_rows_match_the_reference(net, probes):
     for mode in FaultMode:
         for m in probes:
             for no_fault in (False, True):
-                [ids] = reading_classes(net, [m], mode, no_fault)
-                assert ids == gcd_keyed_classes(net, m, mode, no_fault), (mode, m, no_fault)
+                [keys] = reading_classes(net, [m], mode, no_fault)
+                want = gcd_keyed_classes(net, m, mode, no_fault)
+                assert numbered(keys) == numbered(want), (mode, m, no_fault)
 
 
 @pytest.mark.parametrize("modulus", [3, 7, 8191])
@@ -275,8 +276,9 @@ def test_a_separating_bridge_keys_apart_from_every_cell():
     assert net._reading_kernel.keys(FaultMode.REMOVED) == (
         (0, 1, 1, 0), (0, 2, 1, 0), (1, 2, 1, 0), (2, 3, 0, -1))
     for no_fault in (False, True):
-        [ids] = reading_classes(net, [m], FaultMode.REMOVED, no_fault)
-        assert ids == gcd_keyed_classes(net, m, FaultMode.REMOVED, no_fault), no_fault
+        [keys] = reading_classes(net, [m], FaultMode.REMOVED, no_fault)
+        want = gcd_keyed_classes(net, m, FaultMode.REMOVED, no_fault)
+        assert numbered(keys) == numbered(want), no_fault
 
 
 Q = resfault.network._PRIMES[0]

@@ -23,7 +23,7 @@ from resfault.signatures import is_distinguishing, reading_classes
 from resfault.strategies import complete_strategy, kpartite_strategy
 
 from grounding import grounded_resistance
-from reference import classify_kpartite, gcd_keyed_classes
+from reference import classify_kpartite, gcd_keyed_classes, numbered
 
 
 FRACTIONS = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(5), max_denominator=6)
@@ -81,7 +81,8 @@ def test_class_ids_match_the_reduced_key_reference(net):
     for mode in FaultMode:
         for no_fault in (False, True):
             table = reading_classes(net, net.measurements(), mode, no_fault)
-            assert table == [gcd_keyed_classes(net, m, mode, no_fault) for m in net.measurements()]
+            want = [gcd_keyed_classes(net, m, mode, no_fault) for m in net.measurements()]
+            assert list(map(numbered, table)) == list(map(numbered, want))
 
 
 @settings(max_examples=40, deadline=None)

@@ -112,14 +112,25 @@ class TestExactSolver:
     @pytest.mark.parametrize("shape", [(2, 3, 6), (2, 4, 7)], ids=["K2,3,6", "K2,4,7"])
     @pytest.mark.parametrize("first", [[], [Measurement(0, 99)]], ids=["empty", "outside"])
     def test_first_probes_must_be_candidates(self, shape, first):
-        # The root tries only these probes, so an empty list or one outside the
-        # pool would refute every target below greedy's and tag greedy exact.
+        # The root tries these probes before its other children, so an empty
+        # list or one outside the pool names first probes it cannot try.
         net = KPartiteShape(shape).network()
         with pytest.raises(ValueError, match="non-empty list of candidates"):
             solve_exact(net, first_probe_orbits=first)
         pool = net.measurements()[:-1]
         with pytest.raises(ValueError, match="non-empty list of candidates"):
             solve_exact(net, pool, first_probe_orbits=[*first, net.measurements()[-1]])
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_first_probes_that_miss_every_plan_still_give_the_optimum(self, mode):
+        # No 5-probe plan of K(2,3,6) holds the probe (0, 1), so the root must
+        # go on to its other children after it, not return greedy's 6 as exact.
+        net = KPartiteShape((2, 3, 6)).network()
+        result = solve_exact(net, mode=mode, first_probe_orbits=[Measurement(0, 1)])
+        assert isinstance(result, ExactSolution)
+        assert len(result.plan) == len(solve_exact(net, mode=mode).plan) == 5
+        assert Measurement(0, 1) not in result.plan.measurements
+        assert is_distinguishing(net, result.plan.measurements, mode)
 
     def test_restricted_pool_infeasible(self):
         net = complete_network(6)
