@@ -3,16 +3,17 @@
 A network is a connected weighted simple graph; weights are conductances
 (reciprocal resistances) kept as exact rationals throughout.  Each network
 is grounded once, at vertex 0: one fraction-free inversion of the reduced
-Laplacian, its rows scaled to integers, gives integers P and D with P / D
-the inverse, from which every base resistance and every single-fault
-reading follows by the rank-one (Sherman-Morrison) update in integer
-arithmetic.  Within one probe, the readings differ only by the update's
-correction term, so the kernel keys each fault's reading (one row of
-cell keys per probe, see `signatures.reading_classes`) without forming a
-Fraction: each correction keys as one exact integer, from a per-edge
-table that groups the ratios whose quotients are rational squares.  A
-direct oracle that grounds and inverts each altered graph's own Laplacian
-is kept alongside as an independent cross-check.
+Laplacian, its rows scaled to integers, by symmetric bordering (see
+`linalg`) gives integers P and D with P / D the inverse, from which
+every base resistance and every single-fault reading follows by the
+rank-one (Sherman-Morrison) update in integer arithmetic.  Within one
+probe, the readings differ only by the update's correction term, so the
+kernel keys each fault's reading (one row of cell keys per probe, see
+`signatures.reading_classes`) without forming a Fraction: each
+correction keys as one exact integer, from a per-edge table that groups
+the ratios whose quotients are rational squares.  A direct oracle that
+grounds and inverts each altered graph's own Laplacian is kept alongside
+as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ class Edge(_Record, order=True):
             raise ValueError(f"self loop at vertex {u}")
         if u > v:
             u, v = v, u
-        conductance = Fraction(conductance)
+        if conductance.__class__ is not Fraction:
+            conductance = Fraction(conductance)
         if conductance <= 0:
             raise ValueError(f"conductance must be positive, got {conductance}")
         object.__setattr__(self, "u", u)
@@ -213,8 +215,10 @@ class Network(_Record):
         """Build a network, merging parallel edges by summing conductances."""
         merged: dict[tuple[int, int], Fraction] = {}
         for u, v, w in edges:
-            key = (min(u, v), max(u, v))
-            merged[key] = merged.get(key, Fraction(0)) + Fraction(w)
+            key = (u, v) if u < v else (v, u)
+            w = Fraction(w)
+            old = merged.get(key)
+            merged[key] = w if old is None else old + w
         return cls(n, tuple(Edge(u, v, w) for (u, v), w in merged.items()))
 
     @cached_property
@@ -276,9 +280,11 @@ def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, 
     add up.  With L the Laplacian less the grounds' rows and columns and R
     the diagonal of r_v, the lcm of the conductance denominators at v,
     M = R L is an integer matrix whose leading minors are L's (positive)
-    times row scales, so one fraction-free inversion meets no zero pivot.
-    L^-1 = adj(M) R / det M = P / D, both then divided by the gcd of D and
-    every entry of P.  P is entrywise nonnegative (L is an M-matrix).
+    times row scales, so the fraction-free bordering of M, which keeps
+    L's symmetry by carrying R along, meets no zero pivot.  It returns
+    adj(M) R and det M, and L^-1 = adj(M) R / det M = P / D, both then
+    divided by the gcd of D and every entry of P.  P is symmetric and
+    entrywise nonnegative (L is an M-matrix).
     Returns (P, D, part of each vertex), P padded with zero rows and
     columns at the grounds so it indexes vertices.
     """
@@ -304,8 +310,7 @@ def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, 
                 lap[x][x] += scaled
                 if y >= 0:
                     lap[x][y] -= scaled
-    adj, det = fraction_free_invert(lap)
-    adj = [[x * scales[v] for x, v in zip(row, kept)] for row in adj]  # column j times r_j
+    adj, det = fraction_free_invert(lap, [scales[v] for v in kept])
     common = gcd(det, *chain.from_iterable(adj))
     if common > 1:
         det //= common

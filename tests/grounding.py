@@ -4,15 +4,16 @@ The library grounds each network once, at vertex 0, and scales each row
 of the reduced Laplacian to integers by its own denominators in
 `network._ground`.  These helpers build the rational reduced Laplacian
 at a chosen vertex, scale it as a whole to integers by the lcm of all
-its entries' denominators and invert it with `fraction_free_invert`, so
-tests can check the library's row-scaled grounding, and its resistances,
+its entries' denominators and invert it by the Gauss-Jordan elimination
+of `reference.full_width_invert`, not the library's bordering, so tests
+can check the library's row-scaled grounding, and its resistances,
 against every grounding computed another way.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from resfault.linalg import fraction_free_invert
+from reference import full_width_invert
 
 
 def build_reduced_laplacian(net, ground):
@@ -39,7 +40,7 @@ def grounded_inverse(net, ground):
     column there so that it indexes vertices directly."""
     lap = build_reduced_laplacian(net, ground)
     scale = lcm(*(x.denominator for row in lap for x in row))
-    adj, det = fraction_free_invert([[int(x * scale) for x in row] for row in lap])
+    adj, det = full_width_invert([[int(x * scale) for x in row] for row in lap])
     rows = [[Fraction(x * scale, det) for x in row] for row in adj]
     for row in rows:
         row.insert(ground, Fraction(0))

@@ -73,6 +73,17 @@ class TestConstruction:
         net = Network.from_edge_list(2, [(0, 1, 1), (1, 0, Fraction(1, 2))])
         assert len(net.edges) == 1
         assert net.edges[0].conductance == Fraction(3, 2)
+        # str and int weights convert once; a repeated pair adds, however often
+        net = Network.from_edge_list(3, [(0, 1, "1/3"), (2, 1, 2), (1, 0, "2/3"), (0, 1, 1), (1, 2, 0.5)])
+        assert [(e.pair, e.conductance) for e in net.edges] == [((0, 1), 2), ((1, 2), Fraction(5, 2))]
+        assert all(type(e.conductance) is Fraction for e in net.edges)
+
+    def test_an_edge_keeps_its_fraction_and_converts_other_weights(self):
+        w = Fraction(3, 4)
+        assert Edge(1, 0, w).conductance is w
+        for given in ("3/4", 0.75, Fraction(6, 8)):
+            assert type(Edge(0, 1, given).conductance) is Fraction
+            assert Edge(0, 1, given).conductance == w
 
     def test_disconnected_network_rejected(self):
         with pytest.raises(ValueError, match="connected"):
