@@ -77,13 +77,52 @@ ceil(2(n - 1) / 3) on K_n, the optimum when 3 divides n.  Each target is
 searched on its own, and a cut removes only subtrees without a plan of
 the target size, so skipping targets that cannot succeed and cutting
 nodes leave the plan unchanged.
+
+Split bounds.  The greedy's first step scores each row by its number of
+distinct keys, and the network's shape caps that number before any key
+is read.  A cell keys 0 exactly when its edge carries no probe current
+(X = 0), as the healthy column always does.  A block (a maximal
+2-connected subgraph, or a bridge) is on the path when r and s lie in
+different components of G - E(block).  A block off the path meets the
+component that holds r and s at one vertex; with all that hangs from it
+away from that component it holds no probe end, so it is at that
+vertex's potential, carries no current, and every cell in it keys 0.
+In removed mode every bridge on the path separates r from s, so all of
+them key -1.  Non-bridges e and f are in one cut-pair class when
+{e, f} is a 2-edge cut (Pritchard and Thurimella, "Fast computation of
+small cuts via cycle space sampling", 2011): they lie on exactly the
+same cycles.  A class C lies in one block, and G - C has |C| components
+joined in a ring by the edges of C, so removing any edge of C leaves
+the others as bridges of a chain of those components.  When r and s lie
+in one component, the rest of the chain carries no current, and every
+fault in C reads that component's own resistance: one key.  Otherwise
+the current flows along the arc of the ring between their components
+that does not hold the removed edge: at most two keys, one per arc.  So
+a row has at most
+
+    [some block is off the path, or the healthy column is present]
+    + shorted: the edge count of each block on the path
+    + removed: [some bridge is on the path] + per cut-pair class of
+      non-bridges in a block on the path, 2 when r and s lie in
+      different components of G - C, else 1
+
+distinct keys (an edge in no 2-edge cut is a class of one and counts
+1).  A class that parts r and s lies in a block on the path, as
+G - E(block) has no more edges than G - C.  So the first step scans
+rows by descending bound and stops once no bound can beat the best row
+read, the lazy evaluation of Minoux's accelerated greedy (1978) applied
+to one step, and picks the row it always picked (see `_greedy_order`).
+A 2-connected network bounds every row by the column count in shorted
+mode, and so does one with no 2-edge cut in removed mode (K_n for
+n >= 4): there the scan runs in index order.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from operator import add, itemgetter
+from itertools import compress
+from operator import add, itemgetter, ne
 from typing import Sequence
 
 from .network import (
@@ -405,7 +444,110 @@ class _CoverInstance:
         return None
 
 
-def _greedy_order(row, column_count: int, group: _TwinGroup) -> list[int] | None:
+def _split_bounds(
+    net: Network, cands: Sequence[Measurement], mode: FaultMode, no_fault: bool
+) -> list[int]:
+    """Per candidate, the split bound of the module docstring: its row has at most this many keys.
+
+    One iterative DFS from vertex 0 gives the tree edges, the low-links
+    and one bit per back edge.  An edge's label is the XOR of the bits of
+    the fundamental cycles through it (a tree edge's is the XOR, over its
+    lower end's subtree, of the bits of the back edges at each vertex
+    there), so the bridges are the edges labelled 0 and each nonzero label
+    is one cut-pair class.  A tree edge (p, v) starts a block when
+    low(v) >= disc(p) and otherwise joins the block of p's parent edge; a
+    back edge joins the block of its lower end's parent edge.  Each term
+    of the bound is a cut, an edge set with the keys it adds when r and s
+    lie in different components of G - cut, found once per cut for every
+    vertex; a candidate's bound then compares its ends' components.
+    """
+    n, edges = net.n, net.edges
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, e in enumerate(edges):
+        adj[e.u].append((e.v, j))
+        adj[e.v].append((e.u, j))
+    order, parent, up = [0], [0] * n, [-1] * n  # up[v]: the tree edge from v to its parent
+    disc, low, acc = [-1] * n, [0] * n, [0] * n
+    disc[0] = 0
+    label, backs = [0] * len(edges), []
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w, j in it:
+            if disc[w] < 0:
+                disc[w] = low[w] = len(order)
+                order.append(w)
+                parent[w], up[w] = v, j
+                stack.append((w, iter(adj[w])))
+                break
+            if disc[w] < disc[v] and j != up[v]:  # a back edge to an ancestor
+                label[j] = bit = 1 << len(backs)
+                acc[v] ^= bit
+                acc[w] ^= bit
+                low[v] = min(low[v], disc[w])
+                backs.append((j, v))
+        else:
+            stack.pop()
+    for v in reversed(order[1:]):
+        p = parent[v]
+        label[up[v]] = acc[v]
+        acc[p] ^= acc[v]
+        low[p] = min(low[p], low[v])
+    block = [0] * len(edges)
+    count = 0
+    for v in order[1:]:
+        if low[v] >= disc[parent[v]]:
+            block[up[v]], count = count, count + 1
+        else:
+            block[up[v]] = block[up[parent[v]]]
+    for j, v in backs:
+        block[j] = block[up[v]]
+
+    # Cuts, each an edge set with the weight it adds when it separates r and s: the
+    # blocks first, then in removed mode the bridges together and each class of two or more.
+    removed = mode is FaultMode.REMOVED
+    cuts: list[set[int]] = [set() for _ in range(count)]
+    classes: dict[int, set[int]] = {}
+    for j, (b, key) in enumerate(zip(block, label)):
+        cuts[b].add(j)
+        classes.setdefault(key, set()).add(j)
+    if removed:
+        weights = [len({label[j] for j in cut} - {0}) for cut in cuts]
+        cuts.append(classes.pop(0, set()))
+        big = [cut for cut in classes.values() if len(cut) > 1]
+        cuts += big
+        weights += [1] * (1 + len(big))
+    else:
+        weights = [len(cut) for cut in cuts]
+    # A cut that parts every two vertices (the one block of K_n) adds its weight to
+    # every bound, and one that parts none (no bridges) adds nothing: only the rest
+    # are read per candidate.
+    fixed, sides, kept, blocks = 0, [], [], 0  # blocks: how many of the kept cuts are blocks
+    for b, (cut, weight) in enumerate(zip(cuts, weights)):
+        parts = _components(n, [e.pair for j, e in enumerate(edges) if j not in cut])
+        if len(parts) == n:
+            fixed += weight
+        elif len(parts) > 1:
+            side = [0] * n
+            for i, part in enumerate(parts):
+                for v in part:
+                    side[v] = i
+            sides.append(side)
+            kept.append(weight)
+            blocks += b < count
+    if not sides:
+        return [fixed + no_fault] * len(cands)
+    at = list(zip(*sides))  # per vertex: its component in each kept cut
+    bounds = []
+    for m in cands:
+        apart = list(map(ne, at[m.r], at[m.s]))
+        bounds.append(fixed + sum(compress(kept, apart)) + (not all(apart[:blocks]) or no_fault))
+    return bounds
+
+
+def _greedy_order(
+    row, column_count: int, group: _TwinGroup, bounds: Sequence[int]
+) -> list[int] | None:
     """Candidate indices in greedy order; None if the pool stops splitting first.
 
     Each step picks the row that raises the number of fault classes the
@@ -415,12 +557,15 @@ def _greedy_order(row, column_count: int, group: _TwinGroup) -> list[int] | None
     only those are counted.  `row(j, kept)` gives candidate j's exact keys
     on the columns listed in `kept` (every column when None), by position,
     equal exactly where the readings are.  At the first step every label is
-    equal, so a row scores its number of distinct keys, and the scan stops
-    at a row that splits every column: no later row beats it.  Later steps
-    read each row once, on the columns the first pick left live, number its
-    keys from 0 by first appearance and cache it, then read it by position.
-    New labels come from a running counter, so a column left single never
-    shares a label with a live class.
+    equal, so a row scores its number of distinct keys, which `bounds[j]`
+    caps from above.  That step scans rows by descending bound, ties by
+    index, and stops at the first row whose (bound, earlier index) cannot
+    beat the best (score, earlier index) so far: no later row can.  Later
+    steps scan in index order and stop at a row that splits every column.
+    They read each row once, on the columns the first pick left live,
+    number its keys from 0 by first appearance and cache it, then read it
+    by position.  New labels come from a running counter, so a column left
+    single never shares a label with a live class.
 
     Only the lowest row of each orbit under the twin group that fixes every
     touched vertex is scored.  Such a group element maps the network onto
@@ -444,21 +589,26 @@ def _greedy_order(row, column_count: int, group: _TwinGroup) -> list[int] | None
         pick = itemgetter(*active)
         live = [label * ne for label in pick(labels)]
         singles = ne - len(active)
-        best_j, best_classes, best_row = None, classes, ()
-        for j in group.representatives(touched):
-            if kept is None:
+        best, best_row = (classes, 1), ()  # (score, -index); 1 ranks below every index
+        if kept is None:
+            for j in sorted(group.representatives(touched), key=lambda j: (-bounds[j], j)):
+                if (bounds[j], -j) <= best:
+                    break
                 values = row(j, None)
-                score = len(set(values))
-            else:
+                if (score := len(set(values)), -j) > best:
+                    best, best_row = (score, -j), values
+        else:
+            for j in group.representatives(touched):
                 if (values := cache.get(j)) is None:
                     ids: dict[int, int] = {}
                     values = cache[j] = [ids.setdefault(key, len(ids)) for key in row(j, kept)]
                 score = singles + len(set(map(add, live, pick(values))))
-            if score > best_classes:
-                best_j, best_classes, best_row = j, score, values
-                if score == ne:
-                    break
-        if best_j is None:
+                if score > best[0]:
+                    best, best_row = (score, -j), values
+                    if score == ne:
+                        break
+        classes, best_j = best[0], -best[1]
+        if best_j < 0:
             return None
         ids = {}
         for i, key in zip(active, map(add, live, pick(best_row))):
@@ -470,7 +620,6 @@ def _greedy_order(row, column_count: int, group: _TwinGroup) -> list[int] | None
             kept, labels, active = active, [labels[c] for c in active], range(len(active))
         chosen.append(best_j)
         touched |= group.touch[best_j]
-        classes = best_classes
     return chosen
 
 
@@ -494,12 +643,14 @@ def solve_exact(
     when even the whole candidate pool leaves some column pair merged,
     and TimedOut (carrying the greedy incumbent and the size proven
     insufficient so far) when the budget expires.  The cover masks and
-    the greedy incumbent share one key table (`reading_classes`).  The
-    budget runs from the call, but it is first checked once the incumbent
-    exists: the network's inversion, the key table and the greedy order
-    always run to the end, so the budget bounds the mask build and the
-    search, not that set-up.  A budget spent by then, or while the masks
-    are built, returns the greedy incumbent with the seed lower bound.
+    the greedy incumbent share one key table (`reading_classes`); each
+    row's distinct-key count is the bound that orders the greedy's first
+    step, so that step scores only its pick.  The budget runs from the
+    call, but it is first checked once the incumbent exists: the
+    network's inversion, the key table and the greedy order always run
+    to the end, so the budget bounds the mask build and the search, not
+    that set-up.  A budget spent by then, or while the masks are built,
+    returns the greedy incumbent with the seed lower bound.
     `first_probe_orbits`, probes the root tries first (then the pivot's
     coverers that their refuted orbits leave unbanned), is kept only for
     perfbench/workloads.py: the twin-orbit root makes it pure overhead.
@@ -514,7 +665,7 @@ def solve_exact(
     ne = len(net.edges) + no_fault
     group = _TwinGroup(_twin_classes(net), cands, net.n)
     table_row = lambda j, kept: table[j] if kept is None else itemgetter(*kept)(table[j])
-    greedy = _greedy_order(table_row, ne, group)
+    greedy = _greedy_order(table_row, ne, group, [len(set(row)) for row in table])
     if greedy is None:
         return Infeasible(tuple(merged_pairs(net.edges + (None,) * no_fault, table)))
     greedy_plan = _plan(cands, greedy, "greedy", mode)
@@ -558,9 +709,11 @@ def solve_greedy(
     The result is distinguishing whenever the full pool is, but not
     necessarily minimum; the exact solver uses it as its incumbent.  Every
     candidate is range-checked first.  Rows come straight from the reading
-    kernel's cell keys, each computed once after the first step; the key
-    table is built only when the pool leaves a pair merged, to name every
-    merged pair in Infeasible.
+    kernel's cell keys.  The first step reads them in descending order of
+    the split bound (module docstring), computed from the network's shape
+    alone, and stops once no bound can beat the best row read; later
+    steps compute each row once.  The key table is built only when the
+    pool leaves a pair merged, to name every merged pair in Infeasible.
     """
     cands = list(candidates) if candidates is not None else net.measurements()
     for m in cands:  # before the first step, whose scan may stop early
@@ -573,7 +726,7 @@ def solve_greedy(
         return kernel.cell_keys(m.r, m.s, entries if kept is None else itemgetter(*kept)(entries))
 
     group = _TwinGroup(_twin_classes(net), cands, net.n)
-    greedy = _greedy_order(row, len(entries), group)
+    greedy = _greedy_order(row, len(entries), group, _split_bounds(net, cands, mode, no_fault))
     if greedy is None:  # name every merged pair
         table = reading_classes(net, cands, mode, no_fault)
         return Infeasible(tuple(merged_pairs(net.edges + (None,) * no_fault, table)))

@@ -41,6 +41,7 @@ from resfault.solver import (
 from plain_search import PlainCover, plain_greedy, plain_solve
 from reference import numbered
 from test_kernel import pendant_network
+from test_split_bounds import sparse_networks
 
 FAMILIES = [(6,), (7,), (8,), (9,), (2, 3), (2, 4), (2, 3, 6), (3, 4, 5)]
 
@@ -427,8 +428,11 @@ def greedy_cases():
     """(network, pool) pairs: families and twin networks whole, then restricted pools.
 
     The pools cover every kind of group: closed with twins (whole families,
-    invariant pools), not closed (random halves), and without twins.  Last
-    come three networks without twins: a weighted pendant network whose
+    invariant pools), not closed (random halves), and without twins.  The
+    sparse networks follow, whole and with a random third of their probes:
+    their bridges, blocks and 2-edge cuts give the first step's split
+    bounds below the column count.  Last come three networks without
+    twins: a weighted pendant network whose
     greedy takes two or more steps in every mode, one whose first row in
     shorted mode splits every fault, and a cycle probed at distance two,
     whose first pick leaves no fault column single.
@@ -447,6 +451,9 @@ def greedy_cases():
         everything = net.measurements()
         cases.append((net, invariant_pool(rng, net, classes)))
         cases.append((net, rng.sample(everything, len(everything) // 2)))
+    for net in sparse_networks():
+        everything = net.measurements()
+        cases += [(net, None), (net, rng.sample(everything, len(everything) // 3))]
     cases += [(pendant_network(2, 7), None), (pendant_network(0, 10), None)]
     cases.append((cycle_network(6), [Measurement(v, (v + 2) % 6) for v in range(6)]))
     return cases
@@ -464,7 +471,8 @@ def table_greedy(net, pool, mode, no_fault):
     table = reading_classes(net, cands, mode, no_fault)
     group = _TwinGroup(_twin_classes(net), cands, net.n)
     row = lambda j, kept: table[j] if kept is None else [table[j][c] for c in kept]
-    return cands, table, group, _greedy_order(row, len(net.edges) + no_fault, group)
+    counts = [len(set(keys)) for keys in table]
+    return cands, table, group, _greedy_order(row, len(net.edges) + no_fault, group, counts)
 
 
 @pytest.mark.parametrize("no_fault", [False, True], ids=["faults", "no_fault"])
@@ -488,6 +496,8 @@ def test_greedy_by_orbit_matches_the_every_row_greedy(mode, no_fault):
     assert kinds[True, True] and kinds[False, True] and kinds[True, False], kinds
     steps, one_step, cycle = sizes[-3:]
     assert steps >= 2 and cycle >= 2
+    sparse = sizes[-3 - 2 * len(sparse_networks()):-3]  # stalled pools, and greedies of two or more steps
+    assert None in sparse and max(size or 0 for size in sparse) >= 2
     assert one_step == 1 or mode is FaultMode.REMOVED or no_fault
 
 
@@ -598,7 +608,8 @@ def test_the_greedy_reads_no_column_left_single(monkeypatch):
 
     monkeypatch.setattr(solver, "itemgetter", logged)
     group = _TwinGroup((), [Measurement(0, j + 1) for j in range(len(table))], len(table) + 1)
-    assert _greedy_order(row, 6, group) == plain_greedy(table, 6) == [0, 1, 2, 3]
+    counts = [len(set(keys)) for keys in table]
+    assert _greedy_order(row, 6, group, counts) == plain_greedy(table, 6) == [0, 1, 2, 3]
     assert picks == [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), (0, 1, 3, 5), (0, 5)]
 
 
