@@ -28,9 +28,11 @@ from typing import Iterable, Sequence, Union
 
 from .linalg import fraction_free_invert
 
-# The 24 largest primes below 2^30: quadratic characters modulo them bucket the ratios.
-_PRIMES = tuple((1 << 30) - c for c in (35, 41, 83, 101, 105, 107, 135, 153, 161, 173, 203, 257,
-                                        263, 297, 321, 347, 357, 383, 405, 425, 437, 443, 453, 495))
+# The 24 odd primes below 100: quadratic characters modulo them bucket the ratios.
+# Any odd prime keys a square class (see `_square_classes`), and a small one makes
+# Euler's criterion a few small multiplications, where a 30-bit one takes ~30 squarings.
+_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83,
+           89, 97)
 
 
 class InfiniteResistance:
@@ -204,7 +206,7 @@ class Network(_Record):
             if e.pair in seen:
                 raise ValueError(f"duplicate edge {e.pair}; merge parallel edges first")
             seen.add(e.pair)
-        edges = tuple(sorted(edges))
+        edges = tuple(sorted(edges, key=attrgetter("u", "v")))  # pairs are distinct
         if len(_components(n, [e.pair for e in edges])) > 1:
             raise ValueError("network must be connected")
         object.__setattr__(self, "n", n)
@@ -333,9 +335,14 @@ def _square_classes(pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
     class shares: the sign of alpha beta and, for each of the first
     `len(pairs).bit_length()` of `_PRIMES`, q when q divides alpha beta to
     an odd power, else the quadratic character (Euler's criterion) of alpha
-    beta with its power of q divided out.  So a ratio is compared only with
-    the classes of its own bucket, all of its sign, and one exact `isqrt`
-    test proves each merge.
+    beta with its power of q divided out.  The products of two ratios of
+    one class differ by a factor t^2, t rational; with t = q^e t0 and t0
+    free of q, that adds 2e to q's power and multiplies what is left by
+    t0^2, whose character is 1, so for any odd prime q both ratios take one
+    entry.  So a ratio is compared only with the classes of its own bucket,
+    all of its sign, and one exact `isqrt` test proves each merge.  The
+    character is taken of the residue, below q: one big-integer remainder
+    and a few small multiplications.
     """
     primes = _PRIMES[:len(pairs).bit_length()]
     founders: list[tuple[int, int]] = []
@@ -346,9 +353,9 @@ def _square_classes(pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
         key = [product > 0]
         for q in primes:
             rest, odd = product, False
-            while not rest % q:
+            while not (residue := rest % q):
                 rest, odd = rest // q, not odd
-            key.append(q if odd else pow(rest, q >> 1, q))
+            key.append(q if odd else pow(residue, q >> 1, q))
         bucket = buckets.setdefault(tuple(key), [])
         for k in bucket:
             alpha0, beta0 = founders[k]
@@ -404,8 +411,8 @@ class _ReadingKernel:
     keys as |X| m + k, or 0 when X = 0 (the healthy reading).  A removed
     bridge has (m, k) = (0, -1): it keys 0 when X = 0 and -1, which no
     other cell takes, when it separates the pair.  `cell_keys` reads any
-    selection of `keys` entries; the healthy network's entry is
-    (0, 0, 0, 0), whose X is always 0.
+    selection of `keys` entries through its `view`; the healthy network's
+    entry is (0, 0, 0, 0), whose X is always 0.
     """
 
     __slots__ = ("p", "det", "edges", "_ratios", "_keys")
@@ -465,15 +472,21 @@ class _ReadingKernel:
         p = self.p
         return p[r][r] + p[s][s] - 2 * p[r][s]
 
-    def cell_keys(self, r: int, s: int, entries: Sequence[tuple]) -> list[int]:
-        """The probe's cell keys |X| m + k on the columns of these `keys` entries.
+    def view(self, entries: Sequence[tuple]) -> "_KeyView":
+        """A view of these `keys` entries for `cell_keys`, its columns not yet built."""
+        return _KeyView(self.p, entries)
+
+    def cell_keys(self, r: int, s: int, view: "_KeyView") -> list[int]:
+        """The probe's cell keys |X| m + k on the columns of the view's entries.
 
         Two cells key alike exactly when their readings are equal: the
         base value and D are common to the row.
         """
-        p = self.p
-        d = [x - y for x, y in zip(p[r], p[s])]  # P_r - P_s
-        return [(x := d[a] - d[b]) and abs(x) * m + k for a, b, m, k in entries]
+        columns = view.columns
+        at_r = columns[r] or view.column(r)
+        at_s = columns[s] or view.column(s)
+        return [(x := xr - xs) and abs(x) * m + k
+                for xr, xs, m, k in zip(at_r, at_s, view.scales, view.offsets)]
 
     def reading(self, r: int, s: int, j: int, mode: FaultMode) -> Resistance:
         """Faulted resistance of the probe (r, s) when edge j is faulted."""
@@ -484,6 +497,30 @@ class _ReadingKernel:
         if not beta:
             return INFINITE if x else Fraction(base, self.det)
         return Fraction(base * beta - alpha * x * x, self.det * beta)
+
+
+class _KeyView:
+    """One selection of a kernel's `keys` entries, as `cell_keys` reads it.
+
+    `columns[v]` lists P_v[a] - P_v[b] over the entries (a, b, m, k), or
+    is None until `column(v)` builds it for the first row at v.  P is
+    symmetric, so a probe (r, s) has X = columns[r][i] - columns[s][i] on
+    entry i: a row costs one subtraction per cell.
+    """
+
+    __slots__ = ("p", "entries", "scales", "offsets", "columns")
+
+    def __init__(self, p: list[list[int]], entries: Sequence[tuple]):
+        self.p = p
+        self.entries = entries
+        self.scales = [m for _, _, m, _ in entries]
+        self.offsets = [k for _, _, _, k in entries]
+        self.columns: list[list[int] | None] = [None] * len(p)
+
+    def column(self, v: int) -> list[int]:
+        pv = self.p[v]
+        column = self.columns[v] = [pv[a] - pv[b] for a, b, _, _ in self.entries]
+        return column
 
 
 def _check_measurement(net: Network, m: Measurement):

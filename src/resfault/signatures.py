@@ -38,8 +38,11 @@ def reading_classes(
     """
     for m in measurements:
         _check_measurement(net, m)
-    entries = _key_entries(net, mode, no_fault) if measurements else ()
-    return [net._reading_kernel.cell_keys(m.r, m.s, entries) for m in measurements]
+    if not measurements:
+        return []
+    kernel = net._reading_kernel
+    view = kernel.view(_key_entries(net, mode, no_fault))
+    return [kernel.cell_keys(m.r, m.s, view) for m in measurements]
 
 
 def _column_groups(table: Sequence[Sequence[int]], column_count: int) -> list[list[int]]:

@@ -277,18 +277,21 @@ class _TwinGroup:
     def representatives(self, touched: int) -> Sequence[int]:
         """The lowest candidate index of each orbit, ascending.
 
+        As in `orbit`, each end of a probe is fixed when touched and moves
+        within its class's fresh vertices otherwise, so the orbit is the
+        probes whose two end states, the vertex v itself (as ~v) or its
+        class mask, match as a pair: one pass keeps the first index per pair.
         Every candidate when the orbits are single probes: the pool is not
         closed, or no class has two members.
         """
         if self.at is None:
             return range(len(self.ends))
-        out = []
-        rest = (1 << len(self.ends)) - 1
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            out.append(j)
-            rest &= ~self.orbit(j, touched)
-        return out
+        state = [~v if touched >> v & 1 else mask for v, mask in enumerate(self.class_bits)]
+        first: dict[tuple[int, int], int] = {}
+        for j, (r, s) in enumerate(self.ends):
+            a, b = state[r], state[s]
+            first.setdefault((a, b) if a < b else (b, a), j)
+        return list(first.values())
 
     def shortfall(self, ends: Sequence[tuple[int, int]]) -> tuple[list[int], list[tuple[int, int]]]:
         """How far probes with these ends are from the two twin-class facts.
@@ -707,23 +710,35 @@ def solve_greedy(
     fault equivalence classes the most (ties to the earliest candidate);
     with `no_fault` the healthy network counts as one more class member.
     The result is distinguishing whenever the full pool is, but not
-    necessarily minimum; the exact solver uses it as its incumbent.  Every
-    candidate is range-checked first.  Rows come straight from the reading
-    kernel's cell keys.  The first step reads them in descending order of
-    the split bound (module docstring), computed from the network's shape
-    alone, and stops once no bound can beat the best row read; later
-    steps compute each row once.  The key table is built only when the
-    pool leaves a pair merged, to name every merged pair in Infeasible.
+    necessarily minimum; the exact solver uses it as its incumbent.  A
+    caller-given pool is range-checked first (the default pool, every
+    vertex pair, is in range).  Rows come straight from the reading
+    kernel's cell keys, through one view of every column and, from the
+    second step on, one of the columns the first pick left live.  The
+    first step reads them in descending order of the split bound (module
+    docstring), computed from the network's shape alone, and stops once
+    no bound can beat the best row read; later steps compute each row
+    once.  The key table is built only when the pool leaves a pair
+    merged, to name every merged pair in Infeasible.
     """
-    cands = list(candidates) if candidates is not None else net.measurements()
-    for m in cands:  # before the first step, whose scan may stop early
-        _check_measurement(net, m)
+    if candidates is None:
+        cands = net.measurements()
+    else:
+        cands = list(candidates)
+        for m in cands:  # before the first step, whose scan may stop early
+            _check_measurement(net, m)
     kernel = net._reading_kernel
     entries = _key_entries(net, mode, no_fault)
+    full, narrow = kernel.view(entries), None
 
     def row(j, kept):
+        nonlocal narrow
         m = cands[j]
-        return kernel.cell_keys(m.r, m.s, entries if kept is None else itemgetter(*kept)(entries))
+        if kept is None:
+            return kernel.cell_keys(m.r, m.s, full)
+        if narrow is None:  # `kept` is one list, fixed after the first step
+            narrow = kernel.view([entries[c] for c in kept])
+        return kernel.cell_keys(m.r, m.s, narrow)
 
     group = _TwinGroup(_twin_classes(net), cands, net.n)
     greedy = _greedy_order(row, len(entries), group, _split_bounds(net, cands, mode, no_fault))

@@ -295,6 +295,27 @@ def test_orbits_match_the_swap_closure():
                 assert twins.orbit(j, touched) == closure_orbit(cands, classes, j, touched)
 
 
+def test_representatives_are_the_lowest_probe_of_each_orbit():
+    # One pass keyed by the probes' end states picks what peeling the swap
+    # closure's orbits, lowest index first, picks: on K5 a touched vertex
+    # lies between fresh ones, so its probes hold it at either end.
+    rng = random.Random(9)
+    for net in symmetric_networks():
+        classes = _twin_classes(net)
+        cands = net.measurements()
+        twins = _TwinGroup(classes, cands, net.n)
+        for _ in range(6):
+            touched = 0
+            for _ in range(rng.randint(0, 3)):
+                touched |= twins.touch[rng.randrange(len(cands))]
+            want, rest = [], (1 << len(cands)) - 1
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                want.append(j)
+                rest &= ~closure_orbit(cands, classes, j, touched)
+            assert list(twins.representatives(touched)) == want, touched
+
+
 def invariant_pool(rng, net, classes):
     """All probes of a random share of the types (two classes, or one class twice)."""
     index = class_index(classes, net.n)
@@ -513,9 +534,9 @@ class KernelReads:
             self.tables += 1
             return reading_classes(*args)
 
-        def logged_cell_keys(kernel, r, s, entries):
-            self.keys.append(((r, s), len(entries)))
-            return cell_keys(kernel, r, s, entries)
+        def logged_cell_keys(kernel, r, s, view):
+            self.keys.append(((r, s), len(view.entries)))
+            return cell_keys(kernel, r, s, view)
 
         monkeypatch.setattr(solver, "reading_classes", counted_tables)
         monkeypatch.setattr(_ReadingKernel, "cell_keys", logged_cell_keys)
@@ -555,9 +576,9 @@ def test_kernel_rows_after_the_first_step_are_numbered_from_zero(mode, monkeypat
     want = solve_greedy(net, pool, mode)
     cell_keys, widths = _ReadingKernel.cell_keys, []
 
-    def spread(kernel, r, s, entries):
-        widths.append(len(entries))
-        return [number * ne for number in numbered(cell_keys(kernel, r, s, entries))]
+    def spread(kernel, r, s, view):
+        widths.append(len(view.entries))
+        return [number * ne for number in numbered(cell_keys(kernel, r, s, view))]
 
     monkeypatch.setattr(_ReadingKernel, "cell_keys", spread)
     assert solve_greedy(net, pool, mode) == want and len(want) == 4

@@ -13,15 +13,18 @@ checked directly too.  Every ratio of
 a class shares one bucket key: the sign of alpha beta and, per character
 prime q, q for an odd power of q, else the character of what is left once
 that power is divided out.  The checks cover odd and even powers of a
-character prime, ratios of opposite sign, and a bound on the `isqrt`
-calls, with and without many multiples of a character prime, that keeps
-the class search from comparing every pair of ratios.
+character prime, ratios of opposite sign, a brute-force reference that
+tests every pair of ratios for a square quotient, and a bound on the
+`isqrt` calls, with and without many multiples of a character prime,
+that keeps the class search from comparing every pair of ratios.  Rows
+read through a view of a random subset of the columns group them as the
+reference does on those columns.
 """
 
 import random
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from itertools import chain, combinations
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -37,7 +40,7 @@ from resfault.network import (
     effective_resistance,
     perturbed_effective_resistance,
 )
-from resfault.signatures import reading_classes
+from resfault.signatures import _key_entries, reading_classes
 from resfault.solver import Infeasible, solve_exact, solve_greedy
 
 from grounding import build_reduced_laplacian, grounded_inverse
@@ -303,6 +306,60 @@ def test_ratios_whose_quotient_is_no_square_stay_apart(monkeypatch, pairs):
     # opposite signs in different buckets.
     monkeypatch.setattr(resfault.network, "_PRIMES", (5,))
     assert _square_classes(pairs) == [(0, 1, 1), (1, 1, 1)]
+
+
+def is_rational_square(x: Fraction) -> bool:
+    num, den = x.numerator, x.denominator
+    return num > 0 and isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
+
+
+@pytest.mark.parametrize("primes", [None, (3,), (5, 7)], ids=["all", "3", "5,7"])
+@pytest.mark.parametrize("count", [4, 16, 60, 300])
+def test_square_classes_match_a_brute_force_reference(monkeypatch, count, primes):
+    # Each side of a ratio is a sign, powers of 2, 3, 5, 7 and 11 (the first
+    # character primes among them) and a random square, so many ratios share
+    # a class.  With one or two character primes, many also share a bucket
+    # key with a ratio of another class, and the exact test must part them.
+    if primes:
+        monkeypatch.setattr(resfault.network, "_PRIMES", primes)
+    rng = random.Random(count)
+
+    def side():
+        x = rng.choice((1, -1)) * rng.randint(1, 40) ** 2
+        for q in (2, 3, 5, 7, 11):
+            x *= q ** rng.randrange(4)
+        return x
+
+    pairs = list(dict.fromkeys((side(), side()) for _ in range(count)))
+    classes = _square_classes(pairs)
+    ratios = [Fraction(alpha, beta) for alpha, beta in pairs]
+    founders: dict[int, Fraction] = {}
+    for ratio, (k, u, v) in zip(ratios, classes):
+        rho = founders.setdefault(k, ratio)
+        assert k < len(founders) and gcd(u, v) == 1 and ratio == rho * Fraction(u, v) ** 2
+    for i, j in combinations(range(len(pairs)), 2):
+        same = classes[i][0] == classes[j][0]
+        assert same == is_rational_square(ratios[i] / ratios[j]), (pairs[i], pairs[j])
+
+
+def test_view_rows_on_a_column_subset_match_the_reference():
+    # One view per column subset serves every probe, in a random order, so
+    # columns built for earlier rows are read again by later ones.
+    rng = random.Random(12)
+    nets = [pendant_network(seed, 9) for seed in range(4)]
+    nets += [two_leaf_network(seed) for seed in range(4)] + [bridged_network()]
+    for net in nets:
+        kernel = net._reading_kernel
+        probes = net.measurements()
+        for mode in FaultMode:
+            for no_fault in (False, True):
+                entries = _key_entries(net, mode, no_fault)
+                columns = sorted(rng.sample(range(len(entries)), rng.randint(1, len(entries))))
+                view = kernel.view([entries[c] for c in columns])
+                for m in rng.sample(probes, len(probes)):
+                    want = gcd_keyed_classes(net, m, mode, no_fault)
+                    got = kernel.cell_keys(m.r, m.s, view)
+                    assert numbered(got) == numbered([want[c] for c in columns]), (m, mode)
 
 
 def test_square_classes_take_few_isqrt_calls(monkeypatch):

@@ -28,11 +28,14 @@ from reference import classify_kpartite, gcd_keyed_classes, numbered
 
 FRACTIONS = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(5), max_denominator=6)
 # Conductances whose ratios often differ by a rational square, so faults of
-# different ratios can read alike; Q, Q^2 and 1/Q put odd and even powers of
-# the first character prime into the ratios.
-Q = _PRIMES[0]
-SQUARES = st.sampled_from([Fraction(x) for x in ("1", "2", "4", "1/4", "9/4", "9")]
-                          + [Fraction(Q), Fraction(Q * Q), Fraction(1, Q)])
+# different ratios can read alike; q, q^2 and 1/q for each of the first three
+# character primes, and products of them, put odd and even powers of several
+# character primes into one ratio.
+P0, P1, P2 = _PRIMES[:3]
+SQUARES = st.sampled_from(list(dict.fromkeys(
+    [Fraction(x) for x in ("1", "2", "4", "1/4", "9/4")]
+    + [Fraction(q) ** e for q in (P0, P1, P2) for e in (1, 2, -1)]
+    + [Fraction(P0 * P1 * P1, P2), Fraction(P1 * P2, P0 * P0), Fraction(P0 ** 3 * P2 * P2, P1)])))
 
 
 @st.composite

@@ -231,17 +231,17 @@ def test_the_bound_is_the_column_count_on_one_block_without_2_edge_cuts(mode, no
 
 def first_step_reads(net, mode, monkeypatch):
     """How many rows the greedy's first step reads on every column."""
-    entries, cell_keys = [], _ReadingKernel.cell_keys
+    views, cell_keys = [], _ReadingKernel.cell_keys
 
-    def logged(kernel, r, s, columns):
-        entries.append(columns)
-        return cell_keys(kernel, r, s, columns)
+    def logged(kernel, r, s, view):
+        views.append(view)
+        return cell_keys(kernel, r, s, view)
 
     monkeypatch.setattr(_ReadingKernel, "cell_keys", logged)
     solve_greedy(net, mode=mode)
     monkeypatch.undo()
-    # Later steps read `itemgetter(*kept)(entries)`, a new tuple even when every column is kept.
-    return sum(columns is entries[0] for columns in entries)
+    # Later steps read a view of the kept columns, a new view even when every column is kept.
+    return sum(view is views[0] for view in views)
 
 
 @pytest.mark.parametrize("mode", list(FaultMode))
