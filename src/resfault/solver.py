@@ -71,12 +71,42 @@ the second, the largest-class term, binds when one class holds most of
 S.  The bound holds for any
 candidate pool and with the healthy column.  (On two vertices S is at
 most 1 and B is not counted, so the bound is at most 1, and the counting
-cut already ends every node with no probe left.)  With nothing chosen
-(B = 0) the same bound seeds the deepening, with the counting bound:
-ceil(2(n - 1) / 3) on K_n, the optimum when 3 divides n.  Each target is
-searched on its own, and a cut removes only subtrees without a plan of
-the target size, so skipping targets that cannot succeed and cutting
-nodes leave the plan unchanged.
+cut already ends every node with no probe left.)
+
+Path rule.  Call a twin class joined when its members are joined to
+each other (in a class of three or more every inner conductance is the
+same, so all pairs are edges or none is).  Let C be a joined class of
+four or more, w a member that no probe touches, and x, y, z members that
+form a component with exactly the probes (x, y) and (x, z).  Then the
+faults (w, x) and (y, z) read the same on every probe: (x y)(w z) fixes
+(x, y) and maps one fault onto the other, (x z)(w y) does the same on
+(x, z), and (w y)(x z) on every probe away from w, x, y and z.  So a
+distinguishing set that leaves a vertex of C untouched has no
+three-vertex path inside C as a component.  At a node where C has k >= 1
+fresh vertices, a plan either touches all k, one demand more than S
+counts (S + 1, and S_max at least k, in both terms above), or leaves
+exactly one fresh.  In that second case count, per final component, its
+f touched fresh vertices of C and its g other demands: the fresh vertices
+of the other classes and the lone pairs.  The component holds at least
+3f/4 + g/4 new probes.  With g = 0: one fresh vertex needs a probe; two
+joined by one probe alone would be a new lone twin pair; three joined by
+two with nothing else would be a path inside C; and f >= 4 need f - 1 >=
+3f/4.  With f, g >= 1 it joins f + g nodes, so f + g - 1 >= 3f/4 + g/4
+probes.  With f = 0 it has one end per demand, g/2 probes.  Summing with
+f = k - 1 and g >= S - (k - 1) + B, a node with
+r < min(that raised bound, ceil((2(k - 1) + S + B) / 4)) holds no plan,
+for each joined class of four or more with a fresh vertex.  The other
+classes add nothing to the cut, which reads them as before.
+
+With nothing chosen (B = 0) these bounds seed the deepening, with the
+counting bound when they fall short of the greedy plan.  On K_n (one
+joined class, k = n) the seed is
+max(ceil(2(n - 1) / 3), min(ceil(2n / 3), ceil(3(n - 1) / 4))): the
+paper's optimum ceil(2n / 3) for n = 4 and n >= 6 (3(n - 1) / 4 >= 2n / 3
+once n >= 9), and K5's optimum 3.  Each target is searched on its own,
+and a cut removes only subtrees without a plan of the target size, so
+skipping targets that cannot succeed and cutting nodes leave the plan
+unchanged.
 
 Split bounds.  The greedy's first step scores each row by its number of
 distinct keys, and the network's shape caps that number before any key
@@ -215,6 +245,9 @@ class _TwinGroup:
     Holds the vertex mask of each twin class of two or more (`masks`),
     the vertex mask of each candidate's two ends (`touch`, kept for every
     pool), and whether the pool is closed under the group (`closed`).
+    `net`, the network, marks the joined classes of four or more
+    (`joined`), which the path rule needs; without it, no class is
+    marked.
 
     A vertex is fresh when the `touched` vertex mask leaves it out.  Under
     the subgroup that permutes each class's fresh vertices, probe (a, b)
@@ -227,14 +260,23 @@ class _TwinGroup:
     single-probe orbits.
     """
 
-    def __init__(self, classes: Sequence[Sequence[int]], cands: Sequence[Measurement], n: int):
+    def __init__(
+        self,
+        classes: Sequence[Sequence[int]],
+        cands: Sequence[Measurement],
+        n: int,
+        net: Network | None = None,
+    ):
         self.class_bits = [0] * n  # class_bits[v]: vertex mask of v's class
         self.masks: list[int] = []
+        self.joined: list[int] = []  # positions in `masks` of joined classes of four or more
         for c in classes:
             mask = sum(1 << v for v in c)
             for v in c:
                 self.class_bits[v] = mask
             if len(c) > 1:
+                if len(c) >= 4 and net is not None and (c[0], c[1]) in net._edge_positions:
+                    self.joined.append(len(self.masks))
                 self.masks.append(mask)
         self.ends = [(m.r, m.s) for m in cands]
         self.touch = [1 << r | 1 << s for r, s in self.ends]
@@ -314,13 +356,20 @@ class _TwinGroup:
     def needed(self, chosen: Sequence[int]) -> int:
         """The fewest probes a distinguishing set must add to these candidates.
 
-        This is the component bound of the module docstring.
+        This is the component bound of the module docstring, raised by the
+        path rule's case split on each joined class that has a fresh vertex.
         """
         untouched, lone = self.shortfall([self.ends[j] for j in chosen])
         shares = [k - 1 for k in untouched if k > 1]
-        s = sum(shares)
+        s, s_max = sum(shares), max(shares, default=0)
         b = len(lone) if len(self.class_bits) >= 3 else 0
-        return max(-(-(3 * s + 2 * b) // 6), -(-(s + max(shares, default=0) + b) // 3))
+        need = max(-(-(3 * s + 2 * b) // 6), -(-(s + s_max + b) // 3))
+        for i in self.joined:
+            k = untouched[i]
+            if k:  # either all k get touched, or k - 1 and no path inside the class
+                every = max(-(-(3 * s + 3 + 2 * b) // 6), -(-(s + 1 + max(s_max, k) + b) // 3))
+                need = max(need, min(every, -(-(2 * k - 2 + s + b) // 4)))
+        return need
 
 
 class _CoverInstance:
@@ -666,20 +715,21 @@ def solve_exact(
     if (first_probe_orbits is not None and not first) or first - set(cands):
         raise ValueError("first_probe_orbits must be a non-empty list of candidates")
     ne = len(net.edges) + no_fault
-    group = _TwinGroup(_twin_classes(net), cands, net.n)
+    group = _TwinGroup(_twin_classes(net), cands, net.n, net)
     table_row = lambda j, kept: table[j] if kept is None else itemgetter(*kept)(table[j])
     greedy = _greedy_order(table_row, ne, group, [len(set(row)) for row in table])
     if greedy is None:
         return Infeasible(tuple(merged_pairs(net.edges + (None,) * no_fault, table)))
     greedy_plan = _plan(cands, greedy, "greedy", mode)
 
-    pair_count = ne * (ne - 1) // 2
-    max_single = max(
-        (pair_count - sum(k * (k - 1) // 2 for k in Counter(row).values()) for row in table),
-        default=0,
-    )
-    # max_single is 0 only when there is no pair to split (else greedy stalled).
-    root_lower = max(1, -(-pair_count // max(max_single, 1)), group.needed(()))
+    root_lower = max(1, group.needed(()))
+    if root_lower < len(greedy):  # the counting bound is read only when this seed falls short
+        # Greedy took a row, so some row splits a pair: max_single >= 1.
+        pair_count = ne * (ne - 1) // 2
+        max_single = max(
+            pair_count - sum(k * (k - 1) // 2 for k in Counter(row).values()) for row in table
+        )
+        root_lower = max(root_lower, -(-pair_count // max_single))
     if root_lower < len(greedy):  # else no smaller set exists
         if time.monotonic() > deadline:
             return TimedOut(incumbent=greedy_plan, lower_bound=root_lower)
@@ -740,7 +790,7 @@ def solve_greedy(
             narrow = kernel.view([entries[c] for c in kept])
         return kernel.cell_keys(m.r, m.s, narrow)
 
-    group = _TwinGroup(_twin_classes(net), cands, net.n)
+    group = _TwinGroup(_twin_classes(net), cands, net.n, net)
     greedy = _greedy_order(row, len(entries), group, _split_bounds(net, cands, mode, no_fault))
     if greedy is None:  # name every merged pair
         table = reading_classes(net, cands, mode, no_fault)

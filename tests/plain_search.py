@@ -109,14 +109,21 @@ class PlainCover:
         return None
 
 
-def plain_solve(net, candidates=None, mode=FaultMode.REMOVED, first_probe_orbits=None):
+def plain_solve(
+    net, candidates=None, mode=FaultMode.REMOVED, first_probe_orbits=None, no_fault=False, lower=1
+):
     """The measurements `solve_exact` should return; None when infeasible.
 
-    Each target tries the given first probes, then the plain search.
+    Targets start at the counting bound, or at `lower` when that is
+    higher: a size proven necessary by other means, such as the paper's
+    count for complete graphs.  Each target tries the given first probes,
+    then the plain search.  With `no_fault` the healthy network is one
+    more column.
     """
     cands = list(candidates) if candidates is not None else net.measurements()
-    table = reading_classes(net, cands, mode)
-    cover = PlainCover(table, len(net.edges))
+    table = reading_classes(net, cands, mode, no_fault)
+    columns = len(net.edges) + no_fault
+    cover = PlainCover(table, columns)
     masks, full = cover.masks, cover.full
     if full == 0:
         return ()
@@ -125,8 +132,8 @@ def plain_solve(net, candidates=None, mode=FaultMode.REMOVED, first_probe_orbits
         union |= m
     if union != full:
         return None
-    greedy = plain_greedy(table, len(net.edges))
-    root_lower = max(1, ceil(full.bit_length() / max(m.bit_count() for m in masks)))
+    greedy = plain_greedy(table, columns)
+    root_lower = max(lower, ceil(full.bit_length() / max(m.bit_count() for m in masks)))
     roots = None
     if first_probe_orbits is not None:
         index_of = {m: i for i, m in enumerate(cands)}

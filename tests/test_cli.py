@@ -545,30 +545,34 @@ class TestSolveCommand:
         )
 
     def test_timeout_exit_code(self, capsys):
-        assert main(["solve", "--network", "K8", "--exact", "--budget", "0"]) == 3
+        # K(2,3,6): greedy finds 6 probes and the seed is 5, so the search must run.
+        assert main(["solve", "--network", "K2,3,6", "--exact", "--budget", "0"]) == 3
         captured = capsys.readouterr()
         assert "timed out" in captured.err
 
     def test_budget_bounds_wall_time(self, capsys):
-        # The deadline is checked per row of the cover-mask build (406
-        # candidate probes, 82,215 fault pairs on K29) and inside the search;
-        # only the key table and the greedy order run before it unchecked.
-        # K29's search takes about 19 s on a 2-core VM.
+        # The deadline is checked per row of the cover-mask build (190
+        # candidate probes, 11,175 fault pairs on K(5,5,5,5)) and inside the
+        # search; only the key table and the greedy order run before it
+        # unchecked.  Greedy finds 11 probes and the seed is 8, and refuting
+        # 8, 9 and 10 takes over a minute on a 2-core VM.
         start = time.monotonic()
-        assert main(["solve", "--network", "K29", "--budget", "1"]) == 3
+        assert main(["solve", "--network", "K5,5,5,5", "--budget", "1"]) == 3
         assert time.monotonic() - start < 10
         captured = capsys.readouterr()
         assert "timed out: best known plan has" in captured.err
         assert json.loads(captured.out)["measurements"]
 
     def test_timeout_reports_the_handshake_bound(self, capsys):
-        # K25 is one twin class: all but one vertex must be touched, and no
-        # probe may stand alone, so the component seed is ceil((24 + 24) / 3)
-        # = 16 probes; the handshake term gives 12 and the counting bound 6.
-        # A zero budget stops before the search, so the bound is the seed on
-        # any machine; a longer budget may refute more targets.
+        # K25 is one joined twin class: all but one vertex must be touched,
+        # and no probe may stand alone, so the component bound is
+        # ceil((24 + 24) / 3) = 16 probes (the handshake term gives 12).  The
+        # path rule lifts it: touching all 25 needs ceil((25 + 25) / 3) = 17,
+        # and leaving one untouched ceil((2 * 24 + 24) / 4) = 18, so the seed
+        # is 17, below greedy's 18.  A zero budget stops before the search,
+        # so the bound is the seed on any machine.
         assert main(["solve", "--network", "K25", "--budget", "0"]) == 3
-        assert "at least 16 are necessary" in capsys.readouterr().err
+        assert "at least 17 are necessary" in capsys.readouterr().err
 
     @pytest.mark.parametrize("network,size", [("K13", 9), ("K3,4,8", 7)])
     def test_exact_solves_that_need_orbit_bans(self, network, size, capsys):

@@ -25,7 +25,7 @@ RUNS = [
     (["verify", "--network", "K7", "--plan", "FAILING"], 1),
     (["solve", "--network", "K6"], 0),
     (["solve", "--network", "K8", "--greedy"], 0),
-    (["solve", "--network", "K8", "--budget", "0"], 3),
+    (["solve", "--network", "K2,3,6", "--budget", "0"], 3),
     (["resistance", "--network", "K5", "--pair", "0", "2"], 0),
     (["resistance", "--network", "K5", "--pair", "0", "2", "--fault", "0", "1"], 0),
     (["classes", "--network", "K5", "--measurement", "0", "1"], 0),

@@ -19,6 +19,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from resfault import solver
+from resfault.bounds import complete_bound
 from resfault.families import (
     KPartiteShape,
     complete_network,
@@ -440,6 +441,17 @@ def test_orbit_bans_prune_below_the_root():
     assert nodes[0] * 5 < nodes[1], nodes
 
 
+def complete_split_network(clique, others):
+    """A unit-conductance clique, each vertex also joined to `others` more vertices.
+
+    The clique is one joined twin class, and for two or more `others`
+    they form another class, not joined.
+    """
+    n = clique + others
+    pairs = [(u, v) for u in range(clique) for v in range(u + 1, n)]
+    return Network.from_edge_list(n, [(u, v, 1) for u, v in pairs])
+
+
 def cycle_network(n):
     """The unit-conductance cycle 0-1-...-(n-1)-0."""
     return Network.from_edge_list(n, [(v, (v + 1) % n, 1) for v in range(n)])
@@ -664,7 +676,7 @@ def instances(net):
     cands = net.measurements()
     table = reading_classes(net, cands, FaultMode.REMOVED)
     return cands, *(
-        _CoverInstance(table, len(net.edges), _TwinGroup(classes, cands, net.n), math.inf)
+        _CoverInstance(table, len(net.edges), _TwinGroup(classes, cands, net.n, net), math.inf)
         for classes in ((), _twin_classes(net))
     )
 
@@ -763,6 +775,65 @@ def test_two_vertices_never_count_a_lone_pair():
     assert isinstance(result, ExactSolution) and len(result.plan) == 1
 
 
+def test_joined_classes_are_marked_for_the_path_rule():
+    # Only a class of four or more whose members are joined to each other.
+    marked = lambda net: _TwinGroup(_twin_classes(net), (), net.n, net).joined
+    assert marked(complete_network(3)) == [] and marked(complete_network(4)) == [0]
+    assert marked(complete_split_network(4, 2)) == [0]
+    assert marked(complete_split_network(3, 2)) == []
+    for parts in [(1, 1, 3), (3, 3, 3), (4, 4, 4, 4)]:
+        assert marked(KPartiteShape(parts).network()) == []
+
+
+def test_seed_on_complete_graphs_is_the_paper_count():
+    # The path rule's case split seeds K_n at
+    # max(ceil(2(n - 1)/3), min(ceil(2n/3), ceil(3(n - 1)/4))), and from
+    # n = 6 on that is the paper's ceil(2n/3), which `bounds` derives
+    # without the twin group.  K5's optimum, 3, lies below ceil(10/3).
+    for n in range(3, 41):
+        net = complete_network(n)
+        seed = _TwinGroup(_twin_classes(net), (), n, net).needed(())
+        paths = min(-(-2 * n // 3), -(-3 * (n - 1) // 4))
+        assert seed == max(-(-2 * (n - 1) // 3), paths), n
+        if n >= 6:
+            assert seed == complete_bound(n).lower, n
+    assert len(solve_exact(complete_network(5)).plan) == 3
+
+
+@pytest.mark.parametrize("no_fault", [False, True], ids=["faults", "no_fault"])
+@pytest.mark.parametrize("mode", list(FaultMode))
+def test_complete_plans_match_the_plain_search_from_the_paper_count(mode, no_fault):
+    # The plain search starts at the paper's count (the counting bound below
+    # K6), proven without the path rule, so any target the solver's seed or
+    # cut wrongly skips shows as another plan.  Besides the whole pool, the
+    # probes across two halves and those at vertex 0 or 1 are pools that the
+    # group does not preserve.
+    for n in range(4, 13):
+        net = complete_network(n)
+        every = net.measurements()
+        pools = [None, [m for m in every if (m.r < n // 2) != (m.s < n // 2)]]
+        if n < 12:  # K12's is the test below
+            pools.append([m for m in every if m.r < 2])
+        lower = complete_bound(n).lower if n >= 6 else 1
+        for pool in pools:
+            want = plain_solve(net, pool, mode, no_fault=no_fault, lower=lower)
+            result = solve_exact(net, pool, mode, no_fault=no_fault)
+            if want is None:
+                assert isinstance(result, Infeasible), (n, pool)
+            else:
+                assert result.plan.measurements == want, (n, pool)
+
+
+def test_k12_probes_at_two_vertices_need_one_more_than_the_count():
+    # The search must refute the paper's count, 8, cutting nodes by the path
+    # rule; the plain search refutes it without any cut.
+    net = complete_network(12)
+    pool = [m for m in net.measurements() if m.r < 2]
+    want = plain_solve(net, pool, lower=complete_bound(12).lower)
+    assert len(want) == 9
+    assert solve_exact(net, pool).plan.measurements == want
+
+
 def remainder_optimum(table, chosen):
     """Fewest rows that, added to `chosen`, give every column its own readings."""
     ne = len(table[0])
@@ -778,23 +849,30 @@ def remainder_optimum(table, chosen):
 @pytest.mark.parametrize("no_fault", [False, True], ids=["faults", "no_fault"])
 def test_component_bound_never_exceeds_the_enumerated_remainder(no_fault):
     # At nodes of up to two chosen probes on small twin networks, no
-    # distinguishing superset adds fewer probes than the bound says.
+    # distinguishing superset adds fewer probes than the bound says.  K4 to
+    # K7 and the split networks have a joined class of four or more, where
+    # the path rule raises the bound at some nodes; at the root of the split
+    # network with three more vertices it is 3, met exactly.
     rng = random.Random(17)
-    nets = [complete_network(n) for n in (3, 4, 5, 6)]
+    nets = [complete_network(n) for n in (3, 4, 5, 6, 7)]
     nets += [KPartiteShape(p).network() for p in [(2, 3), (2, 2, 2), (1, 1, 3), (3, 3)]]
     nets += [twin_network(seed, base=4, planted=2) for seed in range(3)]
-    tight = with_lone = 0
+    nets += [complete_split_network(4, 2), complete_split_network(4, 3)]
+    tight = with_lone = raised = 0
     for net in nets:
         cands = net.measurements()
         table = reading_classes(net, cands, FaultMode.REMOVED, no_fault)
-        group = _TwinGroup(_twin_classes(net), cands, net.n)
+        classes = _twin_classes(net)
+        group = _TwinGroup(classes, cands, net.n, net)
+        unjoined = _TwinGroup(classes, cands, net.n)
         nodes = [()] + [tuple(rng.sample(range(len(cands)), k)) for k in (1, 1, 2, 2, 2)]
         for chosen in nodes:
             optimum = remainder_optimum(table, chosen)
             assert group.needed(chosen) <= optimum, (net.edges, chosen)
             tight += group.needed(chosen) == optimum
             with_lone += bool(group.shortfall([cands[j].pair for j in chosen])[1])
-    assert tight >= 20 and with_lone >= 3, (tight, with_lone)
+            raised += group.needed(chosen) > unjoined.needed(chosen)
+    assert tight >= 30 and with_lone >= 3 and raised >= 4, (tight, with_lone, raised)
 
 
 @pytest.mark.parametrize("mode", list(FaultMode))

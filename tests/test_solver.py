@@ -177,7 +177,7 @@ class TestExactSolver:
             assert result.witness_pairs == expected
 
     def test_budget_exhaustion_reports_incumbent_and_bound(self):
-        net = complete_network(8)
+        net = KPartiteShape((2, 3, 6)).network()
         result = solve_exact(net, budget_seconds=0.0)
         assert isinstance(result, TimedOut)
         assert result.incumbent is not None
@@ -209,12 +209,13 @@ class TestExactSolver:
             raise AssertionError("cover masks built after the budget was spent")
 
         monkeypatch.setattr(resfault.solver, "_CoverInstance", unbuilt)
-        net = complete_network(8)
+        net = KPartiteShape((2, 3, 6)).network()
         result = solve_exact(net, budget_seconds=0.0)
         assert isinstance(result, TimedOut)
-        assert len(result.incumbent) == len(solve_greedy(net))
-        # K8 is one twin class, so S = S_max = 7 and B = 0: the component seed
-        # ceil((7 + 7) / 3) = 5 beats ceil(3 * 7 / 6) = 4 and the counting bound 2.
+        assert len(result.incumbent) == len(solve_greedy(net)) == 6
+        # K(2,3,6)'s classes are its partitions, none joined, so S = 1 + 2 + 5
+        # = 8, S_max = 5 and B = 0: the component seed ceil((8 + 5) / 3) = 5
+        # beats ceil(3 * 8 / 6) = 4, and falls short of greedy's 6.
         assert result.lower_bound == 5
 
     def test_greedy_met_by_the_seed_needs_no_budget(self):
@@ -321,15 +322,15 @@ class TestMaskBuildDeadline:
         def unreachable(*args):
             raise AssertionError("search ran after the budget was spent")
 
-        net = complete_network(8)
+        net = KPartiteShape((2, 3, 6)).network()
         greedy = solve_greedy(net)
         monkeypatch.setattr(resfault.solver, "time", SimpleNamespace(monotonic=clock))
         monkeypatch.setattr(resfault.solver._CoverInstance, "search", unreachable)
         result = solve_exact(net, budget_seconds=1.0)
         assert isinstance(result, TimedOut)
         assert result.incumbent == greedy
-        assert result.lower_bound == 5  # the component seed ceil((7 + 7) / 3)
-        assert len(calls) == 4  # set the deadline, after greedy, rows 0 and 1 of 28
+        assert result.lower_bound == 5  # the component seed ceil((8 + 5) / 3)
+        assert len(calls) == 4  # set the deadline, after greedy, rows 0 and 1 of 55
 
 
 def handshake_seed(net):
@@ -382,6 +383,52 @@ class TestHandshakeSeed:
             result = solve_exact(net, mode=mode)
             assert isinstance(result, ExactSolution) and len(result.plan) == optimum
         assert tight >= 1
+
+
+class TestPathRule:
+    """A fresh twin beside a three-vertex path inside a joined class merges two faults.
+
+    With w untouched and the component {x, y, z} probed by (x, y) and
+    (x, z), all in one class whose members are joined, the faults (w, x)
+    and (y, z) read the same on every probe: (x y)(w z), (x z)(w y) and
+    (w y)(x z) each fix some of the probes and map one fault onto the other.
+    """
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_paths_beside_a_fresh_vertex_of_k7_merge_two_faults_each(self, mode):
+        # Vertex 6 is untouched; 1-0-2 and 3-4-5 are the components.
+        net = complete_network(7)
+        probes = [Measurement(*pair) for pair in [(0, 1), (0, 2), (3, 4), (4, 5)]]
+        merged = {
+            (net.edge_between(0, 6), net.edge_between(1, 2)),
+            (net.edge_between(3, 5), net.edge_between(4, 6)),
+        }
+        for m in probes:
+            for faults in merged:
+                first, second = (direct_effective_resistance_oracle(net, m, e, mode) for e in faults)
+                assert first == second, (m, faults)
+        table = reading_classes(net, probes, mode, no_fault=True)
+        assert set(merged_pairs(net.edges + (None,), table)) == merged
+        # A triangle in place of each path tells both pairs apart.
+        closed = probes + [Measurement(1, 2), Measurement(3, 5)]
+        assert not merged & set(merged_pairs(net.edges, reading_classes(net, closed, mode)))
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    @pytest.mark.parametrize("parts", [(3, 3, 3), (4, 4, 4, 4)], ids=str)
+    def test_classes_not_joined_merge_nothing_more_beside_a_path(self, parts, mode):
+        # No partition of a complete k-partite graph is joined: closing each
+        # path inside a partition into a triangle leaves the same merged pairs.
+        # On K(3,3,3) the paths leave none; on K(4,4,4,4), with one vertex of
+        # each partition untouched, they leave some.
+        net = KPartiteShape(parts).network()
+        paths, chords = [], []
+        for start in range(0, net.n, parts[0]):
+            x, y, z = start + parts[0] - 3, start + parts[0] - 2, start + parts[0] - 1
+            paths += [Measurement(x, y), Measurement(x, z)]
+            chords.append(Measurement(y, z))
+        merged = merged_pairs(net.edges, reading_classes(net, paths, mode))
+        assert bool(merged) == (parts[0] == 4)
+        assert merged_pairs(net.edges, reading_classes(net, paths + chords, mode)) == merged
 
 
 class TestSizeTwoPartitionCertificate:
