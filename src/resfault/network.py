@@ -2,10 +2,11 @@
 
 A network is a connected weighted simple graph; weights are conductances
 (reciprocal resistances) kept as exact rationals throughout.  Each network
-is grounded once, at vertex 0: one fraction-free inversion of the reduced
-Laplacian, its rows scaled to integers, by symmetric bordering (see
-`linalg`) gives integers P and D with P / D the inverse, from which
-every base resistance and every single-fault reading follows by the
+is grounded once, at vertex 0: with its hanging trees peeled off (see
+`_ground`), one fraction-free inversion of the reduced Laplacian, its
+rows scaled to integers, by symmetric bordering (see `linalg`) gives
+integers P and D with P / D the inverse, from which every base
+resistance and every single-fault reading follows by the
 rank-one (Sherman-Morrison) update in integer arithmetic.  Within one
 probe, the readings differ only by the update's correction term, so the
 kernel keys each fault's reading (one row of cell keys per probe, see
@@ -19,6 +20,7 @@ as an independent cross-check.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -275,53 +277,114 @@ def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return components
 
 
+def _peel(n: int, edges: list[tuple[int, int, Fraction]], pairs: list[tuple[int, int]],
+          grounds: list[int]) -> tuple[list, list]:
+    """The hanging trees of the graph: (leaf, where it hangs, conductance) per peeled
+    vertex in peel order, and the edges left.
+
+    A vertex other than a ground with a single edge goes, until none is
+    left; the edge left at a vertex of degree one is the XOR of the
+    indices of its edges that were there.  Without a vertex of degree
+    one, this costs one count of the edge ends (`pairs`).
+    """
+    degree = Counter(chain.from_iterable(pairs))
+    if 1 not in degree.values():
+        return [], edges
+    incident = [0] * n
+    for j, (u, v, _) in enumerate(edges):
+        incident[u] ^= j
+        incident[v] ^= j
+    for g in grounds:
+        degree[g] = 0  # a ground is never peeled
+    peeled, cut = [], set()  # cut: the peeled edges
+    stack = [v for v, d in degree.items() if d == 1]
+    while stack:
+        leaf = stack.pop()
+        j = incident[leaf]
+        u, v, w = edges[j]
+        v = u + v - leaf
+        peeled.append((leaf, v, w))
+        cut.add(j)
+        incident[v] ^= j
+        degree[v] -= 1
+        if degree[v] == 1:
+            stack.append(v)
+    return peeled, [e for j, e in enumerate(edges) if j not in cut]
+
+
 def _ground(n: int, edges: list[tuple[int, int, Fraction]]) -> tuple[list, int, list[int]]:
     """Ground the graph on 0..n-1 with these (u, v, conductance) edges.
 
     The lowest vertex of each connected part is a ground; parallel edges
-    add up.  With L the Laplacian less the grounds' rows and columns and R
-    the diagonal of r_v, the lcm of the conductance denominators at v,
-    M = R L is an integer matrix whose leading minors are L's (positive)
-    times row scales, so the fraction-free bordering of M, which keeps
-    L's symmetry by carrying R along, meets no zero pivot.  It returns
-    adj(M) R and det M, and L^-1 = adj(M) R / det M = P / D, both then
-    divided by the gcd of D and every entry of P.  P is symmetric and
-    entrywise nonnegative (L is an M-matrix).
+    add up.  Let L be the Laplacian less the grounds' rows and columns.
+    First the hanging trees are peeled: a vertex l other than a ground
+    with a single edge, of conductance c = p/q to v, goes, until none is
+    left.  With l last, L = [[A, -c e_v], [-c e_v^T, c]]; the Schur
+    complement S = A - c e_v e_v^T is the L of the graph less l, and
+    L^-1 = [[S^-1, S^-1 e_v], [e_v^T S^-1, (S^-1)_vv + 1/c]]: row l is row
+    v with 1/c added on the diagonal (resistance adds across a bridge; at
+    a ground, v's row is zero).  With R the diagonal of r_v, the lcm of
+    the conductance denominators at v, the core's M = R L is an integer
+    matrix whose leading minors are L's (positive) times row scales, so
+    the fraction-free bordering of M, which keeps L's symmetry by carrying
+    R along, meets no zero pivot.  It returns adj(M) R and det M, and
+    L^-1 = adj(M) R / det M on the core.  With D the lcm of det M and the
+    peeled p, P is adj(M) R D / det M on the core, and the peeled rows
+    follow in reverse peel order, row v with D q / p added on the
+    diagonal: P / D is L^-1, both then divided by the gcd of D and every
+    entry of P, the one reduced form whatever was peeled.  P is symmetric
+    and entrywise nonnegative (L is an M-matrix).
     Returns (P, D, part of each vertex), P padded with zero rows and
     columns at the grounds so it indexes vertices.
     """
-    parts = _components(n, [(u, v) for u, v, _ in edges])
+    pairs = [(u, v) for u, v, _ in edges]
+    parts = _components(n, pairs)
     grounds = [comp[0] for comp in parts]  # ascending: parts come by lowest vertex
     part = [0] * n
     for i, comp in enumerate(parts):
         for v in comp:
             part[v] = i
-    kept = [v for v in range(n) if v not in grounds]
-    index = [-1] * n  # reduced index per vertex; -1 at a ground
+    peeled, edges = _peel(n, edges, pairs, grounds)
+    gaps = sorted(grounds + [leaf for leaf, _, _ in peeled])  # rows and columns off the core
+    kept = sorted(set(range(n)).difference(gaps))
+    index = [-1] * n  # reduced index per core vertex; -1 elsewhere
     for i, v in enumerate(kept):
         index[v] = i
     scales = [1] * n  # r_v per vertex
     for u, v, w in edges:
-        scales[u], scales[v] = lcm(scales[u], w.denominator), lcm(scales[v], w.denominator)
+        q = w.denominator
+        scales[u], scales[v] = lcm(scales[u], q), lcm(scales[v], q)
     lap = [[0] * len(kept) for _ in kept]
     for u, v, w in edges:
+        p, q = w.numerator, w.denominator
         i, j = index[u], index[v]
-        for x, y, end in ((i, j, u), (j, i, v)):  # row x is end's, scaled by its r
-            if x >= 0:
-                scaled = w.numerator * (scales[end] // w.denominator)
-                lap[x][x] += scaled
-                if y >= 0:
-                    lap[x][y] -= scaled
+        a, b = p * (scales[u] // q), p * (scales[v] // q)  # w in u's row and in v's, scaled
+        if i >= 0:
+            lap[i][i] += a
+            if j >= 0:
+                lap[i][j] -= a
+                lap[j][i] -= b
+        if j >= 0:
+            lap[j][j] += b
     adj, det = fraction_free_invert(lap, [scales[v] for v in kept])
+    scale = lcm(det, *(w.numerator for _, _, w in peeled)) // det
+    if scale > 1:
+        det *= scale
+        adj = [[x * scale for x in row] for row in adj]
+    for row in adj:
+        for g in gaps:
+            row.insert(g, 0)
+    for g in gaps:
+        adj.insert(g, [0] * n)
+    for leaf, v, w in reversed(peeled):
+        for row in adj:
+            row[leaf] = row[v]
+        row = adj[leaf] = adj[v].copy()
+        row[leaf] += det * w.denominator // w.numerator
     common = gcd(det, *chain.from_iterable(adj))
     if common > 1:
         det //= common
         adj = [[x // common for x in row] for row in adj]
-    for row in adj:
-        for g in grounds:
-            row.insert(g, 0)
-    for g in grounds:
-        adj.insert(g, [0] * n)
     return adj, det, part
 
 

@@ -151,8 +151,8 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from itertools import compress
-from operator import add, itemgetter, ne
+from itertools import permutations
+from operator import add, itemgetter
 from typing import Sequence
 
 from .network import (
@@ -510,8 +510,14 @@ def _split_bounds(
     low(v) >= disc(p) and otherwise joins the block of p's parent edge; a
     back edge joins the block of its lower end's parent edge.  Each term
     of the bound is a cut, an edge set with the keys it adds when r and s
-    lie in different components of G - cut, found once per cut for every
-    vertex; a candidate's bound then compares its ends' components.
+    lie in different components of G - cut.  These are the pieces of the
+    DFS tree less the cut's tree edges, as a back edge's cycle stays in
+    its block and misses every bridge, but for one case: a class C lies on
+    the cycles of the back edges that its label holds, each through all of
+    C (so C's tree edges lie on one path up the tree), and when C holds
+    none of them (a label of two or more bits) they join the piece below
+    C's deepest edge to the root's.  One pass down the tree per cut names
+    the pieces, and the cuts add up in a table over vertex pairs.
     """
     n, edges = net.n, net.edges
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -555,45 +561,66 @@ def _split_bounds(
     for j, v in backs:
         block[j] = block[up[v]]
 
-    # Cuts, each an edge set with the weight it adds when it separates r and s: the
-    # blocks first, then in removed mode the bridges together and each class of two or more.
+    # Cuts, each as the lower ends of its tree edges, the one of them whose piece joins
+    # the root's (or -1), the weight it adds when it separates r and s and whether it
+    # is a block: the blocks first, then in removed mode the bridges and each class of
+    # two or more edges.
     removed = mode is FaultMode.REMOVED
-    cuts: list[set[int]] = [set() for _ in range(count)]
-    classes: dict[int, set[int]] = {}
-    for j, (b, key) in enumerate(zip(block, label)):
-        cuts[b].add(j)
-        classes.setdefault(key, set()).add(j)
+    ends, classes = [[] for _ in range(count)], {}
+    for v in order[1:]:
+        ends[block[up[v]]].append(v)
+        classes.setdefault(label[up[v]], []).append(v)
+    held = [set() for _ in range(count)]  # per block: its edges' labels (removed) or indices
+    for j, b in enumerate(block):
+        held[b].add(label[j] if removed else j)
+    weights = [len(keys - {0}) if removed else len(keys) for keys in held]
+    cuts = [(lower, -1, weight, True) for lower, weight in zip(ends, weights)]
     if removed:
-        weights = [len({label[j] for j in cut} - {0}) for cut in cuts]
-        cuts.append(classes.pop(0, set()))
-        big = [cut for cut in classes.values() if len(cut) > 1]
-        cuts += big
-        weights += [1] * (1 + len(big))
-    else:
-        weights = [len(cut) for cut in cuts]
+        cuts.append((classes.pop(0, []), -1, 1, False))
+        sizes = Counter(label)
+        cuts += [(lower, lower[-1] if key & (key - 1) else -1, 1, False)
+                 for key, lower in classes.items() if sizes[key] > 1]
     # A cut that parts every two vertices (the one block of K_n) adds its weight to
-    # every bound, and one that parts none (no bridges) adds nothing: only the rest
-    # are read per candidate.
-    fixed, sides, kept, blocks = 0, [], [], 0  # blocks: how many of the kept cuts are blocks
-    for b, (cut, weight) in enumerate(zip(cuts, weights)):
-        parts = _components(n, [e.pair for j, e in enumerate(edges) if j not in cut])
-        if len(parts) == n:
+    # every bound, and one that parts none (no bridges) adds nothing.  The rest go
+    # into a table over vertex pairs: a cut adds weight * K, plus 1 for a block, to
+    # each pair it parts, with K one more than the blocks, so a pair's entry divided
+    # by K leaves the number of blocks that part it.  A cut writes whichever is fewer:
+    # the pairs it parts, or those it does not, less from an offset that every pair has.
+    fixed, kept = 0, []
+    for lower, joined, weight, is_block in cuts:
+        parts = len(lower) + (joined < 0)
+        if parts == n:
             fixed += weight
-        elif len(parts) > 1:
-            side = [0] * n
-            for i, part in enumerate(parts):
-                for v in part:
-                    side[v] = i
-            sides.append(side)
-            kept.append(weight)
-            blocks += b < count
-    if not sides:
+        elif parts > 1:
+            kept.append((lower, joined, weight, is_block))
+    if not kept:
         return [fixed + no_fault] * len(cands)
-    at = list(zip(*sides))  # per vertex: its component in each kept cut
+    blocks = sum(is_block for *_, is_block in kept)
+    scale, offset, table = blocks + 1, 0, [0] * (n * n)  # (r, s) at r * n + s and s * n + r
+    for lower, joined, weight, is_block in kept:
+        names = dict(zip(lower, lower))
+        if joined >= 0:
+            names[joined] = 0
+        side, pieces = [0] * n, {0: [0]}  # per vertex: its component's name
+        for v in order[1:]:
+            x = side[v] = names[v] if v in names else side[parent[v]]
+            pieces.setdefault(x, []).append(v)
+        gain = weight * scale + is_block
+        if 2 * sum(len(piece) ** 2 for piece in pieces.values()) > n * n:
+            pairs = permutations(pieces.values(), 2)
+        else:
+            offset += gain
+            gain = -gain
+            pairs = ((piece, piece) for piece in pieces.values())
+        for ours, theirs in pairs:
+            for r in ours:
+                at = r * n
+                for s in theirs:
+                    table[at + s] += gain
     bounds = []
     for m in cands:
-        apart = list(map(ne, at[m.r], at[m.s]))
-        bounds.append(fixed + sum(compress(kept, apart)) + (not all(apart[:blocks]) or no_fault))
+        sum_, parted = divmod(offset + table[m.r * n + m.s], scale)
+        bounds.append(fixed + sum_ + (no_fault or parted < blocks))
     return bounds
 
 

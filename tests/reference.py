@@ -8,15 +8,18 @@ block-inverse coefficient, the block inverse itself, the classifiers
 that map a (probe, fault edge) pair to its closed-form table column, the
 paper's counting rules for plan sizes and its k-partite upper bound, the
 probe-by-edge table of Fraction readings that the integer keys must
-group alike, a row's values numbered by first appearance, and a class-id
-row keyed by each correction term in lowest terms.
+group alike, a row's values numbered by first appearance, a class-id
+row keyed by each correction term in lowest terms, and the greedy's split
+bounds with one component walk per cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
+from operator import ne
 from typing import NamedTuple, Sequence
 
 from resfault.bounds import _leftover_count, bipartite_bound, tripartite_bound
@@ -29,6 +32,7 @@ from resfault.network import (
     Measurement,
     Network,
     Resistance,
+    _components,
     perturbed_effective_resistance,
 )
 from resfault.strategies import _composition
@@ -350,3 +354,108 @@ def gcd_keyed_classes(net: Network, m: Measurement, mode: FaultMode, no_fault: b
     if no_fault:
         keys.append((0, 1))
     return numbered(keys)
+
+
+def split_bounds_by_components(
+    net: Network, cands: Sequence[Measurement], mode: FaultMode, no_fault: bool
+) -> list[int]:
+    """Per candidate, `solver._split_bounds` as one component walk per cut finds it.
+
+    The library reads each cut's components off its DFS tree and sums the
+    cuts in a table over vertex pairs; this walks G - cut per cut with
+    `network._components` and compares each candidate's ends cut by cut.
+
+    One iterative DFS from vertex 0 gives the tree edges, the low-links
+    and one bit per back edge.  An edge's label is the XOR of the bits of
+    the fundamental cycles through it (a tree edge's is the XOR, over its
+    lower end's subtree, of the bits of the back edges at each vertex
+    there), so the bridges are the edges labelled 0 and each nonzero label
+    is one cut-pair class.  A tree edge (p, v) starts a block when
+    low(v) >= disc(p) and otherwise joins the block of p's parent edge; a
+    back edge joins the block of its lower end's parent edge.  Each term
+    of the bound is a cut, an edge set with the keys it adds when r and s
+    lie in different components of G - cut, found once per cut for every
+    vertex; a candidate's bound then compares its ends' components.
+    """
+    n, edges = net.n, net.edges
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, e in enumerate(edges):
+        adj[e.u].append((e.v, j))
+        adj[e.v].append((e.u, j))
+    order, parent, up = [0], [0] * n, [-1] * n  # up[v]: the tree edge from v to its parent
+    disc, low, acc = [-1] * n, [0] * n, [0] * n
+    disc[0] = 0
+    label, backs = [0] * len(edges), []
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w, j in it:
+            if disc[w] < 0:
+                disc[w] = low[w] = len(order)
+                order.append(w)
+                parent[w], up[w] = v, j
+                stack.append((w, iter(adj[w])))
+                break
+            if disc[w] < disc[v] and j != up[v]:  # a back edge to an ancestor
+                label[j] = bit = 1 << len(backs)
+                acc[v] ^= bit
+                acc[w] ^= bit
+                low[v] = min(low[v], disc[w])
+                backs.append((j, v))
+        else:
+            stack.pop()
+    for v in reversed(order[1:]):
+        p = parent[v]
+        label[up[v]] = acc[v]
+        acc[p] ^= acc[v]
+        low[p] = min(low[p], low[v])
+    block = [0] * len(edges)
+    count = 0
+    for v in order[1:]:
+        if low[v] >= disc[parent[v]]:
+            block[up[v]], count = count, count + 1
+        else:
+            block[up[v]] = block[up[parent[v]]]
+    for j, v in backs:
+        block[j] = block[up[v]]
+
+    # Cuts, each an edge set with the weight it adds when it separates r and s: the
+    # blocks first, then in removed mode the bridges together and each class of two or more.
+    removed = mode is FaultMode.REMOVED
+    cuts: list[set[int]] = [set() for _ in range(count)]
+    classes: dict[int, set[int]] = {}
+    for j, (b, key) in enumerate(zip(block, label)):
+        cuts[b].add(j)
+        classes.setdefault(key, set()).add(j)
+    if removed:
+        weights = [len({label[j] for j in cut} - {0}) for cut in cuts]
+        cuts.append(classes.pop(0, set()))
+        big = [cut for cut in classes.values() if len(cut) > 1]
+        cuts += big
+        weights += [1] * (1 + len(big))
+    else:
+        weights = [len(cut) for cut in cuts]
+    # A cut that parts every two vertices (the one block of K_n) adds its weight to
+    # every bound, and one that parts none (no bridges) adds nothing: only the rest
+    # are read per candidate.
+    fixed, sides, kept, blocks = 0, [], [], 0  # blocks: how many of the kept cuts are blocks
+    for b, (cut, weight) in enumerate(zip(cuts, weights)):
+        parts = _components(n, [e.pair for j, e in enumerate(edges) if j not in cut])
+        if len(parts) == n:
+            fixed += weight
+        elif len(parts) > 1:
+            side = [0] * n
+            for i, part in enumerate(parts):
+                for v in part:
+                    side[v] = i
+            sides.append(side)
+            kept.append(weight)
+            blocks += b < count
+    if not sides:
+        return [fixed + no_fault] * len(cands)
+    at = list(zip(*sides))  # per vertex: its component in each kept cut
+    bounds = []
+    for m in cands:
+        apart = list(map(ne, at[m.r], at[m.s]))
+        bounds.append(fixed + sum(compress(kept, apart)) + (not all(apart[:blocks]) or no_fault))
+    return bounds

@@ -132,7 +132,25 @@ def test_one_inversion_per_network(monkeypatch):
     net = pendant_network(3, 10)
     for mode in FaultMode:
         build_signature(net, net.measurements(), mode)
-    assert calls == [9]
+    assert calls == [6]  # the 7-vertex core less its ground: the three leaves are peeled
+
+
+@pytest.mark.parametrize("net", [
+    complete_network(6),
+    Network.from_edge_list(6, [(v, (v + 1) % 6, Fraction(v + 2, 7 - v)) for v in range(6)]
+                           + [(0, 3, Fraction(5, 4)), (1, 4, Fraction(2, 9))]),
+], ids=["K6", "weighted-2-connected"])
+def test_a_network_without_a_leaf_inverts_its_whole_row_scaled_laplacian(monkeypatch, net):
+    # No vertex has a single edge, so nothing is peeled: the inversion gets M = R L
+    # of the whole reduced Laplacian, r_v the lcm of the denominators at v.
+    handed = []
+    real = resfault.network.fraction_free_invert
+    monkeypatch.setattr(resfault.network, "fraction_free_invert",
+                        lambda mat, scales: handed.append((mat, scales)) or real(mat, scales))
+    net._reading_kernel
+    scales = [lcm(*(e.conductance.denominator for e in net.edges if v in e.pair)) for v in range(1, net.n)]
+    lap = build_reduced_laplacian(net, 0)
+    assert handed == [([[int(x * r) for x in row] for row, r in zip(lap, scales)], scales)]
 
 
 @pytest.mark.parametrize("mode", list(FaultMode))

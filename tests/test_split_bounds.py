@@ -12,6 +12,9 @@ networks: it is never below a row's number of distinct keys, it is the
 column count where the network is one block (and, in removed mode, has
 no 2-edge cut), some row of every pendant network meets the largest
 bound, and with it the greedy's first step reads one or two full rows.
+Last, the bounds equal those of the reference that walks G - cut once per
+cut, on random sparse networks whose vertices are labelled at random, on
+cycles (one class that parts every pair) and on whole and partial pools.
 """
 
 import random
@@ -34,6 +37,7 @@ from resfault.signatures import reading_classes
 from resfault.solver import _split_bounds, solve_greedy
 
 from grounding import grounded_resistance
+from reference import split_bounds_by_components
 from test_kernel import bridged_network, pendant_network
 
 REMOVED = FaultMode.REMOVED
@@ -192,6 +196,31 @@ def test_the_bound_caps_every_row_and_some_pendant_row_meets_the_largest(mode, n
         assert all(b >= c for b, c in zip(bounds, counts)), net
         if net in pendants:
             assert max(bounds) == max(counts), net
+
+
+def random_sparse(seed):
+    """A random spanning tree with 0 to 2n chords and shuffled labels: bridges, blocks,
+    2-edge cuts with and without a back edge of the DFS tree, and one-block networks."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 16)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.choice([0, 1, 2, n // 3, n, 2 * n]) if n > 1 else 0):
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    label = rng.sample(range(n), n)
+    return weighted(n, [(label[u], label[v]) for u, v in pairs], None)
+
+
+@pytest.mark.parametrize("no_fault", [False, True], ids=["faults", "no_fault"])
+@pytest.mark.parametrize("mode", list(FaultMode))
+def test_the_bound_matches_the_component_walk_per_cut(mode, no_fault):
+    cycles = [weighted(n, [(v, (v + 1) % n) for v in range(n)], None) for n in range(3, 8)]
+    nets = [random_sparse(seed) for seed in range(300)] + cycles + sparse_networks()
+    rng = random.Random(1)
+    for net in nets + [complete_network(6), bridged_network(), pendant_network(2, 12)]:
+        everything = net.measurements()
+        for cands in (everything, [m for m in everything if rng.random() < 0.3]):
+            want = split_bounds_by_components(net, cands, mode, no_fault)
+            assert _split_bounds(net, cands, mode, no_fault) == want, net
 
 
 @cache
